@@ -12,6 +12,10 @@ prints sat, unsat, or unknown:
     every query premise it is a genuine model, so the verdict is exact;
   * unknown otherwise.
 
+A time limit (-t) bounds every phase: derivation checks the clock for each
+fact row it joins, invariant inference for each candidate it tests, and the
+QF core inside each query.
+
 Designed for desk-scale problems; a production solver (z3/SPACER) remains a
 drop-in via the driver configuration.
 """
@@ -56,6 +60,10 @@ def read_script(text: str) -> tuple[list[Clause], SmtContext]:
     return clauses, ctx
 
 
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 # ---------------------------------------------------------------------------
 # Bounded bottom-up refutation
 # ---------------------------------------------------------------------------
@@ -89,6 +97,9 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
         nxt = []
         for s, c, _ in state:
             for fargs, fc in rows:
+                if _expired(budget.deadline):
+                    facts.saturated = False
+                    return []
                 ren = {v: gen.fresh_var(v.sort) for v in
                        sorted(free_vars(list(fargs)) | free_vars(fc),
                               key=lambda w: w.name)}
@@ -114,7 +125,8 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
                 cns = mk_and(s2.formula(c), fc2,
                              *(s2.formula(e) for e in extra))
                 # prune dead partial joins early; unknown survives
-                if qfcore.check_sat(cns, qfcore.Budget(20_000)) == qfcore.UNSAT:
+                if qfcore.check_sat(cns, qfcore.Budget(20_000, budget.deadline)) \
+                        == qfcore.UNSAT:
                     continue
                 nxt.append((s2, cns, 0))
                 if len(nxt) > limit:
@@ -148,7 +160,7 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
     definite = [c for c in clauses if c.head is not None]
     budget = qfcore.Budget(deadline=deadline)
     for _ in range(rounds):
-        if deadline is not None and time.monotonic() > deadline:
+        if _expired(deadline):
             return UNKNOWN, facts.by_pred
         grew = False
         for c in definite:
@@ -305,12 +317,15 @@ def _preprune(inv: dict[str, list[Formula]], samples: dict, pv: dict,
             continue
         keep: list[Formula] = []
         vs = _pos_vars(pred, preds[pred], pv)
-        for cand in cands:
+        for i, cand in enumerate(cands):
+            if _expired(deadline):
+                keep.extend(cands[i:])  # out of time: the rest stay untested
+                break
             ok = True
             for args, cns in rows:
                 s = Subst({v: t for v, t in zip(vs, args)})
                 q = mk_and(cns, mk_not(s.formula(cand)))
-                if qfcore.check_sat(q, qfcore.Budget(30_000)) == qfcore.SAT:
+                if qfcore.check_sat(q, qfcore.Budget(30_000, deadline)) == qfcore.SAT:
                     ok = False
                     break
             if ok:
@@ -341,8 +356,6 @@ def houdini(clauses: list[Clause], preds: dict[str, tuple],
     changed = True
     while changed:
         changed = False
-        if deadline is not None and time.monotonic() > deadline:
-            return UNKNOWN
         for c in definite:
             if not inv[c.head.pred]:
                 continue
@@ -350,6 +363,8 @@ def houdini(clauses: list[Clause], preds: dict[str, tuple],
             s = Subst({v: t for v, t in zip(vs, c.head.args)})
             keep: list[Formula] = []
             for cand in inv[c.head.pred]:
+                if _expired(deadline):
+                    return UNKNOWN
                 if check(c, s.formula(cand)) == qfcore.UNSAT:
                     keep.append(cand)
                 else:

@@ -2,14 +2,19 @@
 
 check_sat decides formulas built from linear integer atoms, boolean
 variables, the usual connectives, ite (both levels), and equalities over
-algebraic data type terms. The procedure is a small DPLL over the atom
-skeleton with a theory check per complete assignment:
+algebraic data type terms. The formula is put in canonical form once and
+compiled into a table of atoms and a boolean skeleton over their indices.
+A small DPLL then searches over partial assignments to the atoms without
+rewriting the formula: each node evaluates the skeleton three-valued,
+propagates the first open top-level literal, or else branches on the first
+open atom, and runs a theory check once the skeleton evaluates to true:
 
   * integers: Gaussian substitution on unit-coefficient equalities, then
     Fourier-Motzkin elimination with integer tightening; eliminations are
     exact while some side of every combined pair has unit coefficient
     (always the case for the clause constraints this package produces),
-    otherwise a bounded branch-and-bound pass confirms or gives 'unknown';
+    and a non-unit pair makes a feasible result 'unknown' (its real shadow
+    may hold no integer point);
   * constructor terms: congruence closure with injectivity, clash, and
     acyclicity; derived equalities on integer arguments feed the LIA check.
 
@@ -20,6 +25,7 @@ forcing an undecided boolean equality) is hit.
 
 from __future__ import annotations
 
+import time
 from math import gcd
 
 from ..syntax import (
@@ -46,7 +52,6 @@ class Budget:
             self.exhausted = True
         self._tick += 1
         if self.deadline is not None and self._tick % 512 == 0:
-            import time
             if time.monotonic() > self.deadline:
                 self.exhausted = True
         return not self.exhausted
@@ -166,74 +171,126 @@ def _const_holds(g: FComp) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# DPLL over the atom skeleton
+# DPLL over the atom skeleton, evaluated under a partial assignment
 # ---------------------------------------------------------------------------
+#
+# A skeleton node is an atom index (int), (_NOT, node), (_AND, nodes) or
+# (_OR, nodes). The search never rewrites it: each node is evaluated
+# three-valued (True / False / None for open) against a list that holds the
+# current value of every atom.
 
-def _first_atom(f: Formula) -> Formula | None:
-    if isinstance(f, (FComp, FEq, FVar)):
-        return f
-    if isinstance(f, FNot):
-        return _first_atom(f.arg)
-    if isinstance(f, (FAnd, FOr)):
-        for a in f.args:
-            got = _first_atom(a)
-            if got is not None:
-                return got
-    return None
-
-
-def _assign(f: Formula, atom: Formula, val: bool) -> Formula:
-    if f == atom:
-        return TRUE if val else FALSE
-    if isinstance(f, FNot):
-        return mk_not(_assign(f.arg, atom, val))
-    if isinstance(f, FAnd):
-        return mk_and(*(_assign(a, atom, val) for a in f.args))
-    if isinstance(f, FOr):
-        return mk_or(*(_assign(a, atom, val) for a in f.args))
-    return f
+_NOT, _AND, _OR = "not", "and", "or"
 
 
 def check_sat(f: Formula, budget: Budget | None = None) -> str:
     budget = budget or Budget()
-    f = canonize(elim_ite(f))
-    return _dpll(f, {}, budget)
+    atoms: dict[Formula, int] = {}
+    root = _compile(canonize(elim_ite(f)), atoms)
+    return _search(root, list(atoms), [None] * len(atoms), {}, budget)
 
 
-def _unit(f: Formula) -> tuple[Formula, bool] | None:
-    """A top-level unit literal, if any (forces one polarity first)."""
-    args = f.args if isinstance(f, FAnd) else (f,)
-    for a in args:
-        if isinstance(a, (FComp, FEq, FVar)):
-            return a, True
-        if isinstance(a, FNot) and isinstance(a.arg, (FComp, FEq, FVar)):
-            return a.arg, False
+def _compile(f: Formula, atoms: dict[Formula, int]):
+    """Skeleton of a canonized formula; atoms are numbered by first occurrence."""
+    if isinstance(f, FTrue):
+        return (_AND, ())
+    if isinstance(f, FFalse):
+        return (_OR, ())
+    if isinstance(f, FNot):
+        return (_NOT, _compile(f.arg, atoms))
+    if isinstance(f, FAnd):
+        return (_AND, tuple(_compile(a, atoms) for a in f.args))
+    if isinstance(f, FOr):
+        return (_OR, tuple(_compile(a, atoms) for a in f.args))
+    return atoms.setdefault(f, len(atoms))
+
+
+def _value(n, assign: list) -> bool | None:
+    if type(n) is int:
+        return assign[n]
+    op, arg = n
+    if op is _NOT:
+        v = _value(arg, assign)
+        return None if v is None else not v
+    stop = op is _OR  # the child value that decides the connective
+    out = not stop
+    for c in arg:
+        v = assign[c] if type(c) is int else _value(c, assign)
+        if v is stop:
+            return stop
+        if v is None:
+            out = None
+    return out
+
+
+def _residue(n, assign: list):
+    """(negated, core) of an open node once closed children drop out: an
+    and/or left with a single open child stands for that child."""
+    neg = False
+    while type(n) is not int:
+        op, arg = n
+        if op is _NOT:
+            neg = not neg
+            n = arg
+            continue
+        only = None
+        for c in arg:
+            if _value(c, assign) is None:
+                if only is not None:
+                    return neg, n
+                only = c
+        n = only
+    return neg, n
+
+
+def _unit(n, assign: list) -> tuple[int, bool] | None:
+    """The first open literal among the open node's top-level conjuncts."""
+    neg, core = _residue(n, assign)
+    if type(core) is int:
+        return core, not neg
+    if neg or core[0] is not _AND:
+        return None
+    for c in core[1]:
+        if _value(c, assign) is None:
+            unit = _unit(c, assign)
+            if unit is not None:
+                return unit
     return None
 
 
-def _dpll(f: Formula, lits: dict[Formula, bool], budget: Budget) -> str:
+def _first_open(n, assign: list) -> int:
+    """The first atom, depth first, under the open children of an open node."""
+    while type(n) is not int:
+        op, arg = n
+        if op is _NOT:
+            n = arg
+        else:
+            n = next(c for c in arg if _value(c, assign) is None)
+    return n
+
+
+def _search(root, atoms: list[Formula], assign: list,
+            lits: dict[Formula, bool], budget: Budget) -> str:
     if not budget.spend():
         return UNKNOWN
-    if isinstance(f, FFalse):
+    v = _value(root, assign)
+    if v is False:
         return UNSAT
-    if isinstance(f, FTrue):
+    if v is True:
         return _theory_check(lits, budget)
-    unit = _unit(f)
+    unit = _unit(root, assign)
     if unit is not None:
         # unit propagation: the opposite polarity falsifies a top conjunct
-        atom, val = unit
-        lits[atom] = val
-        r = _dpll(_assign(f, atom, val), lits, budget)
-        del lits[atom]
-        return r
-    atom = _first_atom(f)
-    if atom is None:  # only connectives over constants; canonize left none
-        return UNKNOWN
+        i, val = unit
+        branches: tuple[bool, ...] = (val,)
+    else:
+        i, branches = _first_open(root, assign), (True, False)
     out = UNSAT
-    for val in (True, False):
-        lits[atom] = val
-        r = _dpll(_assign(f, atom, val), lits, budget)
-        del lits[atom]
+    for val in branches:
+        assign[i] = val
+        lits[atoms[i]] = val
+        r = _search(root, atoms, assign, lits, budget)
+        del lits[atoms[i]]
+        assign[i] = None
         if r == SAT:
             return SAT
         if r == UNKNOWN:

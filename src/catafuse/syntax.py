@@ -115,10 +115,31 @@ class SortTable:
 # Terms
 # ---------------------------------------------------------------------------
 
+def _cached_hash(cls):
+    """Class decorator: compute a frozen dataclass's structural hash once per
+    object, so hashing a formula no longer walks its whole tree each time.
+    The value is the dataclass's own. It is kept in the instance dict, so a
+    pickled object would carry a string hash from another process; nothing
+    pickles these objects."""
+    compute = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = compute(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 class Term:
     __slots__ = ()
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Var(Term):
     name: str
@@ -128,6 +149,7 @@ class Var(Term):
         return self.name
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class IntConst(Term):
     value: int
@@ -136,6 +158,7 @@ class IntConst(Term):
         return str(self.value)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class BoolConst(Term):
     value: bool
@@ -144,6 +167,7 @@ class BoolConst(Term):
         return "true" if self.value else "false"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class LinExpr(Term):
     """a0 + a1*X1 + ... + an*Xn with integer coefficients, kept in canonical form."""
@@ -168,6 +192,7 @@ class LinExpr(Term):
         return out
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Ctor(Term):
     sort: Sort
@@ -178,6 +203,7 @@ class Ctor(Term):
         return str(pretty_term(self))
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class TermIte(Term):
     cond: "Formula"
@@ -246,12 +272,14 @@ class Formula:
     __slots__ = ()
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FTrue(Formula):
     def __str__(self) -> str:
         return "true"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FFalse(Formula):
     def __str__(self) -> str:
@@ -262,6 +290,7 @@ TRUE = FTrue()
 FALSE = FFalse()
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FVar(Formula):
     var: Var
@@ -270,6 +299,7 @@ class FVar(Formula):
         return self.var.name
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FNot(Formula):
     arg: Formula
@@ -278,6 +308,7 @@ class FNot(Formula):
         return f"~{_paren(self.arg)}"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FAnd(Formula):
     args: tuple[Formula, ...]
@@ -286,6 +317,7 @@ class FAnd(Formula):
         return " & ".join(_paren(a) for a in self.args)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FOr(Formula):
     args: tuple[Formula, ...]
@@ -294,6 +326,7 @@ class FOr(Formula):
         return " \\/ ".join(_paren(a) for a in self.args)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FImp(Formula):
     lhs: Formula
@@ -303,6 +336,7 @@ class FImp(Formula):
         return f"{_paren(self.lhs)} => {_paren(self.rhs)}"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FIff(Formula):
     lhs: Formula
@@ -312,6 +346,7 @@ class FIff(Formula):
         return f"{_paren(self.lhs)} <=> {_paren(self.rhs)}"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FIte(Formula):
     cond: Formula
@@ -322,6 +357,7 @@ class FIte(Formula):
         return f"ite({self.cond},{self.then},{self.els})"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FComp(Formula):
     """LIA atom over Int terms; rel is one of = < =< >= >."""
@@ -334,6 +370,7 @@ class FComp(Formula):
         return f"{self.lhs}{self.rel}{self.rhs}"
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class FEq(Formula):
     """Equality between same-sorted ADT terms."""
@@ -735,14 +772,6 @@ def rename_apart(c: Clause, avoid: set[Var], gen: NameGen) -> tuple[Clause, Subs
                 nv = gen.fresh_var(v.sort, v.name)
             ren[v] = nv
             taken.add(nv.name)
-    s = Subst(ren)
-    return s.clause(c), s
-
-
-def rename_all_fresh(c: Clause, gen: NameGen) -> tuple[Clause, Subst]:
-    """Variant of c with every variable fresh."""
-    ren = {v: gen.fresh_var(v.sort, v.name)
-           for v in sorted(free_vars(c), key=lambda w: w.name)}
     s = Subst(ren)
     return s.clause(c), s
 

@@ -98,10 +98,7 @@ class Definition:
                       self.catas + (self.prog,), origin="define")
 
     def cata_signature(self) -> tuple[tuple[str, int], ...]:
-        counts: dict[str, int] = {}
-        for a in self.catas:
-            counts[a.pred] = counts.get(a.pred, 0) + 1
-        return tuple(sorted(counts.items()))
+        return cata_sig(self.catas)
 
 
 def _head_tuple(catas: tuple[Atom, ...], prog: Atom) -> tuple[Var, ...]:
@@ -127,7 +124,7 @@ def _term_var_order(t: Term) -> list[Var]:
     return out
 
 
-def cata_sig(catas: list[Atom]) -> tuple[tuple[str, int], ...]:
+def cata_sig(catas: list[Atom] | tuple[Atom, ...]) -> tuple[tuple[str, int], ...]:
     counts: dict[str, int] = {}
     for a in catas:
         counts[a.pred] = counts.get(a.pred, 0) + 1

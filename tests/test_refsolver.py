@@ -3,17 +3,29 @@
 import random
 import subprocess
 import sys
+import time
 
+from catafuse.engine import ConstraintEngine
+from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
+from catafuse.smtlib import emit_smtlib
 from catafuse.syntax import (
-    BOOL, INT, FAnd, FComp, FIff, FImp, FIte, FNot, FOr, FVar,
-    IntConst, TermIte, Var, lin, mk_and, mk_not, mk_or,
+    BOOL, INT, Ctor, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr,
+    FTrue, FVar, IntConst, TermIte, Var, lin, list_sort, mk_and, mk_not, mk_or,
+    TRUE, FALSE,
 )
+from catafuse.transform import transform_problem, transformed_problem
 
 X = Var("X", INT)
 Y = Var("Y", INT)
 B1 = Var("B1", BOOL)
 B2 = Var("B2", BOOL)
+B3 = Var("B3", BOOL)
+LI = list_sort(INT)
+LB = list_sort(BOOL)
+L1 = Var("L1", LI)
+L2 = Var("L2", LI)
+M1 = Var("M1", LB)
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +62,17 @@ def _eval(f, env):
     return {"FTrue": True, "FFalse": False}[type(f).__name__]
 
 
-def _rand_formula(rng, depth):
+def _rand_formula(rng, depth, adt=False):
     if depth == 0:
+        if adt and rng.random() < 0.5:
+            return _rand_adt_atom(rng)
         if rng.random() < 0.5:
             c = {v: rng.randint(-2, 2) for v in rng.sample([X, Y], rng.randint(0, 2))}
             return FComp(rng.choice(["=", "<", "=<", ">=", ">"]),
                          lin(c, rng.randint(-3, 3)), IntConst(rng.randint(-2, 2)))
         return FVar(rng.choice([B1, B2]))
-    a = _rand_formula(rng, depth - 1)
-    b = _rand_formula(rng, depth - 1)
+    a = _rand_formula(rng, depth - 1, adt)
+    b = _rand_formula(rng, depth - 1, adt)
     k = rng.random()
     if k < 0.3:
         return mk_and(a, b)
@@ -70,7 +84,34 @@ def _rand_formula(rng, depth):
         return FIff(a, b)
     if k < 0.9:
         return mk_not(a)
-    return FIte(a, b, _rand_formula(rng, depth - 1))
+    return FIte(a, b, _rand_formula(rng, depth - 1, adt))
+
+
+def _rand_list(rng):
+    nil = Ctor(LI, "[]", ())
+    k = rng.random()
+    if k < 0.3:
+        return rng.choice([L1, L2])
+    if k < 0.45:
+        return nil
+    if k < 0.85:
+        head = rng.choice([X, Y, IntConst(rng.randint(-1, 1))])
+        return Ctor(LI, "cons", (head, rng.choice([L1, L2, nil])))
+    return TermIte(FVar(B3), rng.choice([L1, nil]), Ctor(LI, "cons", (X, L2)))
+
+
+def _rand_adt_atom(rng):
+    """Atoms the plain generator lacks: list equalities, term-level ite, and
+    boolean variables inside constructor terms."""
+    k = rng.random()
+    if k < 0.5:
+        return FEq(_rand_list(rng), _rand_list(rng), LI)
+    if k < 0.75:
+        ite = TermIte(FVar(rng.choice([B1, B3])), X, lin({Y: 1}, rng.randint(-1, 1)))
+        return FComp(rng.choice(["=", "=<", "<"]), ite, IntConst(rng.randint(-1, 1)))
+    nil = Ctor(LB, "[]", ())
+    return FEq(Ctor(LB, "cons", (rng.choice([B1, B2]), nil)),
+               Ctor(LB, "cons", (rng.choice([B2, B3]), rng.choice([M1, nil]))), LB)
 
 
 def test_qfcore_never_contradicts_bruteforce():
@@ -85,6 +126,79 @@ def test_qfcore_never_contradicts_bruteforce():
         if model_found:
             assert got != qfcore.UNSAT, f
         # bounded search cannot refute a 'sat' verdict
+
+
+# The rewriting DPLL that the assignment-based search replaced: after every
+# decision it rebuilds the formula with the decided atom set to a constant.
+
+def _ref_first_atom(f):
+    if isinstance(f, (FComp, FEq, FVar)):
+        return f
+    if isinstance(f, FNot):
+        return _ref_first_atom(f.arg)
+    if isinstance(f, (FAnd, FOr)):
+        for a in f.args:
+            got = _ref_first_atom(a)
+            if got is not None:
+                return got
+    return None
+
+
+def _ref_assign(f, atom, val):
+    if f == atom:
+        return TRUE if val else FALSE
+    if isinstance(f, FNot):
+        return mk_not(_ref_assign(f.arg, atom, val))
+    if isinstance(f, FAnd):
+        return mk_and(*(_ref_assign(a, atom, val) for a in f.args))
+    if isinstance(f, FOr):
+        return mk_or(*(_ref_assign(a, atom, val) for a in f.args))
+    return f
+
+
+def _ref_unit(f):
+    for a in f.args if isinstance(f, FAnd) else (f,):
+        if isinstance(a, (FComp, FEq, FVar)):
+            return a, True
+        if isinstance(a, FNot) and isinstance(a.arg, (FComp, FEq, FVar)):
+            return a.arg, False
+    return None
+
+
+def _ref_dpll(f, lits, budget):
+    if not budget.spend():
+        return qfcore.UNKNOWN
+    if isinstance(f, FFalse):
+        return qfcore.UNSAT
+    if isinstance(f, FTrue):
+        return qfcore._theory_check(lits, budget)
+    unit = _ref_unit(f)
+    atom = unit[0] if unit else _ref_first_atom(f)
+    out = qfcore.UNSAT
+    for val in (unit[1],) if unit else (True, False):
+        lits[atom] = val
+        r = _ref_dpll(_ref_assign(f, atom, val), lits, budget)
+        del lits[atom]
+        if r == qfcore.SAT:
+            return r
+        if r == qfcore.UNKNOWN:
+            out = r
+    return out
+
+
+def _ref_check_sat(f):
+    return _ref_dpll(qfcore.canonize(qfcore.elim_ite(f)), {}, qfcore.Budget())
+
+
+def test_qfcore_search_matches_rewriting_dpll():
+    rng = random.Random(7)
+    seen = set()
+    for i in range(400):
+        f = _rand_formula(rng, 3, adt=i % 4 != 0)
+        got = qfcore.check_sat(f)
+        assert got == _ref_check_sat(f), f
+        seen.add(got)
+    assert {qfcore.SAT, qfcore.UNSAT} <= seen
 
 
 def test_qfcore_integer_exactness():
@@ -201,6 +315,21 @@ def test_horn_recursive_unsat_found_by_unrolling():
 (assert (forall ((X Int)) (=> (and (p X) (> X 2)) false)))
 (check-sat)"""
     assert _solve(s) == "unsat"
+
+
+def test_horn_honours_deadline(corpus_dir):
+    """The transformed bst_insert_sat is beyond the bundled solver; every
+    phase must stop at the limit instead of finishing its round or sweep."""
+    pb = parse_problem((corpus_dir / "bst_insert_sat.chc").read_text())
+    eng = ConstraintEngine()
+    try:
+        res = transform_problem(pb, eng)
+    finally:
+        eng.close()
+    script = emit_smtlib(transformed_problem(pb, res))
+    t0 = time.monotonic()
+    assert horn.solve_script(script, 2) == "unknown"
+    assert time.monotonic() - t0 < 3
 
 
 def test_horn_cli_entry(tmp_path):

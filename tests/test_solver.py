@@ -82,8 +82,11 @@ def test_run_bench_mini(mini_corpus):
     assert by_name["append_len_unsat"].transformed == "unsat"
     txt, csvp = write_reports(report, mini_corpus)
     assert txt.exists() and csvp.exists()
-    assert report.to_csv() == run_bench(mini_corpus, CFG, jobs=1).to_csv() \
-        or True  # timings differ; determinism of ordering checked below
+    # timings differ between runs; the verdicts must not
+    def verdicts(rep):
+        return [(r.name, r.expected, r.original, r.transformed, r.ok)
+                for r in rep.rows]
+    assert verdicts(report) == verdicts(run_bench(mini_corpus, CFG, jobs=1))
     names = [r.name for r in report.rows]
     assert names == sorted(names)
 
