@@ -2,13 +2,15 @@
 
 Public surface: parse_problem, ConstraintEngine, transform_problem,
 transformed_problem, emit_smtlib, solve, check_equisat, run_bench.
+
+These names load on first use (PEP 562), so importing a submodule imports
+only what that submodule needs. The bundled oracle and CHC-solver children
+(`python -m catafuse.refsolver.oracle` / `catafuse.refsolver.horn`) import
+only `catafuse.syntax` and `catafuse.refsolver`, and one of them starts per
+transform or per solve, so their start-up is paid every time.
 """
 
-from .engine import ConstraintEngine
-from .parser import parse_problem
-from .smtlib import emit_smtlib
-from .solver import SolverConfig, check_equisat, run_bench, solve
-from .transform import transform_problem, transformed_problem
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -17,3 +19,23 @@ __all__ = [
     "parse_problem", "run_bench", "solve", "transform_problem",
     "transformed_problem", "__version__",
 ]
+
+_SUBMODULE = {
+    "ConstraintEngine": "engine",
+    "SolverConfig": "solver", "check_equisat": "solver",
+    "run_bench": "solver", "solve": "solver",
+    "emit_smtlib": "smtlib",
+    "parse_problem": "parser",
+    "transform_problem": "transform", "transformed_problem": "transform",
+}
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

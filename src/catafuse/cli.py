@@ -6,6 +6,7 @@ import argparse
 import os
 import shlex
 import sys
+import time
 from pathlib import Path
 
 from .catas import AnalysisError, check_schema
@@ -93,7 +94,6 @@ def _load(path: str):
 
 
 def _transform(problem, args):
-    import time
     engine = ConstraintEngine(Oracle(default_oracle_cmd()))
     t0 = time.monotonic()
     try:

@@ -15,18 +15,20 @@ Verdicts are three-valued and the transformer treats unknown conservatively
 from __future__ import annotations
 
 import os
+import select
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
 from .smtlib import datatype_block, mangle_sort, smt_formula
 from .syntax import (
-    FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue, FVar,
-    Formula, IntConst, SortTable, TRUE, FALSE, Var, conjuncts,
-    display_renaming, free_vars, lin, mk_and, mk_not, mk_or,
+    Clause, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue,
+    FVar, Formula, IntConst, SortTable, TRUE, FALSE, Var, as_lin, conjuncts,
+    display_renaming, free_vars, lin, lin_sub, mk_and, mk_not, mk_or,
 )
 
 SAT = "sat"
@@ -39,6 +41,11 @@ FAILS = "fails"
 
 class OracleError(Exception):
     """The external oracle is unreachable or broke protocol."""
+
+
+# how much of a failed oracle's stderr an OracleError quotes
+STDERR_TAIL_LINES = 5
+STDERR_TAIL_BYTES = 4096
 
 
 def default_oracle_cmd() -> list[str]:
@@ -59,15 +66,19 @@ class Oracle:
         self.cmd = cmd or default_oracle_cmd()
         self.timeout_ms = timeout_ms
         self.proc: subprocess.Popen | None = None
+        self._stderr = None  # the child's stderr, an unnamed temporary file
         self.lock = threading.Lock()
         self._decls: list[str] = []
 
     def _start(self) -> None:
+        # a file, not a pipe: a chatty child can never block on a full pipe
+        self._stderr = tempfile.TemporaryFile()
         try:
             self.proc = subprocess.Popen(
                 self.cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, text=True, bufsize=1)
+                stderr=self._stderr, text=True, bufsize=1)
         except OSError as e:
+            self._stderr.close()
             raise OracleError(f"cannot launch oracle {self.cmd}: {e}") from e
         self._send("(set-option :print-success false)")
         self._send("(set-logic ALL)")
@@ -91,14 +102,30 @@ class Oracle:
             self.proc.stdin.write(line + "\n")
             self.proc.stdin.flush()
         except (BrokenPipeError, OSError) as e:
-            raise OracleError(f"oracle pipe broken: {e}") from e
+            raise self._failure(f"oracle pipe broken: {e}") from e
+
+    def _failure(self, what: str) -> OracleError:
+        """`what`, with the child's exit status and the end of its stderr."""
+        assert self.proc is not None and self._stderr is not None
+        try:
+            status = f"exit status {self.proc.wait(timeout=1)}"
+        except subprocess.TimeoutExpired:
+            status = "still running"
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        # pread leaves the file offset, which the child shares, alone
+        tail = os.pread(fd, STDERR_TAIL_BYTES, max(0, size - STDERR_TAIL_BYTES))
+        lines = tail.decode(errors="replace").splitlines()[-STDERR_TAIL_LINES:]
+        if not lines:
+            return OracleError(f"{what} ({status}, nothing on stderr)")
+        return OracleError(f"{what} ({status}); its stderr ends:\n"
+                           + "\n".join(lines))
 
     def _read_verdict(self, deadline: float) -> str:
         assert self.proc is not None and self.proc.stdout is not None
-        import select
         while True:
             if self.proc.poll() is not None:
-                raise OracleError("oracle process exited")
+                raise self._failure("oracle process exited")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise OracleError("oracle did not answer within the deadline")
@@ -108,7 +135,7 @@ class Oracle:
                 continue
             line = self.proc.stdout.readline()
             if not line:
-                raise OracleError("oracle closed stdout")
+                raise self._failure("oracle closed stdout")
             line = line.strip()
             if line in (SAT, UNSAT, UNKNOWN):
                 return line
@@ -120,6 +147,7 @@ class Oracle:
         with self.lock:
             for attempt in (0, 1):
                 if self.proc is None or self.proc.poll() is not None:
+                    self._kill()  # releases a dead child's stderr file
                     self._start()
                 try:
                     return self._query(formula, timeout)
@@ -148,6 +176,9 @@ class Oracle:
             except OSError:
                 pass
             self.proc = None
+        if self._stderr is not None:
+            self._stderr.close()
+            self._stderr = None
 
     def close(self) -> None:
         with self.lock:
@@ -166,7 +197,6 @@ class Oracle:
 
 
 def _as_clause(f: Formula):
-    from .syntax import Clause
     return Clause(None, f, ())
 
 
@@ -336,7 +366,6 @@ def _fm_project(atomic: list[Formula], keep: set[Var]) -> Formula:
     for p in atomic:
         if isinstance(p, FComp):
             try:
-                from .syntax import as_lin, lin_sub
                 d = lin_sub(p.lhs, p.rhs)
                 cs, k = as_lin(d)
             except TypeError:

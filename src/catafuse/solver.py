@@ -88,7 +88,15 @@ def solve_file(path: str | Path, config: SolverConfig) -> SolveResult:
     tokens = proc.stdout.split()
     verdict = tokens[0] if tokens else ""
     if verdict not in (SAT, UNSAT, UNKNOWN):
-        verdict = TIMEOUT if "timeout" in proc.stdout.lower() else UNKNOWN
+        if "timeout" in proc.stdout.lower():
+            verdict = TIMEOUT
+        elif proc.returncode != 0:
+            last = proc.stderr.strip().splitlines()[-1:]
+            raise RuntimeError(
+                f"solver {config.identity()} exited with status {proc.returncode} and no "
+                f"verdict; stderr: {last[0] if last else '(empty)'}")
+        else:
+            verdict = UNKNOWN
     return SolveResult(verdict, elapsed, config.identity())
 
 
@@ -195,8 +203,12 @@ def bench_one(path: Path, config: SolverConfig) -> BenchRow:
     except (ParseError, TransformError, Exception) as e:  # noqa: BLE001
         return BenchRow(name, 0, expected, "-", 0.0, "-", 0.0, 0.0,
                         ok=False, note=f"error: {e}")
-    r_orig = solve(problem, config.for_original())
-    r_tr = solve(tp, config)
+    try:
+        r_orig = solve(problem, config.for_original())
+        r_tr = solve(tp, config)
+    except RuntimeError as e:
+        return BenchRow(name, len(problem.queries), expected, "-", 0.0, "-",
+                        0.0, transform_secs, ok=False, note=f"error: {e}")
     ok = (not expected) or r_tr.verdict == expected
     return BenchRow(name, len(problem.queries), expected,
                     r_orig.verdict, r_orig.seconds,

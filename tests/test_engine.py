@@ -1,7 +1,10 @@
 import itertools
 import random
+import sys
 
-from catafuse.engine import FAILS, HOLDS, UNSAT, simplify
+import pytest
+
+from catafuse.engine import FAILS, HOLDS, UNSAT, Oracle, OracleError, simplify
 from catafuse.syntax import (
     BOOL, INT, FAnd, FComp, FIff, FImp, FNot, FOr, FVar, Formula, IntConst,
     TRUE, Var, conjuncts, free_vars, lin, mk_and, mk_not, mk_or,
@@ -211,3 +214,19 @@ def test_simplify_equivalent_on_random_formulas(engine):
         g = simplify(f)
         assert engine.entails(f, g) == HOLDS
         assert engine.entails(g, f) == HOLDS
+
+
+# ---------------------------------------------------------------------------
+# oracle process failures
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_failure_names_exit_status_and_stderr():
+    oracle = Oracle([sys.executable, "-c", "import sys; sys.exit('boom')"])
+    try:
+        with pytest.raises(OracleError) as info:
+            oracle.check(TRUE)
+    finally:
+        oracle.close()
+    assert "exit status 1" in str(info.value)
+    assert "boom" in str(info.value)

@@ -1,0 +1,40 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import catafuse
+
+# what `python -m catafuse.refsolver.oracle` / `.horn` may load of the package
+CHILD_MODULES = ("catafuse", "catafuse.syntax", "catafuse.refsolver")
+
+
+def test_solver_children_import_only_syntax_and_refsolver():
+    src = Path(catafuse.__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    code = ("import sys, catafuse.refsolver.oracle, catafuse.refsolver.horn\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('catafuse')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "catafuse.refsolver.horn" in loaded
+    extra = [m for m in loaded if m not in CHILD_MODULES
+             and not m.startswith("catafuse.refsolver.")]
+    assert extra == []
+
+
+def test_public_names_load_on_first_use():
+    for name in catafuse.__all__:
+        assert getattr(catafuse, name) is not None
+    from catafuse.solver import solve
+    assert catafuse.solve is solve
+    namespace: dict = {}
+    exec("from catafuse import *", namespace)
+    assert set(catafuse.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        catafuse.no_such_name

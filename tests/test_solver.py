@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 
 from catafuse.engine import ConstraintEngine
 from catafuse.parser import parse_problem
-from catafuse.solver import (SolveResult, SolverConfig, check_equisat,
-                             expected_tag, run_bench, solve, write_reports)
+from catafuse.solver import (SolveResult, SolverConfig, bench_one,
+                             check_equisat, expected_tag, run_bench, solve,
+                             solve_file, write_reports)
 from catafuse.transform import transform_problem, transformed_problem
 
 
@@ -104,3 +107,18 @@ def test_bench_records_errors_and_continues(tmp_path, corpus_dir):
     broken = next(r for r in report.rows if r.name == "broken")
     assert not broken.ok and "error" in broken.note
     assert next(r for r in report.rows if r.name == "ok").ok
+
+
+def test_crashed_solver_is_an_error_not_unknown(tmp_path, corpus_dir):
+    crashing = SolverConfig(
+        cmd=[sys.executable, "-c", "import sys; sys.exit('solver crashed')"],
+        timeout=30.0)
+    script = tmp_path / "p.smt2"
+    script.write_text("(check-sat)\n")
+    with pytest.raises(RuntimeError, match="status 1.*solver crashed"):
+        solve_file(script, crashing)
+    src = tmp_path / "member_unsat.chc"
+    src.write_text((corpus_dir / "member_unsat.chc").read_text())
+    row = bench_one(src, crashing)
+    assert not row.ok
+    assert "solver crashed" in row.note
