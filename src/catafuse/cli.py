@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_TRANSFORM = 2
 EXIT_DISAGREE = 3
+EXIT_SOLVER = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,7 +165,11 @@ def cmd_solve(args) -> int:
     if args.transformed:
         result = _transform(problem, args)
         problem = transformed_problem(problem, result)
-    res = solve(problem, _config(args))
+    try:
+        res = solve(problem, _config(args))
+    except RuntimeError as e:  # a missing or crashed solver
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SOLVER
     print(res.verdict)
     return EXIT_OK
 
@@ -173,7 +178,11 @@ def cmd_verify(args) -> int:
     problem = _load(args.input)
     result = _transform(problem, args)
     tp = transformed_problem(problem, result)
-    verdict, r1, r2 = check_equisat(problem, tp, _config(args))
+    try:
+        verdict, r1, r2 = check_equisat(problem, tp, _config(args))
+    except RuntimeError as e:  # a missing or crashed solver
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SOLVER
     print(f"{verdict} (original={r1.verdict} in {r1.seconds:.1f}s, "
           f"transformed={r2.verdict} in {r2.seconds:.1f}s)")
     return EXIT_DISAGREE if verdict == "disagree" else EXIT_OK

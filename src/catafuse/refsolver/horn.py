@@ -26,9 +26,9 @@ import sys
 import time
 
 from ..syntax import (
-    BOOL, Atom, Clause, FComp, FImp, FNot, FVar, Formula, IntConst,
-    NameGen, Subst, Term, TRUE, Var, conjuncts, eq_of, free_vars, mk_and,
-    mk_not, term_sort, unify_terms, variant_of,
+    BOOL, FALSE, TRUE, Atom, Clause, FComp, FImp, FNot, FVar, Formula,
+    IntConst, NameGen, Subst, Term, Var, conjuncts, eq_of, free_vars,
+    mk_and, mk_not, term_sort, unify_terms, variant_of,
 )
 from . import qfcore
 from .smtparse import SmtContext, UnsupportedSmt, parse_sexps
@@ -317,15 +317,18 @@ def _preprune(inv: dict[str, list[Formula]], samples: dict, pv: dict,
             continue
         keep: list[Formula] = []
         vs = _pos_vars(pred, preds[pred], pv)
+        substs = [(Subst({v: t for v, t in zip(vs, args)}), cns)
+                  for args, cns in rows]
+        enc = qfcore.Encoding()
         for i, cand in enumerate(cands):
             if _expired(deadline):
                 keep.extend(cands[i:])  # out of time: the rest stay untested
                 break
             ok = True
-            for args, cns in rows:
-                s = Subst({v: t for v, t in zip(vs, args)})
+            for s, cns in substs:
                 q = mk_and(cns, mk_not(s.formula(cand)))
-                if qfcore.check_sat(q, qfcore.Budget(30_000, deadline)) == qfcore.SAT:
+                if qfcore.check_sat(q, qfcore.Budget(30_000, deadline),
+                                    enc) == qfcore.SAT:
                     ok = False
                     break
             if ok:
@@ -343,15 +346,18 @@ def houdini(clauses: list[Clause], preds: dict[str, tuple],
     definite = [c for c in clauses if c.head is not None]
     queries = [c for c in clauses if c.head is None]
 
-    def check(c: Clause, goal: Formula) -> str:
-        base = list(conjuncts(c.constraint))
+    def body(c: Clause) -> list[Formula]:
         inst: list[Formula] = []
         for a in c.body:
             inst.extend(conjuncts(_inst(a.pred, a.args, inv, pv, preds)))
+        return inst
+
+    def check(c: Clause, inst: list[Formula], goal: Formula,
+              enc: qfcore.Encoding | None = None) -> str:
         seed = free_vars(c.constraint) | free_vars(goal)
         picked = _relevant(inst, seed)
-        q = mk_and(*base, *picked, mk_not(goal))
-        return qfcore.check_sat(q, qfcore.Budget(deadline=deadline))
+        q = mk_and(*conjuncts(c.constraint), *picked, mk_not(goal))
+        return qfcore.check_sat(q, qfcore.Budget(deadline=deadline), enc)
 
     changed = True
     while changed:
@@ -361,18 +367,21 @@ def houdini(clauses: list[Clause], preds: dict[str, tuple],
                 continue
             vs = _pos_vars(c.head.pred, preds[c.head.pred], pv)
             s = Subst({v: t for v, t in zip(vs, c.head.args)})
+            # inv is fixed until the loop ends, so the body and its
+            # compiled conjuncts serve every candidate
+            inst = body(c)
+            enc = qfcore.Encoding()
             keep: list[Formula] = []
             for cand in inv[c.head.pred]:
                 if _expired(deadline):
                     return UNKNOWN
-                if check(c, s.formula(cand)) == qfcore.UNSAT:
+                if check(c, inst, s.formula(cand), enc) == qfcore.UNSAT:
                     keep.append(cand)
                 else:
                     changed = True
             inv[c.head.pred] = keep
     for q in queries:
-        from ..syntax import FALSE
-        if check(q, FALSE) != qfcore.UNSAT:
+        if check(q, body(q), FALSE) != qfcore.UNSAT:
             return UNKNOWN
     return SAT
 

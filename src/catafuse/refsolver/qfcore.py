@@ -2,12 +2,16 @@
 
 check_sat decides formulas built from linear integer atoms, boolean
 variables, the usual connectives, ite (both levels), and equalities over
-algebraic data type terms. The formula is put in canonical form once and
-compiled into a table of atoms and a boolean skeleton over their indices.
-A small DPLL then searches over partial assignments to the atoms without
-rewriting the formula: each node evaluates the skeleton three-valued,
-propagates the first open top-level literal, or else branches on the first
-open atom, and runs a theory check once the skeleton evaluates to true:
+algebraic data type terms. One walk over the formula compiles it into a
+table of canonized atoms and a boolean skeleton over their indices: the
+connectives and ite become skeleton nodes directly, a term-level ite is
+lifted at its atom, and only atoms are rewritten. Callers whose queries
+repeat conjuncts may share an Encoding across them, so that each conjunct
+is compiled once. A small DPLL then searches over partial assignments to
+the atoms without rewriting the formula: each node evaluates the skeleton
+three-valued, propagates the first open top-level literal, or else branches
+on the first open atom, and runs a theory check once the skeleton evaluates
+to true:
 
   * integers: Gaussian substitution on unit-coefficient equalities, then
     Fourier-Motzkin elimination with integer tightening; eliminations are
@@ -26,12 +30,13 @@ forcing an undecided boolean equality) is hit.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from math import gcd
 
 from ..syntax import (
     BOOL, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue, FVar,
     Formula, IntConst, LinExpr, BoolConst, Ctor, Sort, Term, TermIte,
-    TRUE, FALSE, Var, lin, lin_sub, mk_and, mk_not, mk_or, term_sort,
+    Var, conjuncts, lin, lin_sub, term_sort,
 )
 
 SAT = "sat"
@@ -58,8 +63,110 @@ class Budget:
 
 
 # ---------------------------------------------------------------------------
-# ite elimination
+# One-pass compile into an atom table and a boolean skeleton
 # ---------------------------------------------------------------------------
+#
+# A skeleton node is an atom index (int), (_NOT, node), (_AND, nodes) or
+# (_OR, nodes); true is (_AND, ()) and false is (_OR, ()). The search never
+# rewrites it: each node is evaluated three-valued (True / False / None for
+# open) against a list that holds the current value of every atom.
+
+_NOT, _AND, _OR = "not", "and", "or"
+_TRUE = (_AND, ())
+_FALSE = (_OR, ())
+
+
+# The node constructors mirror mk_and, mk_or and mk_not, so a skeleton
+# equals the one of the formula those would build: one-level flattening,
+# dedup (and only), the true/false short-circuits and not-not elimination.
+# Every false node is the _FALSE object and every true node _TRUE.
+
+def _and(nodes):
+    flat: list = []
+    seen: set = set()
+    for n in nodes:
+        for a in n[1] if type(n) is tuple and n[0] is _AND else (n,):
+            if a is _FALSE:
+                return _FALSE
+            if a not in seen:
+                seen.add(a)
+                flat.append(a)
+    if not flat:
+        return _TRUE
+    if len(flat) == 1:
+        return flat[0]
+    return (_AND, tuple(flat))
+
+
+def _or(nodes):
+    flat: list = []
+    for n in nodes:
+        if type(n) is tuple and n[0] is _OR:
+            flat.extend(n[1])
+        elif n is _TRUE:
+            return _TRUE
+        else:
+            flat.append(n)
+    if not flat:
+        return _FALSE
+    if len(flat) == 1:
+        return flat[0]
+    return (_OR, tuple(flat))
+
+
+def _not(n):
+    if n is _TRUE:
+        return _FALSE
+    if n is _FALSE:
+        return _TRUE
+    if type(n) is tuple and n[0] is _NOT:
+        return n[1]
+    return (_NOT, n)
+
+
+def _compile(f: Formula, atoms: dict[Formula, int]):
+    """Skeleton of f in one walk. Connectives and ite become nodes directly;
+    a term-level ite is lifted at its atom; only atoms are canonized, and
+    each is numbered in atoms when met, so an atom that a short-circuit
+    drops leaves a gap in the numbering."""
+    t = type(f)
+    if t is FAnd:
+        return _and([_compile(a, atoms) for a in f.args])
+    if t is FOr:
+        return _or([_compile(a, atoms) for a in f.args])
+    if t is FNot:
+        return _not(_compile(f.arg, atoms))
+    if t is FComp or t is FEq:
+        for side in (f.lhs, f.rhs):
+            ite = _find_term_ite(side)
+            if ite is not None:
+                c = _compile(ite.cond, atoms)
+                return _or((
+                    _and((c, _compile(_atom_replace(f, ite, ite.then), atoms))),
+                    _and((_not(c), _compile(_atom_replace(f, ite, ite.els), atoms)))))
+        if t is FEq:
+            return _TRUE if f.lhs == f.rhs else atoms.setdefault(f, len(atoms))
+        g = canon_atom(f)
+        if isinstance(g.lhs, IntConst):
+            return _TRUE if _const_holds(g) else _FALSE
+        return atoms.setdefault(g, len(atoms))
+    if t is FVar:
+        return atoms.setdefault(f, len(atoms))
+    if t is FTrue:
+        return _TRUE
+    if t is FFalse:
+        return _FALSE
+    if t is FImp:
+        return _or((_not(_compile(f.lhs, atoms)), _compile(f.rhs, atoms)))
+    if t is FIff:
+        a, b = _compile(f.lhs, atoms), _compile(f.rhs, atoms)
+        return _or((_and((a, b)), _and((_not(a), _not(b)))))
+    if t is FIte:
+        c = _compile(f.cond, atoms)
+        return _or((_and((c, _compile(f.then, atoms))),
+                    _and((_not(c), _compile(f.els, atoms)))))
+    raise TypeError(f"unknown formula {f!r}")
+
 
 def _find_term_ite(t: Term) -> TermIte | None:
     if isinstance(t, TermIte):
@@ -80,37 +187,6 @@ def _replace_term(t: Term, old: Term, new: Term) -> Term:
     return t
 
 
-def elim_ite(f: Formula) -> Formula:
-    if isinstance(f, (FTrue, FFalse, FVar)):
-        return f
-    if isinstance(f, FNot):
-        return mk_not(elim_ite(f.arg))
-    if isinstance(f, FAnd):
-        return mk_and(*(elim_ite(a) for a in f.args))
-    if isinstance(f, FOr):
-        return mk_or(*(elim_ite(a) for a in f.args))
-    if isinstance(f, FImp):
-        return mk_or(mk_not(elim_ite(f.lhs)), elim_ite(f.rhs))
-    if isinstance(f, FIff):
-        a, b = elim_ite(f.lhs), elim_ite(f.rhs)
-        return mk_or(mk_and(a, b), mk_and(mk_not(a), mk_not(b)))
-    if isinstance(f, FIte):
-        c = elim_ite(f.cond)
-        return mk_or(mk_and(c, elim_ite(f.then)),
-                     mk_and(mk_not(c), elim_ite(f.els)))
-    if isinstance(f, (FComp, FEq)):
-        for side in ("lhs", "rhs"):
-            ite = _find_term_ite(getattr(f, side))
-            if ite is not None:
-                then_f = _atom_replace(f, ite, ite.then)
-                else_f = _atom_replace(f, ite, ite.els)
-                c = elim_ite(ite.cond)
-                return mk_or(mk_and(c, elim_ite(then_f)),
-                             mk_and(mk_not(c), elim_ite(else_f)))
-        return f
-    raise TypeError(f"unknown formula {f!r}")
-
-
 def _atom_replace(f: Formula, old: Term, new: Term) -> Formula:
     if isinstance(f, FComp):
         return FComp(f.rel, _replace_term(f.lhs, old, new),
@@ -124,10 +200,6 @@ def _atom_replace(f: Formula, old: Term, new: Term) -> Formula:
 # LinExpr cannot syntactically contain ite, but parsing SMT input can produce
 # (+ x (ite c a b)); smtparse pre-lifts those, so only Ctor nesting matters here.
 
-
-# ---------------------------------------------------------------------------
-# Atom canonicalization
-# ---------------------------------------------------------------------------
 
 def canon_atom(f: Formula) -> Formula:
     """FComp atoms become  t <= 0  or  t = 0  with t canonical linear."""
@@ -146,25 +218,6 @@ def canon_atom(f: Formula) -> Formula:
     return f
 
 
-def canonize(f: Formula) -> Formula:
-    if isinstance(f, (FComp,)):
-        g = canon_atom(f)
-        if isinstance(g, FComp) and isinstance(g.lhs, IntConst):
-            return TRUE if _const_holds(g) else FALSE
-        return g
-    if isinstance(f, FEq):
-        if f.lhs == f.rhs:
-            return TRUE
-        return f
-    if isinstance(f, FNot):
-        return mk_not(canonize(f.arg))
-    if isinstance(f, FAnd):
-        return mk_and(*(canonize(a) for a in f.args))
-    if isinstance(f, FOr):
-        return mk_or(*(canonize(a) for a in f.args))
-    return f
-
-
 def _const_holds(g: FComp) -> bool:
     v = g.lhs.value  # type: ignore[union-attr]
     return v == 0 if g.rel == "=" else v <= 0
@@ -173,35 +226,40 @@ def _const_holds(g: FComp) -> bool:
 # ---------------------------------------------------------------------------
 # DPLL over the atom skeleton, evaluated under a partial assignment
 # ---------------------------------------------------------------------------
-#
-# A skeleton node is an atom index (int), (_NOT, node), (_AND, nodes) or
-# (_OR, nodes). The search never rewrites it: each node is evaluated
-# three-valued (True / False / None for open) against a list that holds the
-# current value of every atom.
 
-_NOT, _AND, _OR = "not", "and", "or"
+class Encoding:
+    """Compiled top-level conjuncts, shared by the queries of one caller.
+
+    Queries that repeat conjuncts (a clause body tried against many Houdini
+    candidates, a derived fact against many negated candidates) pass one
+    Encoding to check_sat, so each conjunct is compiled once. A query's root
+    is the and-node of the memoised nodes of its conjuncts, the same
+    skeleton that compiling the query whole gives. Atom numbers are shared
+    by all the queries."""
+
+    def __init__(self) -> None:
+        self.atoms: dict[Formula, int] = {}
+        self.table: list[Formula] = []   # index -> atom
+        self.memo: dict[Formula, object] = {}
+
+    def root(self, f: Formula):
+        nodes = []
+        for c in conjuncts(f):
+            node = self.memo.get(c)
+            if node is None:
+                node = self.memo[c] = _compile(c, self.atoms)
+            nodes.append(node)
+        self.table.extend(islice(self.atoms, len(self.table), None))
+        return _and(nodes)
 
 
-def check_sat(f: Formula, budget: Budget | None = None) -> str:
+def check_sat(f: Formula, budget: Budget | None = None,
+              enc: Encoding | None = None) -> str:
     budget = budget or Budget()
-    atoms: dict[Formula, int] = {}
-    root = _compile(canonize(elim_ite(f)), atoms)
-    return _search(root, list(atoms), [None] * len(atoms), {}, budget)
-
-
-def _compile(f: Formula, atoms: dict[Formula, int]):
-    """Skeleton of a canonized formula; atoms are numbered by first occurrence."""
-    if isinstance(f, FTrue):
-        return (_AND, ())
-    if isinstance(f, FFalse):
-        return (_OR, ())
-    if isinstance(f, FNot):
-        return (_NOT, _compile(f.arg, atoms))
-    if isinstance(f, FAnd):
-        return (_AND, tuple(_compile(a, atoms) for a in f.args))
-    if isinstance(f, FOr):
-        return (_OR, tuple(_compile(a, atoms) for a in f.args))
-    return atoms.setdefault(f, len(atoms))
+    if enc is None:
+        enc = Encoding()
+    root = enc.root(f)
+    return _search(root, enc.table, [None] * len(enc.table), {}, budget)
 
 
 def _value(n, assign: list) -> bool | None:

@@ -82,6 +82,18 @@ def test_verify_subcommand(tmp_path, corpus_dir, capsys):
     assert "agree" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_failed_solver_is_an_error_line_and_exit_4(tmp_path, corpus_dir,
+                                                    capsys, command):
+    src = tmp_path / "u.chc"
+    src.write_text((corpus_dir / "member_unsat.chc").read_text())
+    crash = f"{sys.executable} -c 'import sys; sys.exit(1)'"
+    assert run_cli(command, str(src), "--solver", crash) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exited with status 1" in err
+    assert "Traceback" not in err
+
+
 def test_bench_subcommand(tmp_path, corpus_dir, capsys):
     (tmp_path / "one.chc").write_text((corpus_dir / "member_unsat.chc").read_text())
     code = run_cli("bench", str(tmp_path), "--timeout", "90", "--jobs", "1")

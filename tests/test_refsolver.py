@@ -186,8 +186,94 @@ def _ref_dpll(f, lits, budget):
     return out
 
 
+# The two rewriting passes that qfcore's one-pass compile replaced: ite
+# elimination, then atom canonization, each rebuilding the whole formula
+# through mk_and / mk_or / mk_not; then the compiler of canonized formulas.
+
+def _ref_elim_ite(f):
+    if isinstance(f, (FTrue, FFalse, FVar)):
+        return f
+    if isinstance(f, FNot):
+        return mk_not(_ref_elim_ite(f.arg))
+    if isinstance(f, FAnd):
+        return mk_and(*(_ref_elim_ite(a) for a in f.args))
+    if isinstance(f, FOr):
+        return mk_or(*(_ref_elim_ite(a) for a in f.args))
+    if isinstance(f, FImp):
+        return mk_or(mk_not(_ref_elim_ite(f.lhs)), _ref_elim_ite(f.rhs))
+    if isinstance(f, FIff):
+        a, b = _ref_elim_ite(f.lhs), _ref_elim_ite(f.rhs)
+        return mk_or(mk_and(a, b), mk_and(mk_not(a), mk_not(b)))
+    if isinstance(f, FIte):
+        c = _ref_elim_ite(f.cond)
+        return mk_or(mk_and(c, _ref_elim_ite(f.then)),
+                     mk_and(mk_not(c), _ref_elim_ite(f.els)))
+    for side in (f.lhs, f.rhs):  # FComp / FEq
+        ite = qfcore._find_term_ite(side)
+        if ite is not None:
+            then_f = qfcore._atom_replace(f, ite, ite.then)
+            else_f = qfcore._atom_replace(f, ite, ite.els)
+            c = _ref_elim_ite(ite.cond)
+            return mk_or(mk_and(c, _ref_elim_ite(then_f)),
+                         mk_and(mk_not(c), _ref_elim_ite(else_f)))
+    return f
+
+
+def _ref_canonize(f):
+    if isinstance(f, FComp):
+        g = qfcore.canon_atom(f)
+        if isinstance(g.lhs, IntConst):
+            return TRUE if qfcore._const_holds(g) else FALSE
+        return g
+    if isinstance(f, FEq):
+        return TRUE if f.lhs == f.rhs else f
+    if isinstance(f, FNot):
+        return mk_not(_ref_canonize(f.arg))
+    if isinstance(f, FAnd):
+        return mk_and(*(_ref_canonize(a) for a in f.args))
+    if isinstance(f, FOr):
+        return mk_or(*(_ref_canonize(a) for a in f.args))
+    return f
+
+
+def _ref_compile(f, atoms):
+    if isinstance(f, FTrue):
+        return (qfcore._AND, ())
+    if isinstance(f, FFalse):
+        return (qfcore._OR, ())
+    if isinstance(f, FNot):
+        return (qfcore._NOT, _ref_compile(f.arg, atoms))
+    if isinstance(f, FAnd):
+        return (qfcore._AND, tuple(_ref_compile(a, atoms) for a in f.args))
+    if isinstance(f, FOr):
+        return (qfcore._OR, tuple(_ref_compile(a, atoms) for a in f.args))
+    return atoms.setdefault(f, len(atoms))
+
+
+def _resolve(node, table):
+    """A skeleton with every atom index replaced by its atom."""
+    if type(node) is int:
+        return table[node]
+    op, arg = node
+    if op == qfcore._NOT:
+        return op, _resolve(arg, table)
+    return op, tuple(_resolve(c, table) for c in arg)
+
+
+def _ref_skeleton(f):
+    atoms = {}
+    return _resolve(_ref_compile(_ref_canonize(_ref_elim_ite(f)), atoms),
+                    list(atoms))
+
+
+def _skeleton(f):
+    atoms = {}
+    root = qfcore._compile(f, atoms)
+    return _resolve(root, list(atoms))
+
+
 def _ref_check_sat(f):
-    return _ref_dpll(qfcore.canonize(qfcore.elim_ite(f)), {}, qfcore.Budget())
+    return _ref_dpll(_ref_canonize(_ref_elim_ite(f)), {}, qfcore.Budget())
 
 
 def test_qfcore_search_matches_rewriting_dpll():
@@ -199,6 +285,36 @@ def test_qfcore_search_matches_rewriting_dpll():
         assert got == _ref_check_sat(f), f
         seen.add(got)
     assert {qfcore.SAT, qfcore.UNSAT} <= seen
+
+
+def test_one_pass_compile_matches_rewriting_pipeline():
+    """The one-pass compile builds, atom for atom, the skeleton of the
+    formula that ite elimination and canonization used to rebuild."""
+    rng = random.Random(11)
+    for i in range(2400):
+        f = _rand_formula(rng, 3 + i % 2, adt=i % 2 == 0)
+        assert _skeleton(f) == _ref_skeleton(f), f
+    # flattening and dedup are visible, not merely equivalent
+    a = FComp("<", X, IntConst(0))
+    b = FComp("=<", lin({X: 1}, 1), IntConst(0))  # the same atom as a
+    c = FVar(B1)
+    nested = FAnd((FAnd((a, c)), b, FOr((FOr((c, a)), FFalse()))))
+    assert _skeleton(nested) == _ref_skeleton(nested)
+    k = qfcore._compile(nested, {})
+    assert k == (qfcore._AND, (0, 1, (qfcore._OR, (1, 0))))
+
+
+def test_shared_encoding_matches_fresh_compile():
+    """Queries with a common prefix through one Encoding get the verdict
+    and the skeleton that each gets compiled on its own."""
+    rng = random.Random(5)
+    for adt in (False, True):
+        p = mk_and(*(_rand_formula(rng, 2, adt) for _ in range(3)))
+        enc = qfcore.Encoding()
+        for _ in range(60):
+            f = mk_and(p, _rand_formula(rng, 3, adt))
+            assert _resolve(enc.root(f), enc.table) == _skeleton(f), f
+            assert qfcore.check_sat(f, None, enc) == qfcore.check_sat(f), f
 
 
 def test_qfcore_integer_exactness():
