@@ -5,7 +5,10 @@ prints sat, unsat, or unknown:
 
   * unsat by bounded bottom-up derivation: constrained facts are saturated
     breadth-first; a query whose premise becomes definitively satisfiable
-    yields a refutation, so the verdict is exact;
+    yields a refutation, so the verdict is exact. Once a cap has truncated
+    something, a clause whose head predicate is full is no longer joined
+    (every head it derived would be rejected), and a join state whose
+    partial check already came back sat is not checked again;
   * sat by Houdini-style invariant inference: candidate atoms are mined from
     clause constraints, query contracts, and head patterns, then pruned to
     the largest inductive conjunction; if the surviving assignment falsifies
@@ -26,9 +29,10 @@ import sys
 import time
 
 from ..syntax import (
-    BOOL, FALSE, TRUE, Atom, Clause, FComp, FImp, FNot, FVar, Formula,
-    IntConst, NameGen, Subst, Term, Var, conjuncts, eq_of, free_vars,
-    mk_and, mk_not, term_sort, unify_terms, variant_of,
+    BOOL, FALSE, TRUE, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FIff,
+    FImp, FIte, FNot, FOr, FVar, Formula, IntConst, LinExpr, NameGen, Subst,
+    Term, TermIte, Var, conjuncts, eq_of, free_vars, mk_and, mk_not,
+    term_sort, unify_terms, variant_of,
 )
 from . import qfcore
 from .smtparse import SmtContext, UnsupportedSmt, parse_sexps
@@ -71,27 +75,79 @@ def _expired(deadline: float | None) -> bool:
 class _Facts:
     def __init__(self, cap_per_pred: int) -> None:
         self.by_pred: dict[str, list[tuple[tuple[Term, ...], Formula]]] = {}
+        # rows by _shape key: only rows with the same key can be variants
+        self.by_shape: dict[tuple, list[tuple[tuple[Term, ...], Formula]]] = {}
         self.cap = cap_per_pred
         self.saturated = True  # flips when a cap truncates anything
 
     def add(self, pred: str, args: tuple[Term, ...], c: Formula) -> bool:
         row = self.by_pred.setdefault(pred, [])
+        same = self.by_shape.setdefault(
+            (pred, tuple(_shape(t) for t in args), _shape(c)), [])
         probe = Clause(Atom(pred, args), c, ())
-        for a2, c2 in row:
+        for a2, c2 in same:
             if variant_of(Clause(Atom(pred, a2), c2, ()), probe):
                 return False
         if len(row) >= self.cap:
             self.saturated = False
             return False
         row.append((args, c))
+        same.append((args, c))
         return True
+
+
+def _shape(x) -> tuple:
+    """A key of a term or formula that variable renaming leaves unchanged:
+    each variable is replaced by its sort, and a linear term keeps the
+    multiset of its coefficients, since variant_of may pair them in any
+    order. Variants therefore always have equal keys."""
+    t = type(x)
+    if t is Var:
+        return (Var, x.sort)
+    if t is FVar:
+        return (FVar, x.var.sort)
+    if t is IntConst or t is BoolConst:
+        return (t, x.value)
+    if t is LinExpr:
+        return (LinExpr, x.const, tuple(sorted(a for _, a in x.coeffs)))
+    if t is Ctor:
+        return (Ctor, x.sort, x.ctor, tuple(_shape(a) for a in x.args))
+    if t is FAnd or t is FOr:
+        return (t, tuple(_shape(a) for a in x.args))
+    if t is FComp:
+        return (FComp, x.rel, _shape(x.lhs), _shape(x.rhs))
+    if t is FEq:
+        return (FEq, x.sort, _shape(x.lhs), _shape(x.rhs))
+    if t is FNot:
+        return (FNot, _shape(x.arg))
+    if t is FImp or t is FIff:
+        return (t, _shape(x.lhs), _shape(x.rhs))
+    if t is FIte or t is TermIte:
+        return (t, _shape(x.cond), _shape(x.then), _shape(x.els))
+    return (t,)  # FTrue, FFalse
+
+
+class _FreshNames(NameGen):
+    """Fresh variable names that sort in the order they are made ("r#19" <
+    "r#210"). lin orders coefficients, and the LIA core eliminates
+    variables, by name, so facts depend on how fresh names compare; a join
+    that is skipped makes no names, and with these names it leaves the
+    order of every later one, and so every later fact, as it would have
+    been."""
+
+    def fresh(self, base: str = "") -> str:
+        self.n += 1
+        digits = str(self.n)
+        return f"{self.prefix}#{len(digits)}{digits}"
 
 
 def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
           limit: int) -> list[tuple[tuple[Term, ...] | None, Formula]]:
     """All derivable head instances of clause from current facts."""
     out: list[tuple[tuple[Term, ...] | None, Formula]] = []
-    state = [(Subst(), clause.constraint, 0)]
+    # (substitution, constraint, verdict of the partial check): sat is exact,
+    # so only a state whose partial check was not sat is checked again
+    state = [(Subst(), clause.constraint, qfcore.UNKNOWN)]
     for atom in clause.body:
         rows = facts.by_pred.get(atom.pred, [])
         nxt = []
@@ -125,10 +181,11 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
                 cns = mk_and(s2.formula(c), fc2,
                              *(s2.formula(e) for e in extra))
                 # prune dead partial joins early; unknown survives
-                if qfcore.check_sat(cns, qfcore.Budget(20_000, budget.deadline)) \
-                        == qfcore.UNSAT:
+                verdict = qfcore.check_sat(
+                    cns, qfcore.Budget(20_000, budget.deadline))
+                if verdict == qfcore.UNSAT:
                     continue
-                nxt.append((s2, cns, 0))
+                nxt.append((s2, cns, verdict))
                 if len(nxt) > limit:
                     facts.saturated = False
                     break
@@ -137,8 +194,9 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
         state = nxt
         if not state:
             return []
-    for s, c, _ in state:
-        verdict = qfcore.check_sat(c, qfcore.Budget(60_000, budget.deadline))
+    for s, c, verdict in state:
+        if verdict != qfcore.SAT:
+            verdict = qfcore.check_sat(c, qfcore.Budget(60_000, budget.deadline))
         if verdict == qfcore.UNSAT:
             continue
         if verdict == qfcore.UNKNOWN:
@@ -154,7 +212,7 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
            cap: int, joins: int) -> tuple[str, dict]:
     """unsat if a query fires; sat if saturation completes exactly; else
     unknown. Also returns the derived facts (reachable under-approximation)."""
-    gen = NameGen("r")
+    gen = _FreshNames("r")
     facts = _Facts(cap)
     queries = [c for c in clauses if c.head is None]
     definite = [c for c in clauses if c.head is not None]
@@ -164,6 +222,9 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
             return UNKNOWN, facts.by_pred
         grew = False
         for c in definite:
+            # facts.add would reject every head: a variant, or over the cap
+            if not facts.saturated and len(facts.by_pred.get(c.head.pred, ())) >= cap:
+                continue
             for head, cns in _join(c, facts, gen, budget, joins):
                 if facts.add(c.head.pred, head, cns):
                     grew = True

@@ -5,13 +5,18 @@ variables, the usual connectives, ite (both levels), and equalities over
 algebraic data type terms. One walk over the formula compiles it into a
 table of canonized atoms and a boolean skeleton over their indices: the
 connectives and ite become skeleton nodes directly, a term-level ite is
-lifted at its atom, and only atoms are rewritten. Callers whose queries
-repeat conjuncts may share an Encoding across them, so that each conjunct
-is compiled once. A small DPLL then searches over partial assignments to
-the atoms without rewriting the formula: each node evaluates the skeleton
-three-valued, propagates the first open top-level literal, or else branches
-on the first open atom, and runs a theory check once the skeleton evaluates
-to true:
+lifted at its atom, and only atoms are rewritten. Each skeleton node then
+becomes a graph node that keeps its three-valued value under the current
+partial assignment, with counts of its open children and of its children
+that decide it; assigning or unassigning an atom updates only the
+ancestors whose value changes, so the values are kept along the search
+trail instead of being re-evaluated. Callers whose queries repeat
+conjuncts may share an Encoding across them, so that each conjunct is
+compiled, and its nodes built, once. A small DPLL searches over partial
+assignments to the atoms without rewriting the formula: each search node
+reads the root's value, propagates the first open top-level literal, or
+else branches on the first open atom, and runs a theory check once the
+root is true:
 
   * integers: Gaussian substitution on unit-coefficient equalities, then
     Fourier-Motzkin elimination with integer tightening; eliminations are
@@ -49,16 +54,12 @@ class Budget:
         self.steps = steps
         self.deadline = deadline
         self.exhausted = False
-        self._tick = 0
 
     def spend(self, n: int = 1) -> bool:
         self.steps -= n
-        if self.steps <= 0:
+        if self.steps <= 0 or (self.deadline is not None
+                               and time.monotonic() > self.deadline):
             self.exhausted = True
-        self._tick += 1
-        if self.deadline is not None and self._tick % 512 == 0:
-            if time.monotonic() > self.deadline:
-                self.exhausted = True
         return not self.exhausted
 
 
@@ -68,8 +69,8 @@ class Budget:
 #
 # A skeleton node is an atom index (int), (_NOT, node), (_AND, nodes) or
 # (_OR, nodes); true is (_AND, ()) and false is (_OR, ()). The search never
-# rewrites it: each node is evaluated three-valued (True / False / None for
-# open) against a list that holds the current value of every atom.
+# rewrites it: an Encoding turns it into _Node objects that keep their
+# three-valued value (True / False / None for open) under the assignment.
 
 _NOT, _AND, _OR = "not", "and", "or"
 _TRUE = (_AND, ())
@@ -224,33 +225,119 @@ def _const_holds(g: FComp) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# DPLL over the atom skeleton, evaluated under a partial assignment
+# DPLL over the skeleton's nodes, whose values follow the partial assignment
 # ---------------------------------------------------------------------------
+
+class _Node:
+    """A skeleton node, with its value under the current partial assignment.
+
+    op is _NOT, _AND, _OR, or None for an atom, which holds its canonized
+    atom. An and/or node counts its children that are open and those that
+    hold its deciding value (false under and, true under or), so setting an
+    atom updates only the ancestors whose value changes."""
+
+    __slots__ = ("op", "kids", "atom", "parents", "val", "open", "hits")
+
+    def __init__(self, op, kids: tuple = (), atom: Formula | None = None) -> None:
+        self.op = op
+        self.kids = kids
+        self.atom = atom
+        self.parents: list[_Node] = []  # one entry per occurrence as a child
+        vals = [k.val for k in kids]
+        if op is None:
+            self.val = None
+        elif op is _NOT:
+            self.val = None if vals[0] is None else not vals[0]
+        else:
+            stop = op is _OR
+            self.open = vals.count(None)
+            self.hits = vals.count(stop)
+            self.val = stop if self.hits else None if self.open else not stop
+
+
+class _Conjunct:
+    """A compiled top-level conjunct: its top node and, for each atom it
+    uses, the nodes of the conjunct that have that atom as a child."""
+
+    __slots__ = ("top", "uses")
+
+    def __init__(self, top: _Node, uses: dict[_Node, list[_Node]]) -> None:
+        self.top = top
+        self.uses = uses
+
+
+def _graph(n, leaves: list[_Node], made: dict[int, _Node],
+           uses: dict[_Node, list[_Node]]) -> _Node:
+    """The node of skeleton n. A skeleton object met twice (the condition
+    of an ite, say) becomes one node with two parents."""
+    if type(n) is int:
+        return leaves[n]
+    node = made.get(id(n))
+    if node is None:
+        op, arg = n
+        kids = tuple(_graph(c, leaves, made, uses)
+                     for c in ((arg,) if op is _NOT else arg))
+        node = made[id(n)] = _Node(op, kids)
+        for k in kids:
+            if k.op is None:
+                uses.setdefault(k, []).append(node)
+            else:
+                k.parents.append(node)
+    return node
+
 
 class Encoding:
     """Compiled top-level conjuncts, shared by the queries of one caller.
 
     Queries that repeat conjuncts (a clause body tried against many Houdini
     candidates, a derived fact against many negated candidates) pass one
-    Encoding to check_sat, so each conjunct is compiled once. A query's root
-    is the and-node of the memoised nodes of its conjuncts, the same
-    skeleton that compiling the query whole gives. Atom numbers are shared
-    by all the queries."""
+    Encoding to check_sat, so each conjunct is compiled, and its nodes
+    built, once. A query's root is an and-node over the tops of its
+    distinct conjuncts; it does not flatten a top that is itself an
+    and-node, as _and would, which changes no value and no decision of the
+    search. Atoms, numbered as _compile meets them, are shared by all the
+    queries; so are the nodes, which hold the values of one query at a
+    time: the search undoes every assignment it makes, so every node is
+    back at its unassigned value when check_sat returns."""
 
     def __init__(self) -> None:
         self.atoms: dict[Formula, int] = {}
-        self.table: list[Formula] = []   # index -> atom
-        self.memo: dict[Formula, object] = {}
+        self.leaves: list[_Node] = []   # index -> atom node
+        self.memo: dict[Formula, _Conjunct] = {}
 
-    def root(self, f: Formula):
-        nodes = []
+    def root(self, f: Formula) -> _Node:
+        conjs: dict[_Conjunct, None] = {}
         for c in conjuncts(f):
-            node = self.memo.get(c)
-            if node is None:
-                node = self.memo[c] = _compile(c, self.atoms)
-            nodes.append(node)
-        self.table.extend(islice(self.atoms, len(self.table), None))
-        return _and(nodes)
+            e = self.memo.get(c)
+            if e is None:
+                e = self.memo[c] = self._conjunct(c)
+            conjs[e] = None
+        root = _Node(_AND, tuple(e.top for e in conjs))
+        # this query's parents of its atoms and of its conjunct tops; the
+        # lists in uses are shared, so they are never extended in place
+        wired: set[_Node] = set()
+        for e in conjs:
+            for leaf, nodes in e.uses.items():
+                if leaf in wired:
+                    leaf.parents = leaf.parents + nodes
+                else:
+                    wired.add(leaf)
+                    leaf.parents = nodes
+        for e in conjs:
+            top = e.top
+            if top in wired:
+                top.parents = top.parents + [root]
+            else:
+                wired.add(top)
+                top.parents = [root]
+        return root
+
+    def _conjunct(self, c: Formula) -> _Conjunct:
+        skeleton = _compile(c, self.atoms)
+        self.leaves.extend(_Node(None, atom=a) for a in
+                           islice(self.atoms, len(self.leaves), None))
+        uses: dict[_Node, list[_Node]] = {}
+        return _Conjunct(_graph(skeleton, self.leaves, {}, uses), uses)
 
 
 def check_sat(f: Formula, budget: Budget | None = None,
@@ -258,97 +345,99 @@ def check_sat(f: Formula, budget: Budget | None = None,
     budget = budget or Budget()
     if enc is None:
         enc = Encoding()
-    root = enc.root(f)
-    return _search(root, enc.table, [None] * len(enc.table), {}, budget)
+    return _search(enc.root(f), {}, budget)
 
 
-def _value(n, assign: list) -> bool | None:
-    if type(n) is int:
-        return assign[n]
-    op, arg = n
-    if op is _NOT:
-        v = _value(arg, assign)
-        return None if v is None else not v
-    stop = op is _OR  # the child value that decides the connective
-    out = not stop
-    for c in arg:
-        v = assign[c] if type(c) is int else _value(c, assign)
-        if v is stop:
-            return stop
-        if v is None:
-            out = None
-    return out
+def _set(leaf: _Node, val: bool | None) -> None:
+    """Assign (or, with None, unassign) an atom and update its ancestors."""
+    old = leaf.val
+    leaf.val = val
+    for p in leaf.parents:
+        _child_changed(p, old, val)
 
 
-def _residue(n, assign: list):
+def _child_changed(n: _Node, old: bool | None, new: bool | None) -> None:
+    if n.op is _NOT:
+        v = None if new is None else not new
+    else:
+        stop = n.op is _OR
+        if old is None:
+            n.open -= 1
+        elif old is stop:
+            n.hits -= 1
+        if new is None:
+            n.open += 1
+        elif new is stop:
+            n.hits += 1
+        v = stop if n.hits else None if n.open else not stop
+    was = n.val
+    if v is not was:
+        n.val = v
+        for p in n.parents:
+            _child_changed(p, was, v)
+
+
+def _residue(n: _Node) -> tuple[bool, _Node]:
     """(negated, core) of an open node once closed children drop out: an
     and/or left with a single open child stands for that child."""
     neg = False
-    while type(n) is not int:
-        op, arg = n
-        if op is _NOT:
+    while n.op is not None:
+        if n.op is _NOT:
             neg = not neg
-            n = arg
-            continue
-        only = None
-        for c in arg:
-            if _value(c, assign) is None:
-                if only is not None:
-                    return neg, n
-                only = c
-        n = only
+            n = n.kids[0]
+        elif n.open == 1:
+            n = next(c for c in n.kids if c.val is None)
+        else:
+            break
     return neg, n
 
 
-def _unit(n, assign: list) -> tuple[int, bool] | None:
+def _unit(n: _Node) -> tuple[_Node, bool] | None:
     """The first open literal among the open node's top-level conjuncts."""
-    neg, core = _residue(n, assign)
-    if type(core) is int:
+    neg, core = _residue(n)
+    if core.op is None:
         return core, not neg
-    if neg or core[0] is not _AND:
+    if neg or core.op is not _AND:
         return None
-    for c in core[1]:
-        if _value(c, assign) is None:
-            unit = _unit(c, assign)
+    for c in core.kids:
+        if c.val is None:
+            unit = _unit(c)
             if unit is not None:
                 return unit
     return None
 
 
-def _first_open(n, assign: list) -> int:
+def _first_open(n: _Node) -> _Node:
     """The first atom, depth first, under the open children of an open node."""
-    while type(n) is not int:
-        op, arg = n
-        if op is _NOT:
-            n = arg
-        else:
-            n = next(c for c in arg if _value(c, assign) is None)
+    while n.op is not None:
+        n = n.kids[0] if n.op is _NOT else next(c for c in n.kids if c.val is None)
     return n
 
 
-def _search(root, atoms: list[Formula], assign: list,
-            lits: dict[Formula, bool], budget: Budget) -> str:
+def _search(root: _Node, lits: dict[Formula, bool], budget: Budget) -> str:
     if not budget.spend():
         return UNKNOWN
-    v = _value(root, assign)
+    v = root.val
     if v is False:
         return UNSAT
     if v is True:
         return _theory_check(lits, budget)
-    unit = _unit(root, assign)
+    unit = _unit(root)
     if unit is not None:
         # unit propagation: the opposite polarity falsifies a top conjunct
-        i, val = unit
+        leaf, val = unit
         branches: tuple[bool, ...] = (val,)
     else:
-        i, branches = _first_open(root, assign), (True, False)
+        leaf, branches = _first_open(root), (True, False)
     out = UNSAT
     for val in branches:
-        assign[i] = val
-        lits[atoms[i]] = val
-        r = _search(root, atoms, assign, lits, budget)
-        del lits[atoms[i]]
-        assign[i] = None
+        _set(leaf, val)
+        lits[leaf.atom] = val
+        try:
+            r = _search(root, lits, budget)
+        finally:
+            del lits[leaf.atom]
+            _set(leaf, None)
         if r == SAT:
             return SAT
         if r == UNKNOWN:

@@ -10,9 +10,10 @@ from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
 from catafuse.smtlib import emit_smtlib
 from catafuse.syntax import (
-    BOOL, INT, Ctor, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr,
-    FTrue, FVar, IntConst, TermIte, Var, lin, list_sort, mk_and, mk_not, mk_or,
-    TRUE, FALSE,
+    BOOL, INT, Atom, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte,
+    FNot, FOr, FTrue, FVar, IntConst, Subst, TermIte, Var, eq_of,
+    free_vars, lin, list_sort, mk_and, mk_not, mk_or, pretty_clause,
+    term_sort, unify_terms, variant_of, TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
 
@@ -304,6 +305,17 @@ def test_one_pass_compile_matches_rewriting_pipeline():
     assert k == (qfcore._AND, (0, 1, (qfcore._OR, (1, 0))))
 
 
+def _resolve_graph(n):
+    """The skeleton, with atoms resolved, that a node graph stands for; an
+    and-node over and-nodes flattens as _and would have flattened it."""
+    if n.op is None:
+        return n.atom
+    if n.op is qfcore._NOT:
+        return qfcore._not(_resolve_graph(n.kids[0]))
+    mk = qfcore._and if n.op is qfcore._AND else qfcore._or
+    return mk([_resolve_graph(k) for k in n.kids])
+
+
 def test_shared_encoding_matches_fresh_compile():
     """Queries with a common prefix through one Encoding get the verdict
     and the skeleton that each gets compiled on its own."""
@@ -313,8 +325,186 @@ def test_shared_encoding_matches_fresh_compile():
         enc = qfcore.Encoding()
         for _ in range(60):
             f = mk_and(p, _rand_formula(rng, 3, adt))
-            assert _resolve(enc.root(f), enc.table) == _skeleton(f), f
+            assert _resolve_graph(enc.root(f)) == _skeleton(f), f
             assert qfcore.check_sat(f, None, enc) == qfcore.check_sat(f), f
+
+
+# The search that kept no node values: at every search node it evaluated
+# the tuple skeleton three-valued from the root, against a list holding the
+# value of every atom.
+
+def _ref_value(n, assign):
+    if type(n) is int:
+        return assign[n]
+    op, arg = n
+    if op is qfcore._NOT:
+        v = _ref_value(arg, assign)
+        return None if v is None else not v
+    stop = op is qfcore._OR  # the child value that decides the connective
+    out = not stop
+    for c in arg:
+        v = assign[c] if type(c) is int else _ref_value(c, assign)
+        if v is stop:
+            return stop
+        if v is None:
+            out = None
+    return out
+
+
+def _ref_residue(n, assign):
+    neg = False
+    while type(n) is not int:
+        op, arg = n
+        if op is qfcore._NOT:
+            neg = not neg
+            n = arg
+            continue
+        only = None
+        for c in arg:
+            if _ref_value(c, assign) is None:
+                if only is not None:
+                    return neg, n
+                only = c
+        n = only
+    return neg, n
+
+
+def _ref_unit_literal(n, assign):
+    neg, core = _ref_residue(n, assign)
+    if type(core) is int:
+        return core, not neg
+    if neg or core[0] is not qfcore._AND:
+        return None
+    for c in core[1]:
+        if _ref_value(c, assign) is None:
+            unit = _ref_unit_literal(c, assign)
+            if unit is not None:
+                return unit
+    return None
+
+
+def _ref_first_open(n, assign):
+    while type(n) is not int:
+        op, arg = n
+        if op is qfcore._NOT:
+            n = arg
+        else:
+            n = next(c for c in arg if _ref_value(c, assign) is None)
+    return n
+
+
+def _ref_search(root, atoms, assign, lits, budget):
+    if not budget.spend():
+        return qfcore.UNKNOWN
+    v = _ref_value(root, assign)
+    if v is False:
+        return qfcore.UNSAT
+    if v is True:
+        return qfcore._theory_check(lits, budget)
+    unit = _ref_unit_literal(root, assign)
+    if unit is not None:
+        i, val = unit
+        branches = (val,)
+    else:
+        i, branches = _ref_first_open(root, assign), (True, False)
+    out = qfcore.UNSAT
+    for val in branches:
+        assign[i] = val
+        lits[atoms[i]] = val
+        r = _ref_search(root, atoms, assign, lits, budget)
+        del lits[atoms[i]]
+        assign[i] = None
+        if r == qfcore.SAT:
+            return qfcore.SAT
+        if r == qfcore.UNKNOWN:
+            out = qfcore.UNKNOWN
+    return out
+
+
+def _ref_verdict_and_steps(f):
+    atoms = {}
+    root = qfcore._compile(f, atoms)
+    budget = qfcore.Budget()
+    r = _ref_search(root, list(atoms), [None] * len(atoms), {}, budget)
+    return r, budget.steps
+
+
+def test_kept_values_search_matches_reevaluating_search():
+    """Same verdict and same Budget steps, so the same decisions, as the
+    search that re-evaluated the skeleton at every node; also through a
+    shared Encoding, whose root is an and-node over the conjuncts' tops."""
+    rng = random.Random(13)
+    seen = set()
+    for i in range(400):
+        f = _rand_formula(rng, 3 + i % 2, adt=i % 2 == 0)
+        budget = qfcore.Budget()
+        got = qfcore.check_sat(f, budget)
+        assert (got, budget.steps) == _ref_verdict_and_steps(f), f
+        seen.add(got)
+    assert {qfcore.SAT, qfcore.UNSAT} <= seen
+    for adt in (False, True):
+        p = mk_and(*(_rand_formula(rng, 2, adt) for _ in range(3)))
+        enc = qfcore.Encoding()
+        for _ in range(100):
+            f = mk_and(p, _rand_formula(rng, 3, adt))
+            budget = qfcore.Budget()
+            got = qfcore.check_sat(f, budget, enc)
+            assert (got, budget.steps) == _ref_verdict_and_steps(f), f
+
+
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            nodes.append(n)
+            stack.extend(n.kids)
+    return nodes
+
+
+def _as_skeleton(n, enc):
+    if n.op is None:
+        return enc.atoms[n.atom]
+    if n.op is qfcore._NOT:
+        return n.op, _as_skeleton(n.kids[0], enc)
+    return n.op, tuple(_as_skeleton(k, enc) for k in n.kids)
+
+
+def test_node_values_follow_assignments():
+    """Along random assign/unassign sequences every node keeps the value
+    that evaluating its skeleton from scratch gives, with matching counts,
+    and unassigning everything restores every node's first value."""
+    rng = random.Random(17)
+    for i in range(400):
+        f = _rand_formula(rng, 3 + i % 2, adt=i % 2 == 0)
+        enc = qfcore.Encoding()
+        nodes = _graph_nodes(enc.root(f))
+        leaves = [n for n in nodes if n.op is None]
+        skeletons = [(n, _as_skeleton(n, enc)) for n in nodes]
+
+        def check():
+            assign = [leaf.val for leaf in enc.leaves]
+            for n, sk in skeletons:
+                assert n.val is _ref_value(sk, assign), f
+                if n.op in (qfcore._AND, qfcore._OR):
+                    vals = [k.val for k in n.kids]
+                    assert n.open == vals.count(None), f
+                    assert n.hits == vals.count(n.op is qfcore._OR), f
+        check()
+        first = [n.val for n in nodes]
+        for _ in range(3 * len(leaves)):
+            leaf = rng.choice(leaves)
+            qfcore._set(leaf, rng.choice((True, False)) if leaf.val is None else None)
+            check()
+        for leaf in leaves:
+            qfcore._set(leaf, None)
+        assert [n.val for n in nodes] == first, f
+
+
+def test_budget_reads_the_clock_on_every_spend():
+    assert qfcore.Budget(deadline=time.monotonic() - 1).spend() is False
+    assert qfcore.Budget(deadline=time.monotonic() + 60).spend() is True
 
 
 def test_qfcore_integer_exactness():
@@ -446,6 +636,179 @@ def test_horn_honours_deadline(corpus_dir):
     t0 = time.monotonic()
     assert horn.solve_script(script, 2) == "unknown"
     assert time.monotonic() - t0 < 3
+
+
+# The bounded refutation before it skipped joins into full predicates and
+# reused partial-join verdicts: every definite clause is joined in every
+# round, every final join state is checked again, and a new fact is
+# compared with every stored fact of its predicate. It makes its fresh
+# names as refute does, so that only the joins it makes decide its facts.
+
+class _RefFacts:
+    def __init__(self, cap_per_pred):
+        self.by_pred = {}
+        self.cap = cap_per_pred
+        self.saturated = True
+
+    def add(self, pred, args, c):
+        row = self.by_pred.setdefault(pred, [])
+        probe = Clause(Atom(pred, args), c, ())
+        for a2, c2 in row:
+            if variant_of(Clause(Atom(pred, a2), c2, ()), probe):
+                return False
+        if len(row) >= self.cap:
+            self.saturated = False
+            return False
+        row.append((args, c))
+        return True
+
+
+def _ref_join(clause, facts, gen, limit):
+    out = []
+    state = [(Subst(), clause.constraint)]
+    for atom in clause.body:
+        rows = facts.by_pred.get(atom.pred, [])
+        nxt = []
+        for s, c in state:
+            for fargs, fc in rows:
+                ren = {v: gen.fresh_var(v.sort) for v in
+                       sorted(free_vars(list(fargs)) | free_vars(fc),
+                              key=lambda w: w.name)}
+                r = Subst(ren)
+                fargs2 = tuple(r.term(t) for t in fargs)
+                fc2 = r.formula(fc)
+                s2 = s
+                extra = []
+                ok = True
+                for pa, fa in zip(atom.args, fargs2):
+                    u = unify_terms(s2.term(pa), s2.term(fa))
+                    if u is None:
+                        pa_s, fa_s = s2.term(pa), s2.term(fa)
+                        st = term_sort(pa_s)
+                        if st.is_adt:
+                            ok = False
+                            break
+                        extra.append(eq_of(pa_s, fa_s, st))
+                    else:
+                        s2 = s2.compose(u)
+                if not ok:
+                    continue
+                cns = mk_and(s2.formula(c), fc2,
+                             *(s2.formula(e) for e in extra))
+                if qfcore.check_sat(cns, qfcore.Budget(20_000)) == qfcore.UNSAT:
+                    continue
+                nxt.append((s2, cns))
+                if len(nxt) > limit:
+                    facts.saturated = False
+                    break
+            if len(nxt) > limit:
+                break
+        state = nxt
+        if not state:
+            return []
+    for s, c in state:
+        verdict = qfcore.check_sat(c, qfcore.Budget(60_000))
+        if verdict == qfcore.UNSAT:
+            continue
+        if verdict == qfcore.UNKNOWN:
+            facts.saturated = False
+            continue
+        head = None if clause.head is None else tuple(
+            s.term(t) for t in clause.head.args)
+        out.append((head, c))
+    return out
+
+
+def _ref_refute(clauses, rounds, cap, joins):
+    """(verdict, facts, number of joins made)."""
+    gen = horn._FreshNames("r")
+    facts = _RefFacts(cap)
+    queries = [c for c in clauses if c.head is None]
+    definite = [c for c in clauses if c.head is not None]
+    made = 0
+    for _ in range(rounds):
+        grew = False
+        for c in definite:
+            made += 1
+            for head, cns in _ref_join(c, facts, gen, joins):
+                if facts.add(c.head.pred, head, cns):
+                    grew = True
+        for q in queries:
+            made += 1
+            if _ref_join(q, facts, gen, joins):
+                return horn.UNSAT, facts.by_pred, made
+        if not grew:
+            verdict = horn.SAT if facts.saturated else horn.UNKNOWN
+            return verdict, facts.by_pred, made
+    return horn.UNKNOWN, facts.by_pred, made
+
+
+def _canonical(facts):
+    return {pred: [pretty_clause(Clause(Atom(pred, args), c, ()))
+                   for args, c in rows] for pred, rows in facts.items()}
+
+
+REFUTE_PROBLEMS = ("bst_size_sat", "append_ordered_sat", "snoc_ordered_sat",
+                   "reverse_len_sat", "member_unsat", "double_reverse_sat")
+
+# With a cap of 6, p holds 0..5 after five rounds and nothing has been cut;
+# only the sixth round's join, deriving p(6) over the cap, tells refute that
+# saturation is lost (p(7) makes the system unsat)
+COUNT_TO_SEVEN = """(set-logic HORN)
+(declare-fun p (Int) Bool)
+(assert (p 0))
+(assert (forall ((X Int)) (=> (p X) (p (+ X 1)))))
+(assert (forall ((X Int)) (=> (and (p X) (>= X 7)) false)))
+(check-sat)"""
+
+
+def test_refute_matches_reference_refutation(corpus_dir, monkeypatch):
+    """On the original and transformed scripts of corpus problems, refute
+    gives the reference's verdict and, once variables are renamed for
+    display, the same facts in the same order, while joining less."""
+    cases = []
+    for name in REFUTE_PROBLEMS:
+        pb = parse_problem((corpus_dir / f"{name}.chc").read_text())
+        eng = ConstraintEngine()
+        try:
+            res = transform_problem(pb, eng)
+        finally:
+            eng.close()
+        cases += [(emit_smtlib(pb), 3, 6, 40),
+                  (emit_smtlib(transformed_problem(pb, res)), 3, 6, 40)]
+    cases.append((COUNT_TO_SEVEN, 8, 6, 40))
+    joins = [0]
+    join = horn._join
+
+    def counted(*args):
+        joins[0] += 1
+        return join(*args)
+
+    monkeypatch.setattr(horn, "_join", counted)
+    ref_joins = 0
+    for script, rounds, cap, limit in cases:
+        clauses, _ = horn.read_script(script)
+        got, facts = horn.refute(clauses, None, rounds, cap, limit)
+        want, ref_facts, made = _ref_refute(clauses, rounds, cap, limit)
+        assert got == want
+        assert _canonical(facts) == _canonical(ref_facts)
+        ref_joins += made
+    assert joins[0] < ref_joins  # the skip fired
+
+
+def test_facts_index_keeps_variants_together():
+    """A variant whose linear term lists its coefficients in another order
+    (they are sorted by variable name) has the same key, so _Facts finds
+    and rejects it."""
+    a, b, x, y = (Var(n, INT) for n in ("a", "b", "x", "y"))
+    first = FComp("=<", lin({a: 1, b: 2}), IntConst(0))
+    second = FComp("=<", lin({y: 1, x: 2}), IntConst(0))
+    assert [v.name for v, _ in second.lhs.coeffs] == ["x", "y"]
+    facts = horn._Facts(5)
+    assert facts.add("p", (a, b), first)
+    assert not facts.add("p", (y, x), second)
+    assert facts.add("p", (b, a), first)
+    assert len(facts.by_pred["p"]) == 2
 
 
 def test_horn_cli_entry(tmp_path):
