@@ -21,13 +21,11 @@ constructor patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, Formula, IntConst, NameGen,
     PRED_CATA, PRED_PROGRAM, PredDecl, Problem, Sort, SortDef, SortTable,
     CtorDecl, Term, TermIte, TRUE, Var, eq_of, lin, mk_and, mk_not,
-    mk_or, FComp, FIff, FImp, FIte, FVar, term_sort,
+    mk_or, FComp, FIff, FImp, FIte, FVar, term_sort, value_class,
 )
 
 
@@ -47,7 +45,7 @@ _PUNCT = [":-", "<=>", "=>", "=<", ">=", "\\/", "(", ")", "[", "]", "|",
           ",", ".", "~", "&", "=", "<", ">", "+", "-", "*"]
 
 
-@dataclass(frozen=True)
+@value_class
 class Tok:
     kind: str  # id | varid | int | punct | kw
     text: str
@@ -120,7 +118,7 @@ def tokenize(text: str) -> list[Tok]:
 # Raw expression AST (sorts resolved in a second pass)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class Node:
     kind: str
     text: str = ""

@@ -248,13 +248,15 @@ def _pos_vars(pred: str, sorts: tuple, cache: dict) -> list[Var]:
 
 
 def _mine(clauses: list[Clause], preds: dict[str, tuple], pv: dict) -> dict[str, list[Formula]]:
-    cands: dict[str, list[Formula]] = {p: [] for p in preds}
-    facts: dict[str, list[Formula]] = {p: [] for p in preds}
-    guards: dict[str, list[Formula]] = {p: [] for p in preds}
+    # each table is an insertion-ordered set (a dict with None values), so
+    # a duplicate costs a hash lookup rather than a scan of the list
+    cands: dict[str, dict[Formula, None]] = {p: {} for p in preds}
+    facts: dict[str, dict[Formula, None]] = {p: {} for p in preds}
+    guards: dict[str, dict[Formula, None]] = {p: {} for p in preds}
 
-    def add(tbl: dict[str, list[Formula]], pred: str, f: Formula) -> None:
-        if f != TRUE and f not in tbl[pred]:
-            tbl[pred].append(f)
+    def add(tbl: dict[str, dict[Formula, None]], pred: str, f: Formula) -> None:
+        if f != TRUE:
+            tbl[pred].setdefault(f)
 
     def posmap(args: tuple[Term, ...], pred: str) -> dict[Var, Var]:
         vs = _pos_vars(pred, preds[pred], pv)
@@ -338,7 +340,7 @@ def _mine(clauses: list[Clause], preds: dict[str, tuple], pv: dict) -> dict[str,
                 if f == g or f == mk_not(g) or mk_not(f) == g:
                     continue
                 add(cands, pred, FImp(g, f))
-    return cands
+    return {pred: list(tbl) for pred, tbl in cands.items()}
 
 
 def _inst(pred: str, args: tuple[Term, ...], inv: dict[str, list[Formula]],

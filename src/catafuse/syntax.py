@@ -4,20 +4,105 @@ Everything here is immutable and hashable; clause sets can be shared freely
 across threads. Pretty-printing produces the same surface syntax the parser
 accepts, with per-clause display names (A, B, ..., Z, A1, ...) so derived
 clauses read like hand-written ones.
+
+The value classes behave like frozen dataclasses (`Problem` like a plain
+one) but are built by `value_class`, not `dataclasses`: this module is on
+the import path of the bundled oracle and CHC-solver children, which start
+once per transform and once per solve, and `dataclasses` (with `inspect`,
+`re`, `enum` and `ast`) plus its per-class code generation took about half
+of a child's import time. Nor does the module import `typing`; its
+annotations are never evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+
+
+# ---------------------------------------------------------------------------
+# Value classes
+# ---------------------------------------------------------------------------
+
+def _frozen_setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _repr(self) -> str:
+    args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__match_args__)
+    return f"{type(self).__qualname__}({args})"
+
+
+# The cached hash is kept in the instance dict, so a pickled object would
+# carry a string hash from another process; nothing pickles these objects.
+_CACHED_HASH = """
+def __hash__(self):
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash({0})
+        _set(self, '_hash', h)
+        return h"""
+
+
+def value_class(cls=None, *, frozen: bool = True, cache_hash: bool = False):
+    """Class decorator with the semantics of `@dataclass(frozen=True)` (or of
+    `@dataclass` when not frozen) for a class whose annotated fields are
+    listed in its body, defaults included.
+
+    `__init__`, `__eq__` and, for a frozen class, `__hash__` are generated
+    in one `exec`: `__eq__` compares the field tuples of two objects of the
+    same class, and `__hash__` hashes the field tuple, once per object with
+    cache_hash (hashing a formula then no longer walks its whole tree each
+    time). Frozen classes reject assignment and deletion; mutable ones are
+    unhashable.
+    """
+    if cls is None:
+        return lambda c: value_class(c, frozen=frozen, cache_hash=cache_hash)
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+
+    def fields(obj: str) -> str:
+        return "(" + "".join(f"{obj}.{n}," for n in names) + ")"
+
+    params = "".join(f", {n}=_dflt[{n!r}]" if n in defaults else f", {n}"
+                     for n in names)
+    if frozen:
+        init = [f"    _set(self, {n!r}, {n})" for n in names]
+    else:
+        init = [f"    self.{n} = {n}" for n in names]
+    src = [f"def __init__(self{params}):", *(init or ["    pass"]),
+           "def __eq__(self, other):",
+           "    if other.__class__ is self.__class__:",
+           f"        return {fields('self')} == {fields('other')}",
+           "    return NotImplemented"]
+    if cache_hash:
+        src.append(_CACHED_HASH.format(fields("self")))
+    elif frozen:
+        src += ["def __hash__(self):", f"    return hash({fields('self')})"]
+    ns: dict = {}
+    exec("\n".join(src), {"_set": object.__setattr__, "_dflt": defaults}, ns)
+    for name, fn in ns.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    cls.__match_args__ = names
+    cls.__repr__ = _repr
+    if frozen:
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
+    else:
+        cls.__hash__ = None
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # Sorts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class Sort:
     name: str
 
@@ -37,13 +122,13 @@ INT = Sort("int")
 BOOL = Sort("bool")
 
 
-@dataclass(frozen=True)
+@value_class
 class CtorDecl:
     name: str
     arg_sorts: tuple[Sort, ...]
 
 
-@dataclass(frozen=True)
+@value_class
 class SortDef:
     """An algebraic data type: a sort plus its constructor signatures."""
 
@@ -115,32 +200,11 @@ class SortTable:
 # Terms
 # ---------------------------------------------------------------------------
 
-def _cached_hash(cls):
-    """Class decorator: compute a frozen dataclass's structural hash once per
-    object, so hashing a formula no longer walks its whole tree each time.
-    The value is the dataclass's own. It is kept in the instance dict, so a
-    pickled object would carry a string hash from another process; nothing
-    pickles these objects."""
-    compute = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = compute(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
 class Term:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class Var(Term):
     name: str
     sort: Sort
@@ -149,8 +213,7 @@ class Var(Term):
         return self.name
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class IntConst(Term):
     value: int
 
@@ -158,8 +221,7 @@ class IntConst(Term):
         return str(self.value)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class BoolConst(Term):
     value: bool
 
@@ -167,8 +229,7 @@ class BoolConst(Term):
         return "true" if self.value else "false"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class LinExpr(Term):
     """a0 + a1*X1 + ... + an*Xn with integer coefficients, kept in canonical form."""
 
@@ -192,8 +253,7 @@ class LinExpr(Term):
         return out
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class Ctor(Term):
     sort: Sort
     ctor: str
@@ -203,8 +263,7 @@ class Ctor(Term):
         return str(pretty_term(self))
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class TermIte(Term):
     cond: "Formula"
     then: Term
@@ -272,15 +331,13 @@ class Formula:
     __slots__ = ()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FTrue(Formula):
     def __str__(self) -> str:
         return "true"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FFalse(Formula):
     def __str__(self) -> str:
         return "false"
@@ -290,8 +347,7 @@ TRUE = FTrue()
 FALSE = FFalse()
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FVar(Formula):
     var: Var
 
@@ -299,8 +355,7 @@ class FVar(Formula):
         return self.var.name
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FNot(Formula):
     arg: Formula
 
@@ -308,8 +363,7 @@ class FNot(Formula):
         return f"~{_paren(self.arg)}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FAnd(Formula):
     args: tuple[Formula, ...]
 
@@ -317,8 +371,7 @@ class FAnd(Formula):
         return " & ".join(_paren(a) for a in self.args)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FOr(Formula):
     args: tuple[Formula, ...]
 
@@ -326,8 +379,7 @@ class FOr(Formula):
         return " \\/ ".join(_paren(a) for a in self.args)
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FImp(Formula):
     lhs: Formula
     rhs: Formula
@@ -336,8 +388,7 @@ class FImp(Formula):
         return f"{_paren(self.lhs)} => {_paren(self.rhs)}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FIff(Formula):
     lhs: Formula
     rhs: Formula
@@ -346,8 +397,7 @@ class FIff(Formula):
         return f"{_paren(self.lhs)} <=> {_paren(self.rhs)}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FIte(Formula):
     cond: Formula
     then: Formula
@@ -357,8 +407,7 @@ class FIte(Formula):
         return f"ite({self.cond},{self.then},{self.els})"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FComp(Formula):
     """LIA atom over Int terms; rel is one of = < =< >= >."""
 
@@ -370,8 +419,7 @@ class FComp(Formula):
         return f"{self.lhs}{self.rel}{self.rhs}"
 
 
-@_cached_hash
-@dataclass(frozen=True)
+@value_class(cache_hash=True)
 class FEq(Formula):
     """Equality between same-sorted ADT terms."""
 
@@ -467,7 +515,7 @@ def _as_formula(t: Term) -> Formula:
 # Atoms, clauses, problems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class Atom:
     pred: str
     args: tuple[Term, ...]
@@ -478,7 +526,7 @@ class Atom:
         return f"{self.pred}({','.join(pretty_term(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@value_class
 class Clause:
     """H <- c, B.  head is None for a query (head false)."""
 
@@ -500,7 +548,7 @@ PRED_CATA = "catamorphism"
 PRED_TRUE = "builtin-true"
 
 
-@dataclass(frozen=True)
+@value_class
 class PredDecl:
     name: str
     arg_sorts: tuple[Sort, ...]
@@ -511,7 +559,7 @@ class PredDecl:
     out_idx: tuple[int, ...] = ()
 
 
-@dataclass
+@value_class(frozen=False)
 class Problem:
     sorts: SortTable
     preds: dict[str, PredDecl]

@@ -38,3 +38,26 @@ def test_public_names_load_on_first_use():
     assert set(catafuse.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no_such_name"):
         catafuse.no_such_name
+
+
+def _modules_after(src: Path, code: str) -> set[str]:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_solver_children_load_no_dataclasses_or_typing():
+    """What importing both children adds to a bare interpreter: site hooks
+    may load `typing` themselves, so only the difference counts."""
+    src = Path(catafuse.__file__).resolve().parent.parent
+    bare = _modules_after(src, "")
+    child = _modules_after(
+        src, "import catafuse.refsolver.oracle, catafuse.refsolver.horn")
+    added = child - bare
+    assert "catafuse.refsolver.horn" in added
+    assert not added & {"dataclasses", "inspect", "typing"}

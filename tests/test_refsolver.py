@@ -5,13 +5,15 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from catafuse.engine import ConstraintEngine
 from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
 from catafuse.smtlib import emit_smtlib
 from catafuse.syntax import (
     BOOL, INT, Atom, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte,
-    FNot, FOr, FTrue, FVar, IntConst, Subst, TermIte, Var, eq_of,
+    FNot, FOr, FTrue, FVar, IntConst, Subst, TermIte, Var, conjuncts, eq_of,
     free_vars, lin, list_sort, mk_and, mk_not, mk_or, pretty_clause,
     term_sort, unify_terms, variant_of, TRUE, FALSE,
 )
@@ -762,20 +764,27 @@ COUNT_TO_SEVEN = """(set-logic HORN)
 (check-sat)"""
 
 
-def test_refute_matches_reference_refutation(corpus_dir, monkeypatch):
-    """On the original and transformed scripts of corpus problems, refute
-    gives the reference's verdict and, once variables are renamed for
-    display, the same facts in the same order, while joining less."""
-    cases = []
-    for name in REFUTE_PROBLEMS:
+@pytest.fixture(scope="module")
+def corpus_scripts(corpus_dir):
+    """The original and transformed SMT-LIB scripts of corpus problems."""
+    out = {}
+    for name in REFUTE_PROBLEMS + ("insertion_sort",):
         pb = parse_problem((corpus_dir / f"{name}.chc").read_text())
         eng = ConstraintEngine()
         try:
             res = transform_problem(pb, eng)
         finally:
             eng.close()
-        cases += [(emit_smtlib(pb), 3, 6, 40),
-                  (emit_smtlib(transformed_problem(pb, res)), 3, 6, 40)]
+        out[name] = (emit_smtlib(pb), emit_smtlib(transformed_problem(pb, res)))
+    return out
+
+
+def test_refute_matches_reference_refutation(corpus_scripts, monkeypatch):
+    """On the original and transformed scripts of corpus problems, refute
+    gives the reference's verdict and, once variables are renamed for
+    display, the same facts in the same order, while joining less."""
+    cases = [(script, 3, 6, 40) for name in REFUTE_PROBLEMS
+             for script in corpus_scripts[name]]
     cases.append((COUNT_TO_SEVEN, 8, 6, 40))
     joins = [0]
     join = horn._join
@@ -809,6 +818,109 @@ def test_facts_index_keeps_variants_together():
     assert not facts.add("p", (y, x), second)
     assert facts.add("p", (b, a), first)
     assert len(facts.by_pred["p"]) == 2
+
+
+# Houdini's candidate mining before its tables became ordered sets: every
+# new candidate is compared with each one kept so far.
+
+def _ref_mine(clauses, preds, pv):
+    cands = {p: [] for p in preds}
+    facts = {p: [] for p in preds}
+    guards = {p: [] for p in preds}
+
+    def add(tbl, pred, f):
+        if f != TRUE and f not in tbl[pred]:
+            tbl[pred].append(f)
+
+    def posmap(args, pred):
+        vs = horn._pos_vars(pred, preds[pred], pv)
+        m = {}
+        for i, t in enumerate(args):
+            if isinstance(t, Var) and t not in m:
+                m[t] = vs[i]
+        return m
+
+    def mapped(f, m):
+        fv = free_vars(f)
+        if not fv or not fv <= set(m):
+            return None
+        return Subst(dict(m)).formula(f)
+
+    def note_fact(pred, g):
+        add(facts, pred, g)
+        if isinstance(g, FVar) or (isinstance(g, FNot) and isinstance(g.arg, FVar)):
+            add(guards, pred, g)
+            add(guards, pred, mk_not(g))
+
+    for c in clauses:
+        parts = conjuncts(c.constraint)
+        if c.head is not None:
+            pred = c.head.pred
+            vs = horn._pos_vars(pred, preds[pred], pv)
+            m = posmap(c.head.args, pred)
+            for f in parts:
+                g = mapped(f, m)
+                if g is not None:
+                    note_fact(pred, g)
+            firstpos = {}
+            for i, t in enumerate(c.head.args):
+                if isinstance(t, Var):
+                    if t in firstpos and preds[pred][i].is_basic:
+                        note_fact(pred, eq_of(vs[firstpos[t]], vs[i],
+                                              preds[pred][i]))
+                    else:
+                        firstpos.setdefault(t, i)
+                elif isinstance(t, (IntConst,)):
+                    note_fact(pred, FComp("=", vs[i], t))
+        if c.head is None:
+            negated = mk_not(c.constraint)
+            for a in c.body:
+                m = posmap(a.args, a.pred)
+                g = mapped(negated, m)
+                if g is not None:
+                    add(cands, a.pred, g)
+        else:
+            for a in c.body:
+                m = posmap(a.args, a.pred)
+                for f in parts:
+                    g = mapped(f, m)
+                    if g is not None:
+                        note_fact(a.pred, g)
+
+    for pred, sorts in preds.items():
+        vs = horn._pos_vars(pred, sorts, pv)
+        for i, s in enumerate(sorts):
+            if s == BOOL:
+                note_fact(pred, FVar(vs[i]))
+                note_fact(pred, mk_not(FVar(vs[i])))
+        basics = [i for i, s in enumerate(sorts) if s.is_basic]
+        for ai, i in enumerate(basics):
+            for j in basics[ai + 1:]:
+                if sorts[i] == sorts[j]:
+                    add(facts, pred, eq_of(vs[i], vs[j], sorts[i]))
+
+    for pred in preds:
+        for f in facts[pred]:
+            add(cands, pred, f)
+        for g in guards[pred]:
+            for f in facts[pred]:
+                if f == g or f == mk_not(g) or mk_not(f) == g:
+                    continue
+                add(cands, pred, FImp(g, f))
+    return cands
+
+
+def test_mine_matches_list_scan_reference(corpus_scripts):
+    """Candidate mining keeps the reference's candidates in its order on the
+    original and transformed scripts of corpus problems."""
+    mined = 0
+    for scripts in corpus_scripts.values():
+        for script in scripts:
+            clauses, ctx = horn.read_script(script)
+            got = horn._mine(clauses, ctx.preds, {})
+            assert got == _ref_mine(clauses, ctx.preds, {})
+            mined += sum(map(len, got.values()))
+    assert mined > 1000
 
 
 def test_horn_cli_entry(tmp_path):

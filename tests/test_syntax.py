@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catafuse import parser, syntax
 from catafuse.syntax import (
-    BOOL, INT, Atom, Clause, Ctor, IntConst, NameGen, Subst, TRUE, Var,
-    free_vars, lin, list_sort, mgu, pretty_clause, rename_apart,
-    unify_terms, variant_of, FComp,
+    BOOL, INT, Atom, Clause, Ctor, CtorDecl, IntConst, NameGen, PredDecl,
+    Subst, TRUE, Var, free_vars, lin, list_sort, mgu, pretty_clause,
+    rename_apart, unify_terms, variant_of, FComp, FFalse, FVar,
 )
 
 LI = list_sort(INT)
@@ -181,3 +185,127 @@ def test_pretty_roundtrip_display_names():
     c = Clause(Atom("p", (lvar("Zz"), ivar("Qq"))), TRUE,
                (Atom("q", (lvar("Zz"),)),))
     assert pretty_clause(c) == "p(A,B) :- q(A)."
+
+
+# ---------------------------------------------------------------------------
+# value classes: the semantics of the dataclasses they replace
+# ---------------------------------------------------------------------------
+
+_NAMES = ("X", "Y")
+_B = Var("B", BOOL)
+
+
+def _pick(r, *options):
+    return options[r.randrange(len(options))]
+
+
+def _term(r):
+    return _pick(r, ivar("X"), ivar("Y"), IntConst(0), lin({ivar("X"): 2}, 1))
+
+
+def _formula(r):
+    return _pick(r, TRUE, FFalse(), FVar(_B), FComp("=", ivar("X"), IntConst(0)))
+
+
+def _atom(r):
+    return Atom(_pick(r, "p", "q"), (_term(r),))
+
+
+# per class, seeded positional arguments for every field; the pools are
+# small, so equal objects come up often
+_ARGS = {
+    syntax.Sort: lambda r: (_pick(r, "int", "bool"),),
+    syntax.CtorDecl: lambda r: (_pick(r, "[]", "cons"), _pick(r, (), (INT, LI))),
+    syntax.SortDef: lambda r: (_pick(r, INT, LI), _pick(r, (), (CtorDecl("[]", ()),))),
+    syntax.Var: lambda r: (_pick(r, *_NAMES), _pick(r, INT, BOOL)),
+    syntax.IntConst: lambda r: (_pick(r, 0, 1),),
+    syntax.BoolConst: lambda r: (_pick(r, False, True),),
+    syntax.LinExpr: lambda r: (((ivar(_pick(r, *_NAMES)), _pick(r, 1, 2)),),
+                               _pick(r, 0, 1)),
+    syntax.Ctor: lambda r: (LI, _pick(r, "[]", "cons"), _pick(r, (), (ivar("X"), NIL))),
+    syntax.TermIte: lambda r: (_formula(r), _term(r), _term(r)),
+    syntax.FTrue: lambda r: (),
+    syntax.FFalse: lambda r: (),
+    syntax.FVar: lambda r: (Var(_pick(r, *_NAMES), BOOL),),
+    syntax.FNot: lambda r: (_formula(r),),
+    syntax.FAnd: lambda r: (_pick(r, (_formula(r),), (_formula(r), _formula(r))),),
+    syntax.FOr: lambda r: (_pick(r, (_formula(r),), (_formula(r), _formula(r))),),
+    syntax.FImp: lambda r: (_formula(r), _formula(r)),
+    syntax.FIff: lambda r: (_formula(r), _formula(r)),
+    syntax.FIte: lambda r: (_formula(r), _formula(r), _formula(r)),
+    syntax.FComp: lambda r: (_pick(r, "=", "<"), _term(r), _term(r)),
+    syntax.FEq: lambda r: (lvar(_pick(r, *_NAMES)), NIL, LI),
+    syntax.Atom: lambda r: (_pick(r, "p", "q"), _pick(r, (), (_term(r),))),
+    syntax.Clause: lambda r: (_pick(r, None, _atom(r)), _formula(r),
+                              _pick(r, (), (_atom(r),)), _pick(r, "source", "fold")),
+    syntax.PredDecl: lambda r: (_pick(r, "p", "q"), _pick(r, (), (INT,)),
+                                _pick(r, "program", "catamorphism"), _pick(r, (), (0,)),
+                                _pick(r, -1, 0), _pick(r, (), (1,))),
+    syntax.Problem: lambda r: (syntax.SortTable(), _pick(r, {}, {"p": PredDecl("p", ())}),
+                               _pick(r, [], [_clause()]), [], []),
+    parser.Tok: lambda r: (_pick(r, "id", "kw"), _pick(r, "p", "q"), _pick(r, 1, 2),
+                           _pick(r, 1, 2)),
+    parser.Node: lambda r: (_pick(r, "id", "app"), _pick(r, "", "p"),
+                            _pick(r, (), (parser.Node("id", "x"),)), _pick(r, 0, 1),
+                            _pick(r, 0, 1)),
+}
+
+
+def _twin(cls):
+    """A dataclass with the class's fields and defaults."""
+    body = cls.__dict__.get("__annotations__", {})
+    fields = [(n, object, dataclasses.field(default=cls.__dict__[n]))
+              if n in cls.__dict__ else (n, object) for n in body]
+    return dataclasses.make_dataclass(cls.__name__, fields,
+                                      frozen=cls is not syntax.Problem)
+
+
+def test_value_classes_cover_every_record():
+    made = {c for m in (syntax, parser) for c in vars(m).values()
+            if isinstance(c, type) and "__match_args__" in c.__dict__
+            and c.__module__ == m.__name__}
+    assert made == set(_ARGS)
+
+
+def test_value_classes_behave_like_dataclasses():
+    rng = random.Random(7)
+    for cls, gen in _ARGS.items():
+        twin = _twin(cls)
+        frozen = cls is not syntax.Problem
+        for _ in range(40):
+            a1, a2 = gen(rng), gen(rng)
+            x, y, tx, ty = cls(*a1), cls(*a2), twin(*a1), twin(*a2)
+            if frozen:
+                assert hash(x) == hash(tx) == hash(x)  # cached or not
+            assert (x == y) == (tx == ty) and (x != y) == (tx != ty)
+            assert repr(x) == repr(tx)
+            assert x == cls(*a1) and x != tx
+            assert cls.__eq__(x, tx) is NotImplemented
+        a = gen(rng)
+        x = cls(*a)
+        # like a dataclass, an object never equals one of a subclass
+        assert x != type("Sub", (cls,), {})(*a)
+        first = next(iter(cls.__dict__.get("__annotations__", {})), "extra")
+        if frozen:
+            for name in (first, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(x, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(x, name)
+        else:
+            with pytest.raises(TypeError):
+                hash(x)
+            setattr(x, first, 0)
+            assert getattr(x, first) == 0
+            delattr(x, first)
+            assert not hasattr(x, first)
+
+
+def test_value_class_defaults_apply():
+    c = Clause(None, TRUE, ())
+    assert c.origin == "source" and c == Clause(None, TRUE, (), "source")
+    assert PredDecl("p", ()) == PredDecl("p", (), syntax.PRED_PROGRAM, (), -1, ())
+    assert parser.Node("id") == parser.Node("id", "", (), 0, 0)
+    for cls, args in ((Clause, (None, TRUE, ())), (PredDecl, ("p", ())),
+                      (parser.Node, ("id",))):
+        assert repr(cls(*args)) == repr(_twin(cls)(*args))
