@@ -10,6 +10,10 @@ command is configurable; the default resolution order is
 
 Verdicts are three-valued and the transformer treats unknown conservatively
 (see the callers): never drop a clause or merge definitions without proof.
+
+Projection eliminates integer variables in-process with refsolver.lia, the
+one integer eliminator that the bundled QF core uses too; importing it does
+not load the rest of that core.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ import tempfile
 import threading
 import time
 
+from .refsolver import lia
 from .smtlib import datatype_block, mangle_sort, smt_formula
 from .syntax import (
     Clause, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue,
     FVar, Formula, IntConst, SortTable, TRUE, FALSE, Var, as_lin, conjuncts,
-    display_renaming, free_vars, lin, lin_sub, mk_and, mk_not, mk_or,
+    display_renaming, free_vars, lin, mk_and, mk_not, mk_or,
 )
 
 SAT = "sat"
@@ -42,6 +47,9 @@ FAILS = "fails"
 class OracleError(Exception):
     """The external oracle is unreachable or broke protocol."""
 
+
+# the time limit the oracle gets for each query
+TIMEOUT_MS = 5000
 
 # how much of a failed oracle's stderr an OracleError quotes
 STDERR_TAIL_LINES = 5
@@ -61,10 +69,8 @@ def default_oracle_cmd() -> list[str]:
 class Oracle:
     """One child solver process; push/pop per query; thread-safe via a lock."""
 
-    def __init__(self, cmd: list[str] | None = None,
-                 timeout_ms: int = 5000) -> None:
+    def __init__(self, cmd: list[str] | None = None) -> None:
         self.cmd = cmd or default_oracle_cmd()
-        self.timeout_ms = timeout_ms
         self.proc: subprocess.Popen | None = None
         self._stderr = None  # the child's stderr, an unnamed temporary file
         self.lock = threading.Lock()
@@ -80,6 +86,9 @@ class Oracle:
         except OSError as e:
             self._stderr.close()
             raise OracleError(f"cannot launch oracle {self.cmd}: {e}") from e
+        self._preamble()
+
+    def _preamble(self) -> None:
         self._send("(set-option :print-success false)")
         self._send("(set-logic ALL)")
         for line in self._decls:
@@ -91,10 +100,7 @@ class Oracle:
             self._decls = decls
             if self.proc is not None:
                 self._send("(reset)")
-                self._send("(set-option :print-success false)")
-                self._send("(set-logic ALL)")
-                for line in self._decls:
-                    self._send(line)
+                self._preamble()
 
     def _send(self, line: str) -> None:
         assert self.proc is not None and self.proc.stdin is not None
@@ -142,30 +148,29 @@ class Oracle:
             if line.startswith("(error"):
                 return UNKNOWN
 
-    def check(self, formula: Formula, timeout_ms: int | None = None) -> str:
-        timeout = timeout_ms or self.timeout_ms
+    def check(self, formula: Formula) -> str:
         with self.lock:
             for attempt in (0, 1):
                 if self.proc is None or self.proc.poll() is not None:
                     self._kill()  # releases a dead child's stderr file
                     self._start()
                 try:
-                    return self._query(formula, timeout)
+                    return self._query(formula)
                 except OracleError:
                     self._kill()
                     if attempt:
                         raise
         raise OracleError("unreachable")
 
-    def _query(self, formula: Formula, timeout: int) -> str:
+    def _query(self, formula: Formula) -> str:
         f = display_renaming(_as_clause(formula)).formula(formula)
         self._send("(push 1)")
-        self._send(f"(set-option :timeout {timeout})")
+        self._send(f"(set-option :timeout {TIMEOUT_MS})")
         for v in sorted(free_vars(f), key=lambda v: (len(v.name), v.name)):
             self._send(f"(declare-const {v.name} {mangle_sort(v.sort)})")
         self._send(f"(assert {smt_formula(f)})")
         self._send("(check-sat)")
-        verdict = self._read_verdict(time.monotonic() + timeout / 1000 + 10)
+        verdict = self._read_verdict(time.monotonic() + TIMEOUT_MS / 1000 + 10)
         self._send("(pop 1)")
         return verdict
 
@@ -219,9 +224,8 @@ def is_atomic_conjunct(f: Formula) -> bool:
 
 
 class ConstraintEngine:
-    def __init__(self, oracle: Oracle | None = None,
-                 timeout_ms: int = 5000) -> None:
-        self.oracle = oracle or Oracle(timeout_ms=timeout_ms)
+    def __init__(self, oracle: Oracle | None = None) -> None:
+        self.oracle = oracle or Oracle()
         self._sat_cache: dict[Formula, str] = {}
         self._ent_cache: dict[tuple[Formula, Formula], str] = {}
 
@@ -233,8 +237,8 @@ class ConstraintEngine:
 
     # -- satisfiability -------------------------------------------------------
 
-    def is_satisfiable(self, c: Formula, timeout_ms: int | None = None) -> str:
-        c = self.simplify(c)
+    def is_satisfiable(self, c: Formula) -> str:
+        c = simplify(c)
         if isinstance(c, FTrue):
             return SAT
         if isinstance(c, FFalse):
@@ -242,15 +246,15 @@ class ConstraintEngine:
         hit = self._sat_cache.get(c)
         if hit is not None:
             return hit
-        v = self.oracle.check(c, timeout_ms)
+        v = self.oracle.check(c)
         if v != UNKNOWN:
             self._sat_cache[c] = v
         return v
 
     def entails(self, c: Formula, d: Formula) -> str:
         """holds iff c & ~d is unsat; fails iff satisfiable; else unknown."""
-        c = self.simplify(c)
-        d = self.simplify(d)
+        c = simplify(c)
+        d = simplify(d)
         if isinstance(d, FTrue) or isinstance(c, FFalse) or c == d:
             return HOLDS
         key = (c, d)
@@ -266,16 +270,11 @@ class ConstraintEngine:
     def equivalent(self, c: Formula, d: Formula) -> bool:
         return self.entails(c, d) == HOLDS and self.entails(d, c) == HOLDS
 
-    # -- simplification -------------------------------------------------------
-
-    def simplify(self, f: Formula) -> Formula:
-        return simplify(f)
-
     # -- generalization (widening) --------------------------------------------
 
     def generalize(self, d: Formula, c: Formula) -> Formula:
         """Widen d against c: keep exactly d's atomic conjuncts entailed by c."""
-        d = self.simplify(d)
+        d = simplify(d)
         parts = conjuncts(d)
         if not all(is_atomic_conjunct(p) for p in parts):
             return TRUE
@@ -285,7 +284,7 @@ class ConstraintEngine:
     # -- projection ------------------------------------------------------------
 
     def project(self, c: Formula, keep: set[Var]) -> Formula:
-        c = self.simplify(c)
+        c = simplify(c)
         if isinstance(c, (FTrue, FFalse)):
             return c
         if free_vars(c) <= keep:
@@ -359,100 +358,27 @@ def simplify(f: Formula) -> Formula:
 
 
 def _fm_project(atomic: list[Formula], keep: set[Var]) -> Formula:
-    """Fourier-Motzkin over the arithmetic conjuncts; other conjuncts survive
+    """lia.eliminate over the integer conjuncts; other conjuncts survive
     only when they already live inside `keep`. Always an over-approximation."""
-    lias: list[tuple[dict[Var, int], int, str]] = []  # sum c + k (rel) 0
-    others: list[Formula] = []
+    eqs, les, others = [], [], []
     for p in atomic:
         if isinstance(p, FComp):
             try:
-                d = lin_sub(p.lhs, p.rhs)
-                cs, k = as_lin(d)
-            except TypeError:
-                others.append(p)
-                continue
-            if p.rel == "=":
-                lias.append((dict(cs), k, "="))
-            elif p.rel == "=<":
-                lias.append((dict(cs), k, "<="))
-            elif p.rel == "<":
-                lias.append((dict(cs), k + 1, "<="))
-            elif p.rel == ">=":
-                lias.append(({v: -a for v, a in cs.items()}, -k, "<="))
-            else:  # >
-                lias.append(({v: -a for v, a in cs.items()}, -k + 1, "<="))
-        else:
-            others.append(p)
-    kept_others = [p for p in others if free_vars(p) <= keep]
-
-    rows = []
-    for cs, k, rel in lias:
-        if rel == "=":
-            rows.append((dict(cs), k, True))
-        else:
-            rows.append((dict(cs), k, False))
-    drop = sorted({v for cs, _, _ in rows for v in cs} - keep,
-                  key=lambda v: v.name)
-    for x in drop:
-        eqs = [(cs, k) for cs, k, is_eq in rows if is_eq and cs.get(x, 0) != 0]
-        solved = False
-        for cs, k in eqs:
-            a = cs[x]
-            if abs(a) == 1:
-                sub_c = {v: -b * a for v, b in cs.items() if v != x}
-                sub_k = -k * a
-                nxt = []
-                for cs2, k2, is_eq2 in rows:
-                    if (cs2, k2) == (cs, k) and is_eq2:
-                        continue
-                    b = cs2.get(x, 0)
-                    if b == 0:
-                        nxt.append((cs2, k2, is_eq2))
-                        continue
-                    nc = {v: a2 for v, a2 in cs2.items() if v != x}
-                    for v, a2 in sub_c.items():
-                        nc[v] = nc.get(v, 0) + b * a2
-                        if nc[v] == 0:
-                            del nc[v]
-                    nxt.append((nc, k2 + b * sub_k, is_eq2))
-                rows = nxt
-                solved = True
-                break
-        if solved:
-            continue
-        ineqs = []
-        for cs, k, is_eq in rows:
-            if cs.get(x, 0) == 0:
-                ineqs.append((cs, k, is_eq))
-                continue
-            if is_eq:
-                ineqs.append((dict(cs), k, False))
-                ineqs.append(({v: -a for v, a in cs.items()}, -k, False))
+                g = lia.canon_atom(p)
+            except TypeError:  # not linear
+                pass
             else:
-                ineqs.append((cs, k, False))
-        lows = [(cs, k) for cs, k, _ in ineqs if cs.get(x, 0) < 0]
-        highs = [(cs, k) for cs, k, _ in ineqs if cs.get(x, 0) > 0]
-        rows = [(cs, k, is_eq) for cs, k, is_eq in ineqs if cs.get(x, 0) == 0]
-        for cl, kl in lows:
-            al = -cl[x]
-            for ch, kh in highs:
-                ah = ch[x]
-                comb: dict[Var, int] = {}
-                for v, a in cl.items():
-                    if v != x:
-                        comb[v] = comb.get(v, 0) + ah * a
-                for v, a in ch.items():
-                    if v != x:
-                        comb[v] = comb.get(v, 0) + al * a
-                comb = {v: a for v, a in comb.items() if a != 0}
-                rows.append((comb, ah * kl + al * kh, False))
-        if len(rows) > 600:
-            return mk_and(*kept_others)  # caller re-checks and falls back
-
-    out: list[Formula] = list(kept_others)
-    for cs, k, is_eq in rows:
-        if not cs:
-            continue
-        t = lin(cs, k)
-        out.append(FComp("=" if is_eq else "=<", t, IntConst(0)))
-    return simplify(mk_and(*out))
+                (eqs if g.rel == "=" else les).append(as_lin(g.lhs))
+                continue
+        if free_vars(p) <= keep:
+            others.append(p)
+    try:
+        eqs, les, _ = lia.eliminate(eqs, les, lambda v: v not in keep,
+                                    lia.Budget())
+    except lia.Infeasible:
+        return FALSE
+    except lia.Overflow:
+        return mk_and(*others)  # caller re-checks and falls back
+    rows = [FComp("=", lin(c, k), IntConst(0)) for c, k in eqs]
+    rows += [FComp("=<", lin(c, k), IntConst(0)) for c, k in les]
+    return simplify(mk_and(*others, *rows))

@@ -24,8 +24,8 @@ from __future__ import annotations
 from .syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, Formula, IntConst, NameGen,
     PRED_CATA, PRED_PROGRAM, PredDecl, Problem, Sort, SortDef, SortTable,
-    CtorDecl, Term, TermIte, TRUE, Var, eq_of, lin, mk_and, mk_not,
-    mk_or, FComp, FIff, FImp, FIte, FVar, term_sort, value_class,
+    CtorDecl, FALSE, Term, TermIte, TRUE, Var, as_lin, eq_of, lin, mk_and,
+    mk_not, mk_or, FComp, FIff, FImp, FIte, FVar, term_sort, value_class,
 )
 
 
@@ -413,7 +413,6 @@ class _Builder:
         if n.kind == "true":
             return TRUE
         if n.kind == "false":
-            from .syntax import FALSE
             return FALSE
         if n.kind == "var":
             return FVar(env.var(n.text, BOOL, n.line, n.col))
@@ -481,7 +480,6 @@ class _Builder:
 
 
 def _coeffs(t: Term, n: Node) -> list[tuple[Var, int]]:
-    from .syntax import as_lin
     try:
         c, _ = as_lin(t)
     except TypeError:
@@ -490,7 +488,6 @@ def _coeffs(t: Term, n: Node) -> list[tuple[Var, int]]:
 
 
 def _const(t: Term, n: Node) -> int:
-    from .syntax import as_lin
     try:
         _, k = as_lin(t)
     except TypeError:

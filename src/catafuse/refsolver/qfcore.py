@@ -18,49 +18,38 @@ reads the root's value, propagates the first open top-level literal, or
 else branches on the first open atom, and runs a theory check once the
 root is true:
 
-  * integers: Gaussian substitution on unit-coefficient equalities, then
-    Fourier-Motzkin elimination with integer tightening; eliminations are
-    exact while some side of every combined pair has unit coefficient
-    (always the case for the clause constraints this package produces),
-    and a non-unit pair makes a feasible result 'unknown' (its real shadow
-    may hold no integer point);
+  * integers: lia.eliminate drops every variable (Gaussian substitution
+    on unit-coefficient equalities, then Fourier-Motzkin elimination with
+    integer tightening); an inexact elimination makes a feasible result
+    'unknown', and each integer disequality t != 0 branches on t <= -1 and
+    -t <= -1;
   * constructor terms: congruence closure with injectivity, clash, and
     acyclicity; derived equalities on integer arguments feed the LIA check.
+    A disequality between constructor terms holds when some position
+    clashes or holds an ADT variable (an infinite datatype has another
+    value for it), and otherwise reduces to its differing integer and
+    boolean positions: some integer pair must differ, unless a boolean
+    pair already does. A boolean in such a position, or in a derived
+    boolean equality, that no atom assigns is tried both ways.
 
 Everything answers sat/unsat/unknown and never lies: 'unknown' is returned
-whenever a budget or an unsupported corner (e.g. boolean-element ADTs
-forcing an undecided boolean equality) is hit.
+whenever a budget or an unsupported corner is hit.
 """
 
 from __future__ import annotations
 
-import time
 from itertools import islice
-from math import gcd
 
 from ..syntax import (
     BOOL, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue, FVar,
-    Formula, IntConst, LinExpr, BoolConst, Ctor, Sort, Term, TermIte,
-    Var, conjuncts, lin, lin_sub, term_sort,
+    Formula, IntConst, BoolConst, Ctor, Term, TermIte, Var, as_lin, conjuncts,
+    lin_sub, term_sort,
 )
+from .lia import Budget, Infeasible, Overflow, canon_atom, eliminate
 
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-
-class Budget:
-    def __init__(self, steps: int = 400_000, deadline: float | None = None) -> None:
-        self.steps = steps
-        self.deadline = deadline
-        self.exhausted = False
-
-    def spend(self, n: int = 1) -> bool:
-        self.steps -= n
-        if self.steps <= 0 or (self.deadline is not None
-                               and time.monotonic() > self.deadline):
-            self.exhausted = True
-        return not self.exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +189,6 @@ def _atom_replace(f: Formula, old: Term, new: Term) -> Formula:
 
 # LinExpr cannot syntactically contain ite, but parsing SMT input can produce
 # (+ x (ite c a b)); smtparse pre-lifts those, so only Ctor nesting matters here.
-
-
-def canon_atom(f: Formula) -> Formula:
-    """FComp atoms become  t <= 0  or  t = 0  with t canonical linear."""
-    if isinstance(f, FComp):
-        d = lin_sub(f.lhs, f.rhs)
-        if f.rel == "=":
-            return FComp("=", d, IntConst(0))
-        if f.rel == "=<":
-            return FComp("=<", d, IntConst(0))
-        if f.rel == "<":
-            return FComp("=<", lin_sub(d, IntConst(-1)), IntConst(0))
-        if f.rel == ">=":
-            return FComp("=<", lin_sub(IntConst(0), d), IntConst(0))
-        if f.rel == ">":
-            return FComp("=<", lin_sub(IntConst(1), d), IntConst(0))
-    return f
 
 
 def _const_holds(g: FComp) -> bool:
@@ -505,19 +477,6 @@ class _CC:
                               for a in t.args))
         return t
 
-    def surely_distinct(self, a: Term, b: Term) -> bool:
-        """True when the closure forces a != b (constructor clash somewhere)."""
-        ca, cb = self.canon(a), self.canon(b)
-        return self._clash(ca, cb)
-
-    def _clash(self, a: Term, b: Term) -> bool:
-        if isinstance(a, Ctor) and isinstance(b, Ctor):
-            if a.sort != b.sort or a.ctor != b.ctor:
-                return True
-            return any(self._clash(x, y) for x, y in zip(a.args, b.args)
-                       if term_sort(x).is_adt)
-        return False
-
 
 def _theory_check(lits: dict[Formula, bool], budget: Budget) -> str:
     cc = _CC()
@@ -534,7 +493,7 @@ def _theory_check(lits: dict[Formula, bool], budget: Budget) -> str:
             else:
                 diseqs.append((atom.lhs, atom.rhs))
         elif isinstance(atom, FComp):
-            coeffs, k = _lin_view(atom.lhs)
+            coeffs, k = as_lin(atom.lhs)
             if atom.rel == "=<":
                 if val:
                     lia_le.append((coeffs, k))
@@ -544,58 +503,83 @@ def _theory_check(lits: dict[Formula, bool], budget: Budget) -> str:
                 if val:
                     lia_eq.append((coeffs, k))
                 else:
-                    diseqs.append((lin(coeffs, k), IntConst(0)))
+                    diseqs.append((atom.lhs, atom.rhs))
     # equalities derived from constructor decomposition
     for x, y in cc.int_eqs:
-        cx, kx = _lin_view(x)
-        cy, ky = _lin_view(y)
-        for v, a in cy.items():
-            cx[v] = cx.get(v, 0) - a
-        lia_eq.append((cx, kx - ky))
+        lia_eq.append(as_lin(lin_sub(x, y)))
     for x, y in cc.bool_eqs:
         r = _bool_eq_status(x, y, lits)
         if r is False:
             return UNSAT
         if r is None:
-            return UNKNOWN
-    # disequalities: ADT ones must not be forced equal; int ones branch
-    int_diseqs: list[tuple[dict[Var, int], int]] = []
+            return _split_bool(lits, x, y, budget)
+    # disequalities: ADT ones must not be forced equal; each becomes a list
+    # of integer alternatives, one of which must differ from zero
+    int_diseqs: list[list[tuple[dict[Var, int], int]]] = []
     for a, b in diseqs:
-        if isinstance(a, (Var, Ctor)) and term_sort(a).is_adt:
-            if cc.canon(a) == cc.canon(b):
-                return UNSAT
-            if not cc.surely_distinct(a, b):
-                # free ADT variables always admit distinct values over an
-                # infinite datatype; basic-argument mismatches go to LIA
-                pair = _forced_basic_eqs(cc.canon(a), cc.canon(b))
-                if pair is None:
-                    continue
-                ca, kka = pair
-                int_diseqs.append((ca, kka))
+        if not (isinstance(a, (Var, Ctor)) and term_sort(a).is_adt):
+            int_diseqs.append([as_lin(lin_sub(a, b))])
             continue
-        cx, kx = _lin_view(a)
-        cy, ky = _lin_view(b)
-        for v, x in cy.items():
-            cx[v] = cx.get(v, 0) - x
-        int_diseqs.append((cx, kx - ky))
+        ca, cb = cc.canon(a), cc.canon(b)
+        if ca == cb:
+            return UNSAT
+        diffs = _basic_diffs(ca, cb)
+        if diffs is None:
+            continue
+        alts = []
+        for x, y in diffs:
+            if term_sort(x) != BOOL:
+                alts.append(as_lin(lin_sub(x, y)))
+                continue
+            r = _bool_eq_status(x, y, lits)
+            if r is None:
+                return _split_bool(lits, x, y, budget)
+            if r is False:
+                break  # the boolean positions differ: a != b holds
+        else:
+            if not alts:
+                return UNSAT
+            int_diseqs.append(alts)
     return _lia_with_diseqs(lia_eq, lia_le, int_diseqs, budget)
 
 
-def _forced_basic_eqs(a: Term, b: Term) -> tuple[dict[Var, int], int] | None:
-    """If a != b reduces to a single integer disequality, return it."""
+def _split_bool(lits: dict[Formula, bool], x: Term, y: Term,
+                budget: Budget) -> str:
+    """Theory check under both values of an unassigned boolean of x and y:
+    the skeleton's root holds whatever value it takes."""
+    v = next((FVar(t) for t in (x, y)
+              if isinstance(t, Var) and FVar(t) not in lits), None)
+    if v is None:
+        return UNKNOWN
+    out = UNSAT
+    for val in (True, False):
+        r = _theory_check({**lits, v: val}, budget)
+        if r == SAT:
+            return SAT
+        if r == UNKNOWN:
+            out = UNKNOWN
+    return out
+
+
+def _basic_diffs(a: Term, b: Term) -> list[tuple[Term, Term]] | None:
+    """The integer and boolean positions, through same-constructor
+    arguments, where the canonical terms a and b differ: a != b holds iff
+    some such pair differs. None when a != b is satisfiable whatever those
+    positions hold: some position clashes, or holds an ADT variable, which
+    an infinite datatype can give another value."""
+    if a == b:
+        return []
     if isinstance(a, Ctor) and isinstance(b, Ctor) and a.ctor == b.ctor:
-        diffs = []
+        diffs: list[tuple[Term, Term]] = []
         for x, y in zip(a.args, b.args):
-            if x == y:
-                continue
-            diffs.append((x, y))
-        if len(diffs) == 1 and term_sort(diffs[0][0]) == Sort("int"):
-            cx, kx = _lin_view(diffs[0][0])
-            cy, ky = _lin_view(diffs[0][1])
-            for v, s in cy.items():
-                cx[v] = cx.get(v, 0) - s
-            return cx, kx - ky
-    return None
+            d = _basic_diffs(x, y)
+            if d is None:
+                return None
+            diffs += d
+        return diffs
+    if term_sort(a).is_adt:
+        return None
+    return [(a, b)]
 
 
 def _bool_eq_status(x: Term, y: Term, lits: dict[Formula, bool]) -> bool | None:
@@ -614,146 +598,40 @@ def _bool_eq_status(x: Term, y: Term, lits: dict[Formula, bool]) -> bool | None:
     return vx == vy
 
 
-def _lin_view(t: Term) -> tuple[dict[Var, int], int]:
-    if isinstance(t, Var):
-        return {t: 1}, 0
-    if isinstance(t, IntConst):
-        return {}, t.value
-    if isinstance(t, LinExpr):
-        return dict(t.coeffs), t.const
-    raise TypeError(f"not linear: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # Integer linear feasibility
 # ---------------------------------------------------------------------------
 
 def _lia_with_diseqs(eqs, les, diseqs, budget: Budget) -> str:
+    """Integer feasibility of eqs and les together with the disequalities,
+    each a list of alternative rows t of which one must have t != 0."""
     if not budget.spend(len(diseqs) + 1):
         return UNKNOWN
     if not diseqs:
         return _lia_feasible(eqs, les, budget)
-    (c, k), rest = diseqs[0], diseqs[1:]
-    if not c:
-        if k == 0:
-            return UNSAT
-        return _lia_with_diseqs(eqs, les, rest, budget)
+    alts, rest = diseqs[0], diseqs[1:]
     out = UNSAT
-    # t != 0  ->  t <= -1  or  -t <= -1
-    for sgn in (1, -1):
-        le = ({v: sgn * a for v, a in c.items()}, sgn * k + 1)
-        r = _lia_with_diseqs(eqs, les + [le], rest, budget)
-        if r == SAT:
-            return SAT
-        if r == UNKNOWN:
-            out = UNKNOWN
+    for c, k in alts:
+        if not c:
+            if k == 0:
+                continue
+            return _lia_with_diseqs(eqs, les, rest, budget)
+        # t != 0  ->  t <= -1  or  -t <= -1
+        for sgn in (1, -1):
+            le = ({v: sgn * a for v, a in c.items()}, sgn * k + 1)
+            r = _lia_with_diseqs(eqs, les + [le], rest, budget)
+            if r == SAT:
+                return SAT
+            if r == UNKNOWN:
+                out = UNKNOWN
     return out
-
-
-def _tighten(c: dict[Var, int], k: int) -> tuple[dict[Var, int], int]:
-    """Divide sum(c)v + k <= 0 by gcd(c) with exact integer rounding."""
-    c = {v: a for v, a in c.items() if a != 0}
-    g = gcd(*[abs(a) for a in c.values()]) if c else 1
-    if g > 1:
-        c = {v: a // g for v, a in c.items()}
-        k = -((-k) // g)
-    return c, k
 
 
 def _lia_feasible(eqs, les, budget: Budget) -> str:
-    eqs = [({v: a for v, a in c.items() if a != 0}, k) for c, k in eqs]
-    les = [_tighten(c, k) for c, k in les]
-
-    # Gaussian elimination: solve unit-coefficient equalities, normalize the
-    # rest by gcd, and turn stubborn ones into inequality pairs.
-    while eqs:
-        c, k = eqs.pop()
-        c = {v: a for v, a in c.items() if a != 0}
-        if not c:
-            if k != 0:
-                return UNSAT
-            continue
-        g = gcd(*[abs(a) for a in c.values()])
-        if g > 1:
-            if k % g != 0:
-                return UNSAT
-            c = {v: a // g for v, a in c.items()}
-            k //= g
-        unit = next((v for v, a in sorted(c.items(), key=lambda p: p[0].name)
-                     if abs(a) == 1), None)
-        if unit is not None:
-            a = c[unit]
-            # a*unit + rest + k = 0  =>  unit = -a*(rest + k)
-            sub_c = {v: -x * a for v, x in c.items() if v != unit}
-            sub_k = -k * a
-            _substitute(eqs, unit, sub_c, sub_k)
-            _substitute(les, unit, sub_c, sub_k)
-        else:
-            les.append((dict(c), k))
-            les.append(({v: -a for v, a in c.items()}, -k))
-
-    exact = True
-    while True:
-        les = _dedup([_tighten(c, k) for c, k in les])
-        for c, k in les:
-            if not c and k > 0:
-                return UNSAT
-        les = [(c, k) for c, k in les if c]
-        vs = sorted({v for c, _ in les for v in c}, key=lambda v: v.name)
-        if not vs:
-            return SAT if exact else UNKNOWN
-        if not budget.spend(len(les)):
-            return UNKNOWN
-
-        def cost(v: Var) -> int:
-            lo = sum(1 for c, _ in les if c.get(v, 0) < 0)
-            hi = sum(1 for c, _ in les if c.get(v, 0) > 0)
-            return lo * hi
-
-        x = min(vs, key=lambda v: (cost(v), v.name))
-        lows = [(c, k) for c, k in les if c.get(x, 0) < 0]
-        highs = [(c, k) for c, k in les if c.get(x, 0) > 0]
-        rest = [(c, k) for c, k in les if c.get(x, 0) == 0]
-        new = list(rest)
-        for cl, kl in lows:
-            al = -cl[x]
-            for ch, kh in highs:
-                ah = ch[x]
-                if min(al, ah) != 1:
-                    exact = False  # real shadow only: sat would be unsound
-                comb: dict[Var, int] = {}
-                for v, a in cl.items():
-                    if v != x:
-                        comb[v] = comb.get(v, 0) + ah * a
-                for v, a in ch.items():
-                    if v != x:
-                        comb[v] = comb.get(v, 0) + al * a
-                kk = ah * kl + al * kh
-                new.append(_tighten(comb, kk))
-                if len(new) > 4000:
-                    return UNKNOWN
-        les = new
-
-
-def _dedup(les):
-    seen = set()
-    out = []
-    for c, k in les:
-        key = (tuple(sorted(((v.name, a) for v, a in c.items()))), k)
-        if key not in seen:
-            seen.add(key)
-            out.append((c, k))
-    return out
-
-
-def _substitute(rows, var: Var, sub_c: dict[Var, int], sub_k: int) -> None:
-    for i, (c, k) in enumerate(rows):
-        a = c.get(var)
-        if a is None:
-            continue
-        nc = {v: x for v, x in c.items() if v != var}
-        for v, x in sub_c.items():
-            nc[v] = nc.get(v, 0) + a * x
-            if nc[v] == 0:
-                del nc[v]
-        rows[i] = (nc, k + a * sub_k)
+    try:
+        _, _, exact = eliminate(eqs, les, lambda v: True, budget)
+    except Infeasible:
+        return UNSAT
+    except Overflow:
+        return UNKNOWN
+    return SAT if exact else UNKNOWN

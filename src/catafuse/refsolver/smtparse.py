@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, CtorDecl, FComp, FIff,
     FImp, FIte, FVar, FALSE, Formula, IntConst, Sort, SortDef, SortTable,
-    Term, TermIte, TRUE, Var, eq_of, lin, mk_and, mk_not, mk_or,
+    Term, TermIte, TRUE, Var, as_lin, eq_of, lin, mk_and, mk_not, mk_or,
 )
 
 
@@ -313,7 +313,6 @@ class SmtContext:
 def _aslin(t: Term):
     if isinstance(t, TermIte):
         raise UnsupportedSmt("ite inside arithmetic")
-    from ..syntax import as_lin
     try:
         return as_lin(t)
     except TypeError as e:

@@ -16,7 +16,7 @@ from .syntax import (
     BOOL, INT, Atom, BoolConst, Clause, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, Formula, IntConst, LinExpr, Ctor,
     PredDecl, Problem, Sort, SortTable, Term, TermIte, Var,
-    display_renaming, free_vars,
+    display_renaming, eq_of, free_vars, mk_and, mk_not,
 )
 
 
@@ -201,7 +201,6 @@ def functionality_obligation(pred: PredDecl, clauses: list[Clause],
                 oi += 1
         return Atom(pred.name, tuple(args))
 
-    from .syntax import eq_of, mk_and, mk_not
     same = mk_and(*(eq_of(y, z, y.sort) for y, z in zip(ys, zs)))
     query = Clause(None, mk_not(same), (call(ys), call(zs)), origin="obligation")
     lines = [f"; functionality obligation for {pred.name}: sat iff single-valued"]

@@ -26,12 +26,12 @@ import json
 from dataclasses import dataclass, field
 
 from .catas import QuerySpec, io_split, validate_problem
-from .engine import ConstraintEngine, HOLDS, UNSAT
+from .engine import ConstraintEngine, HOLDS, UNSAT, simplify
 from .syntax import (
     Atom, Clause, Ctor, FComp, FEq, FIff, FVar, Formula, NameGen, PRED_CATA,
     PRED_PROGRAM, PRED_TRUE, PredDecl, Problem, Sort, Subst, Term, TRUE, Var,
-    conjuncts, eq_of, free_vars, mgu, mk_and, mk_not, pretty_clause,
-    rename_apart, term_sort, variant_of,
+    conjuncts, display_renaming, eq_of, free_vars, mgu, mk_and, mk_not,
+    pretty_clause, rename_apart, term_sort, variant_of,
 )
 
 
@@ -353,7 +353,7 @@ class Transformer:
                 + tuple(theta.atom(b) for b in k2.body) \
                 + tuple(theta.atom(b) for b in c.body[atom_index + 1:])
             head = None if c.head is None else theta.atom(c.head)
-            out.append(Clause(head, self.engine.simplify(resolvent), body, "unfold"))
+            out.append(Clause(head, simplify(resolvent), body, "unfold"))
         return out
 
     def unfold_rule(self, d: Definition) -> list[Clause]:
@@ -791,7 +791,6 @@ def _var_eq(f: Formula) -> tuple[Var, Var] | None:
 
 
 def _occurrence_order(c: Clause) -> list[Var]:
-    from .syntax import display_renaming
     ren = display_renaming(c)
     pairs = sorted(ren.mapping.items(), key=lambda p: (len(p[1].name), p[1].name))
     return [v for v, _ in pairs]

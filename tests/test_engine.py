@@ -4,10 +4,15 @@ import sys
 
 import pytest
 
-from catafuse.engine import FAILS, HOLDS, UNSAT, Oracle, OracleError, simplify
+from catafuse import engine as engine_mod
+from catafuse.engine import (
+    FAILS, HOLDS, UNSAT, Oracle, OracleError, is_atomic_conjunct, simplify,
+)
+from catafuse.refsolver import qfcore
 from catafuse.syntax import (
     BOOL, INT, FAnd, FComp, FIff, FImp, FNot, FOr, FVar, Formula, IntConst,
-    TRUE, Var, conjuncts, free_vars, lin, mk_and, mk_not, mk_or,
+    TRUE, Var, as_lin, conjuncts, free_vars, lin, lin_sub, mk_and, mk_not,
+    mk_or,
 )
 
 X = Var("X", INT)
@@ -117,7 +122,7 @@ def test_project_exact_elimination(engine):
 def test_project_true_and_identity(engine):
     assert engine.project(TRUE, {X}) == TRUE
     c = mk_and(geq(X, IntConst(1)), leq(Y, X))
-    assert engine.project(c, {X, Y}) == engine.simplify(c)
+    assert engine.project(c, {X, Y}) == simplify(c)
 
 
 def test_project_postconditions_random(engine):
@@ -135,6 +140,140 @@ def test_project_postconditions_random(engine):
         out = engine.project(c, keep)
         assert free_vars(out) <= keep
         assert engine.entails(c, out) == HOLDS
+
+
+# The projection before it moved onto lia.eliminate: unit-equality
+# substitution and Fourier-Motzkin resolution without tightening or dedup.
+
+def _ref_fm_project(atomic, keep):
+    lias = []
+    others = []
+    for p in atomic:
+        if isinstance(p, FComp):
+            try:
+                d = lin_sub(p.lhs, p.rhs)
+                cs, k = as_lin(d)
+            except TypeError:
+                others.append(p)
+                continue
+            if p.rel == "=":
+                lias.append((dict(cs), k, "="))
+            elif p.rel == "=<":
+                lias.append((dict(cs), k, "<="))
+            elif p.rel == "<":
+                lias.append((dict(cs), k + 1, "<="))
+            elif p.rel == ">=":
+                lias.append(({v: -a for v, a in cs.items()}, -k, "<="))
+            else:  # >
+                lias.append(({v: -a for v, a in cs.items()}, -k + 1, "<="))
+        else:
+            others.append(p)
+    kept_others = [p for p in others if free_vars(p) <= keep]
+    rows = [(dict(cs), k, rel == "=") for cs, k, rel in lias]
+    drop = sorted({v for cs, _, _ in rows for v in cs} - keep,
+                  key=lambda v: v.name)
+    for x in drop:
+        eqs = [(cs, k) for cs, k, is_eq in rows if is_eq and cs.get(x, 0) != 0]
+        solved = False
+        for cs, k in eqs:
+            a = cs[x]
+            if abs(a) == 1:
+                sub_c = {v: -b * a for v, b in cs.items() if v != x}
+                sub_k = -k * a
+                nxt = []
+                for cs2, k2, is_eq2 in rows:
+                    if (cs2, k2) == (cs, k) and is_eq2:
+                        continue
+                    b = cs2.get(x, 0)
+                    if b == 0:
+                        nxt.append((cs2, k2, is_eq2))
+                        continue
+                    nc = {v: a2 for v, a2 in cs2.items() if v != x}
+                    for v, a2 in sub_c.items():
+                        nc[v] = nc.get(v, 0) + b * a2
+                        if nc[v] == 0:
+                            del nc[v]
+                    nxt.append((nc, k2 + b * sub_k, is_eq2))
+                rows = nxt
+                solved = True
+                break
+        if solved:
+            continue
+        ineqs = []
+        for cs, k, is_eq in rows:
+            if cs.get(x, 0) == 0:
+                ineqs.append((cs, k, is_eq))
+                continue
+            if is_eq:
+                ineqs.append((dict(cs), k, False))
+                ineqs.append(({v: -a for v, a in cs.items()}, -k, False))
+            else:
+                ineqs.append((cs, k, False))
+        lows = [(cs, k) for cs, k, _ in ineqs if cs.get(x, 0) < 0]
+        highs = [(cs, k) for cs, k, _ in ineqs if cs.get(x, 0) > 0]
+        rows = [(cs, k, is_eq) for cs, k, is_eq in ineqs if cs.get(x, 0) == 0]
+        for cl, kl in lows:
+            al = -cl[x]
+            for ch, kh in highs:
+                ah = ch[x]
+                comb = {}
+                for v, a in cl.items():
+                    if v != x:
+                        comb[v] = comb.get(v, 0) + ah * a
+                for v, a in ch.items():
+                    if v != x:
+                        comb[v] = comb.get(v, 0) + al * a
+                comb = {v: a for v, a in comb.items() if a != 0}
+                rows.append((comb, ah * kl + al * kh, False))
+        if len(rows) > 600:
+            return mk_and(*kept_others)
+    out = list(kept_others)
+    for cs, k, is_eq in rows:
+        if not cs:
+            continue
+        out.append(FComp("=" if is_eq else "=<", lin(cs, k), IntConst(0)))
+    return simplify(mk_and(*out))
+
+
+def _implication(a, b):
+    """qfcore's verdict on a & ~b: unsat proves a => b, and sat refutes it
+    (the QF core never lies); a non-unit elimination can leave it unknown."""
+    return qfcore.check_sat(mk_and(a, mk_not(b)))
+
+
+def test_fm_project_matches_reference_random():
+    """On random conjunctions of integer rows with coefficients ±1..3, all
+    five relations and boolean conjuncts: the projection mentions only kept
+    variables, is implied by its input, and implies the reference's."""
+    rng = random.Random(29)
+    ints = [Var(n, INT) for n in "PQRST"]
+    bools = [B1, B2]
+    verdicts = []
+    stronger = 0
+    for _ in range(1000):
+        atoms = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.15:
+                b = FVar(rng.choice(bools))
+                atoms.append(b if rng.random() < 0.5 else mk_not(b))
+                continue
+            cs = {v: rng.choice((-3, -2, -1, 1, 2, 3))
+                  for v in rng.sample(ints, rng.randint(1, 3))}
+            atoms.append(FComp(rng.choice(["=", "<", "=<", ">=", ">"]),
+                               lin(cs, rng.randint(-4, 4)),
+                               IntConst(rng.randint(-3, 3))))
+        c = mk_and(*atoms)
+        atomic = [p for p in conjuncts(c) if is_atomic_conjunct(p)]
+        keep = set(rng.sample(ints + bools, rng.randint(0, 5)))
+        new = engine_mod._fm_project(atomic, keep)
+        old = _ref_fm_project(atomic, keep)
+        assert free_vars(new) <= keep, (c, keep, new)
+        for a, b in ((c, new), (new, old)):
+            verdicts.append(_implication(a, b))
+            assert verdicts[-1] != qfcore.SAT, (a, b, keep)
+        stronger += _implication(old, new) == qfcore.SAT
+    assert verdicts.count(qfcore.UNKNOWN) <= len(verdicts) // 100
+    assert stronger > 0  # tightening shows
 
 
 def test_project_boolean_structure_falls_back(engine):

@@ -61,3 +61,12 @@ def test_solver_children_load_no_dataclasses_or_typing():
     added = child - bare
     assert "catafuse.refsolver.horn" in added
     assert not added & {"dataclasses", "inspect", "typing"}
+
+
+def test_engine_loads_lia_without_the_qf_core():
+    """Projection needs only the integer eliminator; the rest of the QF core
+    would add its import time to every transform's set-up."""
+    src = Path(catafuse.__file__).resolve().parent.parent
+    loaded = _modules_after(src, "import catafuse.engine")
+    assert "catafuse.refsolver.lia" in loaded
+    assert "catafuse.refsolver.qfcore" not in loaded

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from math import gcd
 
 import pytest
 
@@ -12,10 +13,10 @@ from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
 from catafuse.smtlib import emit_smtlib
 from catafuse.syntax import (
-    BOOL, INT, Atom, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte,
-    FNot, FOr, FTrue, FVar, IntConst, Subst, TermIte, Var, conjuncts, eq_of,
-    free_vars, lin, list_sort, mk_and, mk_not, mk_or, pretty_clause,
-    term_sort, unify_terms, variant_of, TRUE, FALSE,
+    BOOL, INT, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
+    FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Subst, TermIte, Var,
+    conjuncts, eq_of, free_vars, lin, list_sort, mk_and, mk_not, mk_or,
+    pretty_clause, term_sort, tree_sort, unify_terms, variant_of, TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
 
@@ -531,6 +532,180 @@ def test_qfcore_adt_reasoning():
                FEq(l1, Ctor(li, "cons", (Y, nil)), li),
                FComp("=", lin({X: 1, Y: -1}, 0), IntConst(1)))
     assert qfcore.check_sat(h) == qfcore.UNSAT  # injectivity feeds LIA
+
+
+def test_qfcore_adt_disequality_over_several_positions():
+    """~(a = b) between constructor terms whose basic positions are all
+    forced equal is unsat, however many positions differ."""
+    z, w = Var("Z", INT), Var("W", INT)
+    nil = Ctor(LI, "[]", ())
+
+    def pair(a, b):  # [a, b]
+        return Ctor(LI, "cons", (a, Ctor(LI, "cons", (b, nil))))
+
+    lists = mk_and(FEq(L1, pair(X, z), LI), FEq(L2, pair(Y, w), LI),
+                   FComp("=", X, Y), FComp("=", z, w), mk_not(FEq(L1, L2, LI)))
+    assert qfcore.check_sat(lists) == qfcore.UNSAT
+
+    ti = tree_sort(INT)
+    t1, t2 = Var("T1", ti), Var("T2", ti)
+    leaf = Ctor(ti, "leaf", ())
+
+    def node(v, right):
+        return Ctor(ti, "node", (leaf, v, right))
+
+    trees = mk_and(FEq(t1, node(X, node(z, leaf)), ti),
+                   FEq(t2, node(Y, node(w, leaf)), ti),
+                   FComp("=", X, Y), FComp("=", z, w), mk_not(FEq(t1, t2, ti)))
+    assert qfcore.check_sat(trees) == qfcore.UNSAT
+
+    m2 = Var("M2", LB)
+    bnil = Ctor(LB, "[]", ())
+    bools = mk_and(FEq(M1, Ctor(LB, "cons", (B1, bnil)), LB),
+                   FEq(m2, Ctor(LB, "cons", (B2, bnil)), LB),
+                   FIff(FVar(B1), FVar(B2)), mk_not(FEq(M1, m2, LB)))
+    assert qfcore.check_sat(bools) == qfcore.UNSAT
+    # a boolean no atom assigns takes whichever value the check needs
+    b3, t, f = (Ctor(LB, "cons", (v, bnil))
+                for v in (B3, BoolConst(True), BoolConst(False)))
+    assert qfcore.check_sat(mk_and(mk_not(FEq(b3, t, LB)),
+                                   mk_not(FEq(b3, f, LB)))) == qfcore.UNSAT
+    assert qfcore.check_sat(mk_and(FEq(M1, b3, LB),
+                                   FEq(M1, t, LB))) == qfcore.SAT
+    # one differing position suffices for sat
+    assert qfcore.check_sat(mk_and(
+        FEq(L1, pair(X, z), LI), FEq(L2, pair(Y, w), LI),
+        FComp("=", X, Y), mk_not(FEq(L1, L2, LI)))) == qfcore.SAT
+    assert qfcore.check_sat(mk_and(
+        FEq(M1, Ctor(LB, "cons", (B1, bnil)), LB),
+        FEq(m2, Ctor(LB, "cons", (B2, bnil)), LB),
+        FVar(B1), mk_not(FVar(B2)), mk_not(FEq(M1, m2, LB)))) == qfcore.SAT
+
+
+# The integer feasibility check before it moved onto lia.eliminate.
+
+def _ref_tighten(c, k):
+    c = {v: a for v, a in c.items() if a != 0}
+    g = gcd(*[abs(a) for a in c.values()]) if c else 1
+    if g > 1:
+        c = {v: a // g for v, a in c.items()}
+        k = -((-k) // g)
+    return c, k
+
+
+def _ref_dedup(les):
+    seen = set()
+    out = []
+    for c, k in les:
+        key = (tuple(sorted(((v.name, a) for v, a in c.items()))), k)
+        if key not in seen:
+            seen.add(key)
+            out.append((c, k))
+    return out
+
+
+def _ref_substitute(rows, var, sub_c, sub_k):
+    for i, (c, k) in enumerate(rows):
+        a = c.get(var)
+        if a is None:
+            continue
+        nc = {v: x for v, x in c.items() if v != var}
+        for v, x in sub_c.items():
+            nc[v] = nc.get(v, 0) + a * x
+            if nc[v] == 0:
+                del nc[v]
+        rows[i] = (nc, k + a * sub_k)
+
+
+def _ref_lia_feasible(eqs, les, budget):
+    eqs = [({v: a for v, a in c.items() if a != 0}, k) for c, k in eqs]
+    les = [_ref_tighten(c, k) for c, k in les]
+    while eqs:
+        c, k = eqs.pop()
+        c = {v: a for v, a in c.items() if a != 0}
+        if not c:
+            if k != 0:
+                return qfcore.UNSAT
+            continue
+        g = gcd(*[abs(a) for a in c.values()])
+        if g > 1:
+            if k % g != 0:
+                return qfcore.UNSAT
+            c = {v: a // g for v, a in c.items()}
+            k //= g
+        unit = next((v for v, a in sorted(c.items(), key=lambda p: p[0].name)
+                     if abs(a) == 1), None)
+        if unit is not None:
+            a = c[unit]
+            sub_c = {v: -x * a for v, x in c.items() if v != unit}
+            sub_k = -k * a
+            _ref_substitute(eqs, unit, sub_c, sub_k)
+            _ref_substitute(les, unit, sub_c, sub_k)
+        else:
+            les.append((dict(c), k))
+            les.append(({v: -a for v, a in c.items()}, -k))
+    exact = True
+    while True:
+        les = _ref_dedup([_ref_tighten(c, k) for c, k in les])
+        for c, k in les:
+            if not c and k > 0:
+                return qfcore.UNSAT
+        les = [(c, k) for c, k in les if c]
+        vs = sorted({v for c, _ in les for v in c}, key=lambda v: v.name)
+        if not vs:
+            return qfcore.SAT if exact else qfcore.UNKNOWN
+        if not budget.spend(len(les)):
+            return qfcore.UNKNOWN
+
+        def cost(v):
+            lo = sum(1 for c, _ in les if c.get(v, 0) < 0)
+            hi = sum(1 for c, _ in les if c.get(v, 0) > 0)
+            return lo * hi
+
+        x = min(vs, key=lambda v: (cost(v), v.name))
+        lows = [(c, k) for c, k in les if c.get(x, 0) < 0]
+        highs = [(c, k) for c, k in les if c.get(x, 0) > 0]
+        new = [(c, k) for c, k in les if c.get(x, 0) == 0]
+        for cl, kl in lows:
+            al = -cl[x]
+            for ch, kh in highs:
+                ah = ch[x]
+                if min(al, ah) != 1:
+                    exact = False
+                comb = {}
+                for v, a in cl.items():
+                    if v != x:
+                        comb[v] = comb.get(v, 0) + ah * a
+                for v, a in ch.items():
+                    if v != x:
+                        comb[v] = comb.get(v, 0) + al * a
+                new.append(_ref_tighten(comb, ah * kl + al * kh))
+                if len(new) > 4000:
+                    return qfcore.UNKNOWN
+        les = new
+
+
+def _rand_rows(rng, vs, n):
+    return [({v: rng.choice((-3, -2, -1, 1, 2, 3))
+              for v in rng.sample(vs, rng.randint(0, 3))}, rng.randint(-5, 5))
+            for _ in range(n)]
+
+
+def test_lia_feasible_matches_reference():
+    rng = random.Random(17)
+    vs = [Var(n, INT) for n in "PQRSTU"]
+    seen = set()
+    for _ in range(1500):
+        eqs = _rand_rows(rng, vs, rng.randint(0, 3))
+        les = _rand_rows(rng, vs, rng.randint(0, 7))
+        steps = rng.choice((5, 40, 400_000))
+        want_budget, got_budget = qfcore.Budget(steps), qfcore.Budget(steps)
+        want = _ref_lia_feasible([(dict(c), k) for c, k in eqs],
+                                 [(dict(c), k) for c, k in les], want_budget)
+        got = qfcore._lia_feasible(eqs, les, got_budget)
+        assert (got, got_budget.steps) == (want, want_budget.steps), (eqs, les)
+        seen.add(got)
+    assert seen == {qfcore.SAT, qfcore.UNSAT, qfcore.UNKNOWN}
 
 
 # ---------------------------------------------------------------------------
