@@ -8,6 +8,11 @@ command is configurable; the default resolution order is
   2. a z3 binary on PATH (`z3 -in`),
   3. the bundled reference oracle (`python -m catafuse.refsolver.oracle`).
 
+Each Oracle owns one child. Once a process has started a command's child
+twice, every start also launches the next Oracle's child, so that child's
+start-up runs while this one works; it is sent nothing until it is taken.
+A child that replies `(error ...)` is dropped, and that query is unknown.
+
 Verdicts are three-valued and the transformer treats unknown conservatively
 (see the callers): never drop a clause or merge definitions without proof.
 
@@ -18,6 +23,7 @@ not load the rest of that core.
 
 from __future__ import annotations
 
+import atexit
 import os
 import select
 import shlex
@@ -66,6 +72,50 @@ def default_oracle_cmd() -> list[str]:
     return [sys.executable, "-m", "catafuse.refsolver.oracle"]
 
 
+def _spawn(cmd: list[str]) -> tuple[subprocess.Popen, object]:
+    """A started oracle child and its stderr, an unnamed temporary file."""
+    # a file, not a pipe: a chatty child can never block on a full pipe
+    stderr = tempfile.TemporaryFile()
+    try:
+        proc = subprocess.Popen(
+            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=stderr, text=True, bufsize=1)
+    except OSError as e:
+        stderr.close()
+        raise OracleError(f"cannot launch oracle {cmd}: {e}") from e
+    return proc, stderr
+
+
+def _discard(child: tuple[subprocess.Popen, object]) -> None:
+    """Kill and reap a child from `_spawn`, and close its files."""
+    proc, stderr = child
+    proc.kill()
+    proc.wait()
+    try:
+        proc.stdin.close()
+    except OSError:  # what a broken pipe did not take is still buffered
+        pass
+    proc.stdout.close()
+    stderr.close()
+
+
+# One started, not yet used child per oracle command, kept once a command has
+# started twice in this process. It has been sent nothing, so it carries no
+# problem's state; it runs in the environment of the start that launched it.
+_spares: dict[tuple[str, ...], tuple[subprocess.Popen, object]] = {}
+_started: set[tuple[str, ...]] = set()
+_spares_lock = threading.Lock()
+
+
+@atexit.register
+def _discard_spares() -> None:
+    with _spares_lock:
+        spares = list(_spares.values())
+        _spares.clear()
+    for child in spares:
+        _discard(child)
+
+
 class Oracle:
     """One child solver process; push/pop per query; thread-safe via a lock."""
 
@@ -77,15 +127,26 @@ class Oracle:
         self._decls: list[str] = []
 
     def _start(self) -> None:
-        # a file, not a pipe: a chatty child can never block on a full pipe
-        self._stderr = tempfile.TemporaryFile()
-        try:
-            self.proc = subprocess.Popen(
-                self.cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=self._stderr, text=True, bufsize=1)
-        except OSError as e:
-            self._stderr.close()
-            raise OracleError(f"cannot launch oracle {self.cmd}: {e}") from e
+        key = tuple(self.cmd)
+        with _spares_lock:
+            spare = _spares.pop(key, None)
+            again = key in _started
+            _started.add(key)
+        if spare is not None and spare[0].poll() is None:
+            self.proc, self._stderr = spare
+        else:
+            if spare is not None:
+                _discard(spare)
+            self.proc, self._stderr = _spawn(self.cmd)
+        if again:
+            # this command starts more than once here: the next Oracle's
+            # child starts now, while this one works
+            fresh = _spawn(self.cmd)
+            with _spares_lock:
+                old = _spares.get(key)
+                _spares[key] = fresh
+            if old is not None:
+                _discard(old)
         self._preamble()
 
     def _preamble(self) -> None:
@@ -127,7 +188,8 @@ class Oracle:
         return OracleError(f"{what} ({status}); its stderr ends:\n"
                            + "\n".join(lines))
 
-    def _read_verdict(self, deadline: float) -> str:
+    def _read_verdict(self, deadline: float) -> str | None:
+        """The child's verdict, or None for an `(error` reply."""
         assert self.proc is not None and self.proc.stdout is not None
         while True:
             if self.proc.poll() is not None:
@@ -146,7 +208,7 @@ class Oracle:
             if line in (SAT, UNSAT, UNKNOWN):
                 return line
             if line.startswith("(error"):
-                return UNKNOWN
+                return None
 
     def check(self, formula: Formula) -> str:
         with self.lock:
@@ -171,19 +233,18 @@ class Oracle:
         self._send(f"(assert {smt_formula(f)})")
         self._send("(check-sat)")
         verdict = self._read_verdict(time.monotonic() + TIMEOUT_MS / 1000 + 10)
+        if verdict is None:
+            # a solver may still answer this check-sat after its error, and
+            # that answer would be read as the next query's: drop the child
+            self._kill()
+            return UNKNOWN
         self._send("(pop 1)")
         return verdict
 
     def _kill(self) -> None:
         if self.proc is not None:
-            try:
-                self.proc.kill()
-            except OSError:
-                pass
-            self.proc = None
-        if self._stderr is not None:
-            self._stderr.close()
-            self._stderr = None
+            _discard((self.proc, self._stderr))
+            self.proc = self._stderr = None
 
     def close(self) -> None:
         with self.lock:

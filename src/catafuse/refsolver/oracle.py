@@ -4,6 +4,8 @@ Run as `python -m catafuse.refsolver.oracle`. Understands the command subset
 the constraint engine sends (set-logic / set-option :timeout / declare-const
 / declare-fun (0-ary) / declare-datatypes / assert / push / pop / reset /
 check-sat / echo / exit) and answers sat, unsat, or unknown per check-sat.
+A command it cannot handle is answered `(error ...)`, and a check-sat is
+unknown while an assertion that failed is in scope.
 Any real SMT solver is a drop-in replacement via the CHC_ORACLE setting.
 """
 
@@ -47,12 +49,17 @@ class OracleSession:
             self.ctx.declare_fun(cmd[1], cmd[2], cmd[3])
             return None
         if op == "assert":
-            if _quantified(cmd[1]):
-                # parse/sort-check only; the QF core does not decide these
-                self.ctx.to_formula(cmd[1], {}, check_only=True)
-                self.stack[-1].append("quantified")
-            else:
-                self.stack[-1].append(self.ctx.to_formula(cmd[1], {}))
+            try:
+                if _quantified(cmd[1]):
+                    # parse/sort-check only; the QF core does not decide these
+                    self.ctx.to_formula(cmd[1], {}, check_only=True)
+                    self.stack[-1].append("quantified")
+                else:
+                    self.stack[-1].append(self.ctx.to_formula(cmd[1], {}))
+            except Exception:
+                # check-sat must not answer sat without this assertion
+                self.stack[-1].append("unparsed")
+                raise
             return None
         if op == "push":
             for _ in range(int(cmd[1]) if len(cmd) > 1 else 1):
@@ -70,7 +77,7 @@ class OracleSession:
             return cmd[1].strip('"')
         if op == "check-sat":
             asserts = [a for frame in self.stack for a in frame]
-            if any(a == "quantified" for a in asserts):
+            if any(isinstance(a, str) for a in asserts):
                 return "unknown"
             deadline = None
             if self.timeout_ms is not None:

@@ -92,6 +92,19 @@ def balanced(text: str) -> bool:
     return depth <= 0 and not in_bar and not in_str
 
 
+def _finite(sort: Sort, new: dict[Sort, SortDef], known: SortTable,
+            seen: frozenset = frozenset()) -> bool:
+    """Whether `sort` has finitely many values: no Int argument and no
+    recursion anywhere below it."""
+    if sort == INT or sort in seen:
+        return False
+    if sort == BOOL:
+        return True
+    sd = new.get(sort) or known.resolve(sort)
+    return all(_finite(a, new, known, seen | {sort})
+               for c in sd.ctors for a in c.arg_sorts)
+
+
 class SmtContext:
     """Declared sorts, constructors, constants, and predicates."""
 
@@ -116,16 +129,26 @@ class SmtContext:
             nm, arity = spec[0], spec[1]
             if arity != "0":
                 raise UnsupportedSmt("parametric datatypes")
-            self.sort_names[nm] = Sort(nm)
             decls.append(Sort(nm))
-        for sort, ctors in zip(decls, bodies):
-            cds = []
-            for c in ctors:
-                cname = c[0]
-                args = tuple(self.sort(sel[1]) for sel in c[1:])
-                cds.append(CtorDecl(cname, args))
-                self.ctors[cname] = (sort, CtorDecl(cname, args))
-            self.sorts.add(SortDef(sort, tuple(cds)))
+        saved = dict(self.sort_names)
+        self.sort_names.update((s.name, s) for s in decls)
+        try:
+            defs = {sort: SortDef(sort, tuple(
+                        CtorDecl(c[0], tuple(self.sort(sel[1]) for sel in c[1:]))
+                        for c in ctors))
+                    for sort, ctors in zip(decls, bodies)}
+            for sort in decls:
+                if _finite(sort, defs, self.sorts):
+                    # the QF core takes every datatype position as able to
+                    # differ, which a finite sort's values cannot always do
+                    raise UnsupportedSmt(f"finite datatype {sort}")
+        except UnsupportedSmt:
+            self.sort_names = saved
+            raise
+        for sd in defs.values():
+            for c in sd.ctors:
+                self.ctors[c.name] = (sd.sort, c)
+            self.sorts.add(sd)
 
     def declare_fun(self, name, arg_sorts, ret) -> None:
         if not arg_sorts:

@@ -1,12 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
 from catafuse import engine as engine_mod
 from catafuse.engine import (
-    FAILS, HOLDS, UNSAT, Oracle, OracleError, is_atomic_conjunct, simplify,
+    FAILS, HOLDS, SAT, UNKNOWN, UNSAT, Oracle, OracleError,
+    is_atomic_conjunct, simplify,
 )
 from catafuse.refsolver import qfcore
 from catafuse.syntax import (
@@ -369,3 +374,168 @@ def test_oracle_failure_names_exit_status_and_stderr():
         oracle.close()
     assert "exit status 1" in str(info.value)
     assert "boom" in str(info.value)
+
+
+def test_oracle_failure_report_survives_spares():
+    # the second and third starts take and refill spares of a dying command
+    cmd = [sys.executable, "-c", "import sys; sys.exit('boom')", "spares"]
+    for _ in range(3):
+        oracle = Oracle(cmd)
+        try:
+            with pytest.raises(OracleError) as info:
+                oracle.check(TRUE)
+        finally:
+            oracle.close()
+        assert "exit status 1" in str(info.value)
+        assert "boom" in str(info.value)
+
+
+# a stand-in oracle that starts fast and answers sat to every check-sat
+FAKE_ORACLE = """
+import sys
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        print("sat", flush=True)
+    elif line.startswith("(exit"):
+        break
+"""
+
+
+def _fake_cmd(tag: str) -> list[str]:
+    """The stand-in's command; `tag` gives each test its own spare."""
+    return [sys.executable, "-S", "-c", FAKE_ORACLE, tag]
+
+
+def test_oracle_error_reply_does_not_answer_the_next_query(tmp_path):
+    # the first check-sat this command ever sees is answered by an error and
+    # then `unsat`; later ones by `sat`
+    marker = tmp_path / "answered"
+    code = """
+import os, sys
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        if os.path.exists(sys.argv[1]):
+            print("sat", flush=True)
+        else:
+            open(sys.argv[1], "w").close()
+            print('(error "x")', flush=True)
+            print("unsat", flush=True)
+"""
+    oracle = Oracle([sys.executable, "-S", "-c", code, str(marker)])
+    try:
+        assert oracle.check(TRUE) == UNKNOWN
+        assert oracle.check(TRUE) == SAT
+    finally:
+        oracle.close()
+
+
+def test_oracle_spare_serves_the_next_start(request):
+    cmd = _fake_cmd(request.node.name)
+    key = tuple(cmd)
+    oracles = []
+    try:
+        for _ in range(2):
+            oracles.append(Oracle(cmd))
+            assert oracles[-1].check(TRUE) == SAT
+            if len(oracles) == 1:
+                # a single start in a process keeps no spare
+                assert key not in engine_mod._spares
+        spare = engine_mod._spares[key][0]
+        oracles.append(Oracle(cmd))
+        assert oracles[-1].check(TRUE) == SAT
+        assert oracles[-1].proc.pid == spare.pid
+        pids = [o.proc.pid for o in oracles] + [engine_mod._spares[key][0].pid]
+        assert len(set(pids)) == len(pids)
+    finally:
+        for o in oracles:
+            proc = o.proc
+            o.close()
+            # close ends the Oracle's own child, spare-served or not
+            assert proc.wait(timeout=5) is not None
+
+
+def test_oracle_dead_spare_is_replaced(request):
+    cmd = _fake_cmd(request.node.name)
+    key = tuple(cmd)
+    first, second = Oracle(cmd), Oracle(cmd)
+    third = Oracle(cmd)
+    try:
+        first.check(TRUE)
+        second.check(TRUE)
+        dead, dead_stderr = engine_mod._spares[key]
+        dead.kill()
+        dead.wait()
+        assert third.check(TRUE) == SAT
+        assert third.proc.pid != dead.pid
+        assert dead_stderr.closed
+        assert engine_mod._spares[key][0].poll() is None
+    finally:
+        for o in (first, second, third):
+            o.close()
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_oracle_spare_does_not_outlive_its_process():
+    # the stand-in never reads stdin, so only the exit hook can end the spare
+    code = """
+import sys
+from catafuse import engine
+cmd = [sys.executable, "-S", "-c", "import time; time.sleep(60)"]
+for _ in range(3):
+    engine.Oracle(cmd)._start()
+print(engine._spares[tuple(cmd)][0].pid, flush=True)
+"""
+    src = Path(engine_mod.__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    pid = int(proc.stdout)
+    try:
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, 9)
+
+
+def test_oracle_spares_across_threads(request):
+    # run_bench's jobs > 1: each worker starts its Oracles one after another
+    cmd = [sys.executable, "-m", "catafuse.refsolver.oracle", request.node.name]
+    sat = geq(X, IntConst(1))
+    unsat = mk_and(sat, leq(X, IntConst(0)))
+    verdicts: list[tuple[str, str]] = []
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            for _ in range(3):
+                oracle = Oracle(cmd)
+                try:
+                    verdicts.append((oracle.check(sat), oracle.check(unsat)))
+                finally:
+                    oracle.close()
+        except Exception as e:  # noqa: BLE001 -- reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert verdicts == [(SAT, UNSAT)] * 9

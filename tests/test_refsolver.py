@@ -8,13 +8,14 @@ from math import gcd
 
 import pytest
 
-from catafuse.engine import ConstraintEngine
+from catafuse.engine import UNKNOWN, ConstraintEngine, Oracle
 from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
+from catafuse.refsolver.smtparse import SmtContext, UnsupportedSmt, parse_sexps
 from catafuse.smtlib import emit_smtlib
 from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
-    FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Subst, TermIte, Var,
+    FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Sort, Subst, TermIte, Var,
     conjuncts, eq_of, free_vars, lin, list_sort, mk_and, mk_not, mk_or,
     pretty_clause, term_sort, tree_sort, unify_terms, variant_of, TRUE, FALSE,
 )
@@ -748,6 +749,74 @@ def test_oracle_survives_errors():
     lines = out.splitlines()
     assert lines[0].startswith("(error")
     assert lines[-1] == "sat"
+
+
+# A finite datatype: no value of x differs from both red and green, which the
+# QF core (taking every datatype variable as able to differ) would miss.
+COLOR = "sort color = red | green.\npred p(color).\np(X) :- X = red.\n"
+RED_GREEN = [
+    "(declare-datatypes ((C 0)) (((red) (green))))",
+    "(push 1)",
+    "(declare-const x C)",
+    "(assert (not (= x red)))",
+    "(assert (not (= x green)))",
+    "(check-sat)",
+    "(pop 1)",
+    "(exit)",
+]
+
+
+def test_oracle_child_never_sat_over_finite_datatype():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catafuse.refsolver.oracle"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
+    out, _ = proc.communicate("\n".join(RED_GREEN) + "\n", timeout=60)
+    assert "sat" not in out.split()
+    assert out.splitlines()[-1] == "unknown"
+
+
+def test_engine_oracle_unknown_over_finite_datatype():
+    sorts = parse_problem(COLOR).sorts
+    color = sorts.resolve(Sort("color"))
+    x = Var("X", color.sort)
+    differs = [mk_not(eq_of(x, Ctor(color.sort, c.name, ()), color.sort))
+               for c in color.ctors]
+    oracle = Oracle([sys.executable, "-m", "catafuse.refsolver.oracle"])
+    try:
+        oracle.set_datatypes(sorts)
+        assert oracle.check(mk_and(*differs)) == UNKNOWN
+    finally:
+        oracle.close()
+
+
+def test_horn_unknown_over_finite_datatype():
+    # refused outright, also where the answer (here sat) would be right
+    text = COLOR + "false :- p(X), X = green.\n"
+    assert horn.solve_script(emit_smtlib(parse_problem(text)), 10) == "unknown"
+
+
+@pytest.mark.parametrize("decl", [
+    "(declare-datatypes ((B 0)) (((box (v Bool)))))",
+    "(declare-datatypes ((E 0) (F 0)) (((e0) (e1 (f F))) ((f0) (f1 (b Bool)))))",
+])
+def test_smtparse_rejects_finite_datatypes(decl):
+    ctx = SmtContext()
+    with pytest.raises(UnsupportedSmt):
+        ctx.declare_datatypes(*parse_sexps(decl)[0][1:])
+    # nothing of the rejected block stays declared
+    assert set(ctx.sort_names) == {"Int", "Bool"} and not ctx.ctors
+
+
+@pytest.mark.parametrize("chc", [
+    "pred p(list(int)).\np([]).\n",
+    "pred p(tree(bool)).\np(leaf).\n",
+    "sort pair = mk(int, int).\npred p(pair).\np(mk(A, B)) :- A =< B.\n",
+    "sort w = none | some(list(bool)).\npred p(w).\np(none).\n",
+])
+def test_smtparse_accepts_infinite_datatypes(chc):
+    text = emit_smtlib(parse_problem(chc))
+    clauses, ctx = horn.read_script(text)
+    assert clauses and ctx.sorts.adt_defs()
 
 
 # ---------------------------------------------------------------------------
