@@ -62,14 +62,11 @@ def io_split(a: Atom, decl: PredDecl) -> tuple[tuple[Term, ...], Term, tuple[Ter
 class CatamorphismSchema:
     pred: str
     shape: str  # "list" | "tree"
-    input_sorts: tuple[Sort, ...]
     adt_sort: Sort
     output_sorts: tuple[Sort, ...]
     base_clause: Clause
     rec_clause: Clause
     inner_preds: tuple[str, ...]
-    combine_constraint: Formula
-    base_constraint: Formula
 
 
 def _structural_ctors(problem: Problem, sort: Sort) -> tuple[str, str, list[int]]:
@@ -183,13 +180,10 @@ def check_schema(pred: str, problem: Problem,
 
     return CatamorphismSchema(
         pred=pred, shape=shape,
-        input_sorts=tuple(decl.arg_sorts[i] for i in decl.in_idx),
         adt_sort=adt_sort,
         output_sorts=tuple(decl.arg_sorts[i] for i in decl.out_idx),
         base_clause=base, rec_clause=recur,
-        inner_preds=tuple(dict.fromkeys(inner)),
-        combine_constraint=recur.constraint,
-        base_constraint=base.constraint)
+        inner_preds=tuple(dict.fromkeys(inner)))
 
 
 def _check_distinct_vars(pred: str, where: str, ts: tuple[Term, ...]) -> None:
@@ -204,7 +198,6 @@ def _check_distinct_vars(pred: str, where: str, ts: tuple[Term, ...]) -> None:
 
 @dataclass
 class QuerySpec:
-    query: Clause
     constraint: Formula
     cata_atoms: list[tuple[Atom, tuple[Var, ...], Var, tuple[Var, ...]]]
     program_atom: Atom
@@ -265,7 +258,7 @@ def validate_query(q: Clause, problem: Problem) -> QuerySpec:
             break
     if errors:
         raise QueryValidationError(errors)
-    return QuerySpec(q, q.constraint, split, program_atom)
+    return QuerySpec(q.constraint, split, program_atom)
 
 
 def validate_problem(problem: Problem) -> dict[str, QuerySpec]:

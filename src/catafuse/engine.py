@@ -37,7 +37,7 @@ import time
 from .refsolver import lia
 from .smtlib import datatype_block, mangle_sort, smt_formula
 from .syntax import (
-    Clause, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue,
+    FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue,
     FVar, Formula, IntConst, SortTable, TRUE, FALSE, Var, as_lin, conjuncts,
     display_renaming, free_vars, lin, mk_and, mk_not, mk_or,
 )
@@ -225,12 +225,12 @@ class Oracle:
         raise OracleError("unreachable")
 
     def _query(self, formula: Formula) -> str:
-        f = display_renaming(_as_clause(formula)).formula(formula)
+        ren = display_renaming(formula)
         self._send("(push 1)")
         self._send(f"(set-option :timeout {TIMEOUT_MS})")
-        for v in sorted(free_vars(f), key=lambda v: (len(v.name), v.name)):
+        for v in ren.mapping.values():
             self._send(f"(declare-const {v.name} {mangle_sort(v.sort)})")
-        self._send(f"(assert {smt_formula(f)})")
+        self._send(f"(assert {smt_formula(ren.formula(formula))})")
         self._send("(check-sat)")
         verdict = self._read_verdict(time.monotonic() + TIMEOUT_MS / 1000 + 10)
         if verdict is None:
@@ -260,10 +260,6 @@ class Oracle:
             self.close()
         except Exception:
             pass
-
-
-def _as_clause(f: Formula):
-    return Clause(None, f, ())
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from .syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, Formula, IntConst, NameGen,
     PRED_CATA, PRED_PROGRAM, PredDecl, Problem, Sort, SortDef, SortTable,
-    CtorDecl, FALSE, Term, TermIte, TRUE, Var, as_lin, eq_of, lin, mk_and,
+    CtorDecl, FALSE, Term, TermIte, TRUE, Var, eq_of, lin_sum, mk_and,
     mk_not, mk_or, FComp, FIff, FImp, FIte, FVar, term_sort, value_class,
 )
 
@@ -336,8 +336,7 @@ class _Builder:
             return IntConst(int(n.text))
         if n.kind == "neg":
             self._want(expect, INT, n)
-            t = self.to_term(n.kids[0], INT, env)
-            return lin({v: -a for v, a in _coeffs(t, n)}, -_const(t, n))
+            return _lin_sum([(-1, self.to_term(n.kids[0], INT, env))], n)
         if n.kind in ("add", "sub", "mul"):
             self._want(expect, INT, n)
             return self._arith(n, env)
@@ -391,23 +390,15 @@ class _Builder:
         raise ParseError(f"cannot use {n.kind} as a term", n.line, n.col)
 
     def _arith(self, n: Node, env: _ClauseEnv) -> Term:
-        if n.kind == "mul":
-            a = self.to_term(n.kids[0], INT, env)
-            b = self.to_term(n.kids[1], INT, env)
-            if isinstance(a, IntConst):
-                return lin({v: a.value * x for v, x in _coeffs(b, n)},
-                           a.value * _const(b, n))
-            if isinstance(b, IntConst):
-                return lin({v: b.value * x for v, x in _coeffs(a, n)},
-                           b.value * _const(a, n))
-            raise ParseError("non-linear product", n.line, n.col)
         a = self.to_term(n.kids[0], INT, env)
         b = self.to_term(n.kids[1], INT, env)
-        sgn = 1 if n.kind == "add" else -1
-        acc = dict(_coeffs(a, n))
-        for v, x in _coeffs(b, n):
-            acc[v] = acc.get(v, 0) + sgn * x
-        return lin(acc, _const(a, n) + sgn * _const(b, n))
+        if n.kind != "mul":
+            return _lin_sum([(1, a), (1 if n.kind == "add" else -1, b)], n)
+        if isinstance(a, IntConst):
+            return _lin_sum([(a.value, b)], n)
+        if isinstance(b, IntConst):
+            return _lin_sum([(b.value, a)], n)
+        raise ParseError("non-linear product", n.line, n.col)
 
     def to_formula(self, n: Node, env: _ClauseEnv) -> Formula:
         if n.kind == "true":
@@ -479,20 +470,11 @@ class _Builder:
                              n.line, n.col)
 
 
-def _coeffs(t: Term, n: Node) -> list[tuple[Var, int]]:
+def _lin_sum(parts: list[tuple[int, Term]], n: Node) -> Term:
     try:
-        c, _ = as_lin(t)
+        return lin_sum(parts)
     except TypeError:
         raise ParseError("non-linear arithmetic term", n.line, n.col) from None
-    return list(c.items())
-
-
-def _const(t: Term, n: Node) -> int:
-    try:
-        _, k = as_lin(t)
-    except TypeError:
-        raise ParseError("non-linear arithmetic term", n.line, n.col) from None
-    return k
 
 
 def _formula_to_term(f: Formula, n: Node) -> Term:

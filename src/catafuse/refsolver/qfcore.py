@@ -187,8 +187,9 @@ def _atom_replace(f: Formula, old: Term, new: Term) -> Formula:
     raise TypeError
 
 
-# LinExpr cannot syntactically contain ite, but parsing SMT input can produce
-# (+ x (ite c a b)); smtparse pre-lifts those, so only Ctor nesting matters here.
+# _find_term_ite and _replace_term look inside Ctor arguments only: a LinExpr
+# cannot contain an ite, and smtparse refuses one inside SMT-LIB arithmetic,
+# such as (+ x (ite c a b)), with UnsupportedSmt("ite inside arithmetic").
 
 
 def _const_holds(g: FComp) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, CtorDecl, FComp, FIff,
     FImp, FIte, FVar, FALSE, Formula, IntConst, Sort, SortDef, SortTable,
-    Term, TermIte, TRUE, Var, as_lin, eq_of, lin, mk_and, mk_not, mk_or,
+    Term, TermIte, TRUE, Var, eq_of, lin_sum, mk_and, mk_not, mk_or,
 )
 
 
@@ -205,29 +205,21 @@ class SmtContext:
                 return IntConst(int(e))
             raise UnsupportedSmt(f"unknown symbol {e}")
         op = e[0]
-        if op == "-" and len(e) == 2:
-            c, k = _aslin(self.to_term(e[1], env))
-            return lin({v: -a for v, a in c.items()}, -k)
         if op in ("+", "-"):
-            acc, k = _aslin(self.to_term(e[1], env))
-            for sub in e[2:]:
-                c2, k2 = _aslin(self.to_term(sub, env))
-                sgn = 1 if op == "+" else -1
-                for v, a in c2.items():
-                    acc[v] = acc.get(v, 0) + sgn * a
-                k += sgn * k2
-            return lin(acc, k)
+            ts = [self.to_term(a, env) for a in e[1:]]
+            if op == "-" and len(ts) == 1:
+                return _lin_sum([(-1, ts[0])])
+            sgn = 1 if op == "+" else -1
+            return _lin_sum([(1, ts[0])] + [(sgn, t) for t in ts[1:]])
         if op == "*":
             if len(e) != 3:
                 raise UnsupportedSmt("n-ary *")
             a = self.to_term(e[1], env)
             b = self.to_term(e[2], env)
             if isinstance(a, IntConst):
-                c, k = _aslin(b)
-                return lin({v: a.value * x for v, x in c.items()}, a.value * k)
+                return _lin_sum([(a.value, b)])
             if isinstance(b, IntConst):
-                c, k = _aslin(a)
-                return lin({v: b.value * x for v, x in c.items()}, b.value * k)
+                return _lin_sum([(b.value, a)])
             raise UnsupportedSmt("non-linear term")
         if op == "ite":
             cond = self.to_formula(e[1], env)
@@ -333,10 +325,10 @@ class SmtContext:
         return Atom(e[0], tuple(self.to_term(a, env) for a in e[1:]))
 
 
-def _aslin(t: Term):
-    if isinstance(t, TermIte):
-        raise UnsupportedSmt("ite inside arithmetic")
+def _lin_sum(parts: list[tuple[int, Term]]) -> Term:
     try:
-        return as_lin(t)
+        return lin_sum(parts)
     except TypeError as e:
+        if any(isinstance(t, TermIte) for _, t in parts):
+            raise UnsupportedSmt("ite inside arithmetic") from None
         raise UnsupportedSmt(str(e)) from None

@@ -4,7 +4,10 @@ Name mangling (see README): list(s) -> Lst_<s>, tree(s) -> Tr_<s>, the list
 constructors become nil_<Sort> / cons_<Sort> with selectors <ctor>_<i>; user
 ADT and predicate names pass through unchanged. Variables are emitted under
 the per-clause display renaming (A, B, C, ...), which keeps the output
-deterministic: emitting the same clause set twice is byte-identical.
+deterministic: emitting the same clause set twice is byte-identical. A
+clause's forall binders list its variables in order of first occurrence
+(head, constraint, body). A script declares only the datatypes that its
+predicates and variables use.
 
 Ground clauses are emitted without a forall wrapper (SMT-LIB 2 has no empty
 binder lists).
@@ -16,7 +19,7 @@ from .syntax import (
     BOOL, INT, Atom, BoolConst, Clause, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, Formula, IntConst, LinExpr, Ctor,
     PredDecl, Problem, Sort, SortTable, Term, TermIte, Var,
-    display_renaming, eq_of, free_vars, mk_and, mk_not,
+    display_renaming, eq_of, mk_and, mk_not,
 )
 
 
@@ -116,7 +119,8 @@ def datatype_block(sorts: SortTable) -> list[str]:
 
 
 def clause_assert(c: Clause) -> str:
-    c = display_renaming(c).clause(c)
+    ren = display_renaming(c)
+    c = ren.clause(c)
     head = "false" if c.head is None else smt_atom(c.head)
     parts: list[str] = []
     if not isinstance(c.constraint, FTrue):
@@ -128,10 +132,10 @@ def clause_assert(c: Clause) -> str:
         impl = f"(=> {parts[0]} {head})"
     else:
         impl = f"(=> (and {' '.join(parts)}) {head})"
-    fvs = _binder_order(c)
-    if not fvs:
+    if not ren:
         return f"(assert {impl})"
-    binders = " ".join(f"({v.name} {mangle_sort(v.sort)})" for v in fvs)
+    binders = " ".join(f"({v.name} {mangle_sort(v.sort)})"
+                       for v in ren.mapping.values())
     return f"(assert (forall ({binders}) {impl}))"
 
 
@@ -141,22 +145,15 @@ def smt_atom(a: Atom) -> str:
     return f"({a.pred} " + " ".join(smt_term(t) for t in a.args) + ")"
 
 
-def _binder_order(c: Clause) -> list[Var]:
-    # display_renaming was already applied: first-occurrence order is the
-    # alphabetical-by-construction order of the display names.
-    vs = free_vars(c)
-    return sorted(vs, key=lambda v: (len(v.name), v.name))
-
-
 def emit_script(clauses: list[Clause], preds: dict[str, PredDecl],
                 sorts: SortTable, logic: str = "HORN") -> str:
-    lines = [f"(set-logic {logic})"]
-    lines += datatype_block(sorts)
     used = set()
     for c in clauses:
         if c.head is not None:
             used.add(c.head.pred)
         used.update(a.pred for a in c.body)
+    lines = [f"(set-logic {logic})"]
+    lines += datatype_block(sorts.used_by((preds[n] for n in used), clauses))
     for name in sorted(used):
         d = preds[name]
         args = " ".join(mangle_sort(s) for s in d.arg_sorts)

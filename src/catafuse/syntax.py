@@ -12,6 +12,11 @@ once per transform and once per solve, and `dataclasses` (with `inspect`,
 `re`, `enum` and `ast`) plus its per-class code generation took about half
 of a child's import time. Nor does the module import `typing`; its
 annotations are never evaluated.
+
+Two term operations are written here once, for every other module:
+`vars_in_order` (the walk of `free_vars`, in first-occurrence order, which
+display names, SMT-LIB binders and definition heads follow) and `lin_sum`
+(every sum of scaled linear terms, made canonical by `lin`).
 """
 
 from __future__ import annotations
@@ -195,6 +200,20 @@ class SortTable:
     def adt_defs(self) -> list[SortDef]:
         return [self._defs[k] for k in sorted(self._defs)]
 
+    def used_by(self, decls: Iterable[PredDecl], clauses: Iterable[Clause]
+                ) -> SortTable:
+        """A table of the ADTs that the predicates `decls` and the variables
+        of `clauses` use, and of those their constructors' arguments use."""
+        todo = [s for d in decls for s in d.arg_sorts]
+        todo += [v.sort for v in free_vars(list(clauses))]
+        out = SortTable()
+        while todo:
+            s = todo.pop()
+            if s.is_adt and s.name not in out._defs:
+                sd = out._defs[s.name] = self.resolve(s)
+                todo.extend(a for c in sd.ctors for a in c.arg_sorts)
+        return out
+
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -301,12 +320,26 @@ def as_lin(t: Term) -> tuple[dict[Var, int], int]:
     raise TypeError(f"not a linear term: {t!r}")
 
 
+def lin_sum(parts: Iterable[tuple[int, Term]], const: int = 0) -> Term:
+    """The canonical (see `lin`) linear term const + k1*t1 + ... + kn*tn of
+    parts (k, t); raises TypeError if some t is not a linear term."""
+    acc: dict[Var, int] = {}
+    for k, t in parts:
+        if isinstance(t, Var):
+            acc[t] = acc.get(t, 0) + k
+        elif isinstance(t, IntConst):
+            const += k * t.value
+        elif isinstance(t, LinExpr):
+            for v, a in t.coeffs:
+                acc[v] = acc.get(v, 0) + k * a
+            const += k * t.const
+        else:
+            raise TypeError(f"not a linear term: {t!r}")
+    return lin(acc, const)
+
+
 def lin_sub(a: Term, b: Term) -> Term:
-    ca, ka = as_lin(a)
-    cb, kb = as_lin(b)
-    for v, x in cb.items():
-        ca[v] = ca.get(v, 0) + (-x)
-    return lin(ca, ka - kb)
+    return lin_sum(((1, a), (-1, b)))
 
 
 def term_sort(t: Term) -> Sort:
@@ -567,12 +600,6 @@ class Problem:
     properties: list[Clause]
     queries: list[Clause]
 
-    def decl(self, name: str) -> PredDecl:
-        return self.preds[name]
-
-    def kind(self, name: str) -> str:
-        return self.preds[name].kind
-
     def definite_clauses(self) -> list[Clause]:
         return self.program + self.properties
 
@@ -584,72 +611,83 @@ class Problem:
 # Variables: collection, renaming, substitution
 # ---------------------------------------------------------------------------
 
-def term_vars(t: Term, out: set[Var]) -> None:
+def term_vars(t: Term, add) -> None:
+    """Call `add` on each variable occurrence of t, left to right."""
     if isinstance(t, Var):
-        out.add(t)
+        add(t)
     elif isinstance(t, LinExpr):
         for v, _ in t.coeffs:
-            out.add(v)
+            add(v)
     elif isinstance(t, Ctor):
         for a in t.args:
-            term_vars(a, out)
+            term_vars(a, add)
     elif isinstance(t, TermIte):
-        formula_vars(t.cond, out)
-        term_vars(t.then, out)
-        term_vars(t.els, out)
+        formula_vars(t.cond, add)
+        term_vars(t.then, add)
+        term_vars(t.els, add)
 
 
-def formula_vars(f: Formula, out: set[Var]) -> None:
+def formula_vars(f: Formula, add) -> None:
+    """Call `add` on each variable occurrence of f, left to right."""
     if isinstance(f, FVar):
-        out.add(f.var)
+        add(f.var)
     elif isinstance(f, FNot):
-        formula_vars(f.arg, out)
+        formula_vars(f.arg, add)
     elif isinstance(f, (FAnd, FOr)):
         for a in f.args:
-            formula_vars(a, out)
+            formula_vars(a, add)
     elif isinstance(f, (FImp, FIff)):
-        formula_vars(f.lhs, out)
-        formula_vars(f.rhs, out)
+        formula_vars(f.lhs, add)
+        formula_vars(f.rhs, add)
     elif isinstance(f, FIte):
-        formula_vars(f.cond, out)
-        formula_vars(f.then, out)
-        formula_vars(f.els, out)
-    elif isinstance(f, FComp):
-        term_vars(f.lhs, out)
-        term_vars(f.rhs, out)
-    elif isinstance(f, FEq):
-        term_vars(f.lhs, out)
-        term_vars(f.rhs, out)
+        formula_vars(f.cond, add)
+        formula_vars(f.then, add)
+        formula_vars(f.els, add)
+    elif isinstance(f, (FComp, FEq)):
+        term_vars(f.lhs, add)
+        term_vars(f.rhs, add)
+
+
+def _visit_vars(x, add) -> None:
+    if isinstance(x, Term):
+        term_vars(x, add)
+    elif isinstance(x, Formula):
+        formula_vars(x, add)
+    elif isinstance(x, Atom):
+        for a in x.args:
+            term_vars(a, add)
+    elif isinstance(x, Clause):
+        if x.head is not None:
+            for a in x.head.args:
+                term_vars(a, add)
+        formula_vars(x.constraint, add)
+        for at in x.body:
+            for a in at.args:
+                term_vars(a, add)
+    elif isinstance(x, (list, tuple, set, frozenset)):
+        for item in x:
+            _visit_vars(item, add)
+    else:
+        raise TypeError(f"no variables in a {type(x)}")
 
 
 def free_vars(x, kind: str = "all") -> set[Var]:
     """Variables of a term/formula/atom/clause; kind selects all|basic|adt."""
     out: set[Var] = set()
-    if isinstance(x, Term):
-        term_vars(x, out)
-    elif isinstance(x, Formula):
-        formula_vars(x, out)
-    elif isinstance(x, Atom):
-        for a in x.args:
-            term_vars(a, out)
-    elif isinstance(x, Clause):
-        if x.head is not None:
-            for a in x.head.args:
-                term_vars(a, out)
-        formula_vars(x.constraint, out)
-        for at in x.body:
-            for a in at.args:
-                term_vars(a, out)
-    elif isinstance(x, (list, tuple, set, frozenset)):
-        for item in x:
-            out |= free_vars(item)
-    else:
-        raise TypeError(f"free_vars: unsupported {type(x)}")
+    _visit_vars(x, out.add)
     if kind == "basic":
         return {v for v in out if v.sort.is_basic}
     if kind == "adt":
         return {v for v in out if v.sort.is_adt}
     return out
+
+
+def vars_in_order(x) -> list[Var]:
+    """The variables of x (as for `free_vars`), each once, in order of first
+    occurrence: a clause's head, then its constraint, then its body."""
+    out: dict[Var, None] = {}
+    _visit_vars(x, out.setdefault)
+    return list(out)
 
 
 class Subst:
@@ -675,15 +713,8 @@ class Subst:
         if isinstance(t, (IntConst, BoolConst)):
             return t
         if isinstance(t, LinExpr):
-            acc: dict[Var, int] = {}
-            k = t.const
-            for v, a in t.coeffs:
-                img = self.mapping.get(v, v)
-                ci, ki = as_lin(img)
-                for w, x in ci.items():
-                    acc[w] = acc.get(w, 0) + a * x
-                k += a * ki
-            return lin(acc, k)
+            m = self.mapping
+            return lin_sum(((a, m.get(v, v)) for v, a in t.coeffs), t.const)
         if isinstance(t, Ctor):
             return Ctor(t.sort, t.ctor, tuple(self.term(a) for a in t.args))
         if isinstance(t, TermIte):
@@ -964,55 +995,12 @@ def _display_names() -> Iterator[str]:
             yield f"{c}{n}"
 
 
-def display_renaming(c: Clause) -> Subst:
-    """First-occurrence display renaming: head, then constraint, then body."""
-    order: list[Var] = []
-    seen: set[Var] = set()
-
-    def visit_term(t: Term) -> None:
-        if isinstance(t, Var):
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        elif isinstance(t, LinExpr):
-            for v, _ in t.coeffs:
-                visit_term(v)
-        elif isinstance(t, Ctor):
-            for a in t.args:
-                visit_term(a)
-        elif isinstance(t, TermIte):
-            visit_formula(t.cond)
-            visit_term(t.then)
-            visit_term(t.els)
-
-    def visit_formula(f: Formula) -> None:
-        if isinstance(f, FVar):
-            visit_term(f.var)
-        elif isinstance(f, FNot):
-            visit_formula(f.arg)
-        elif isinstance(f, (FAnd, FOr)):
-            for a in f.args:
-                visit_formula(a)
-        elif isinstance(f, (FImp, FIff)):
-            visit_formula(f.lhs)
-            visit_formula(f.rhs)
-        elif isinstance(f, FIte):
-            visit_formula(f.cond)
-            visit_formula(f.then)
-            visit_formula(f.els)
-        elif isinstance(f, (FComp, FEq)):
-            visit_term(f.lhs)
-            visit_term(f.rhs)
-
-    if c.head is not None:
-        for a in c.head.args:
-            visit_term(a)
-    visit_formula(c.constraint)
-    for at in c.body:
-        for a in at.args:
-            visit_term(a)
+def display_renaming(x) -> Subst:
+    """Display names A, B, ..., Z, A1, ... for the variables of x (a term,
+    formula, atom, clause or list), given in `vars_in_order`; the mapping
+    lists them in that order."""
     names = _display_names()
-    return Subst({v: Var(next(names), v.sort) for v in order})
+    return Subst({v: Var(next(names), v.sort) for v in vars_in_order(x)})
 
 
 def pretty_term(t: Term) -> str:
@@ -1034,9 +1022,8 @@ def pretty_term(t: Term) -> str:
     return str(t)
 
 
-def pretty_clause(c: Clause, display: bool = True) -> str:
-    if display:
-        c = display_renaming(c).clause(c)
+def pretty_clause(c: Clause) -> str:
+    c = display_renaming(c).clause(c)
     head = "false" if c.head is None else str(c.head)
     parts: list[str] = []
     if not isinstance(c.constraint, FTrue):

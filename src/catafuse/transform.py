@@ -30,8 +30,8 @@ from .engine import ConstraintEngine, HOLDS, UNSAT, simplify
 from .syntax import (
     Atom, Clause, Ctor, FComp, FEq, FIff, FVar, Formula, NameGen, PRED_CATA,
     PRED_PROGRAM, PRED_TRUE, PredDecl, Problem, Sort, Subst, Term, TRUE, Var,
-    conjuncts, display_renaming, eq_of, free_vars, mgu, mk_and, mk_not,
-    pretty_clause, rename_apart, term_sort, variant_of,
+    conjuncts, eq_of, free_vars, mgu, mk_and, mk_not, pretty_clause,
+    rename_apart, term_sort, variant_of, vars_in_order,
 )
 
 
@@ -99,29 +99,6 @@ class Definition:
 
     def cata_signature(self) -> tuple[tuple[str, int], ...]:
         return cata_sig(self.catas)
-
-
-def _head_tuple(catas: tuple[Atom, ...], prog: Atom) -> tuple[Var, ...]:
-    """Definition head variables: first occurrence over [folds..., atom]."""
-    order: list[Var] = []
-    seen: set[Var] = set()
-    for a in list(catas) + [prog]:
-        for t in a.args:
-            for v in _term_var_order(t):
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-    return tuple(order)
-
-
-def _term_var_order(t: Term) -> list[Var]:
-    if isinstance(t, Var):
-        return [t]
-    out: list[Var] = []
-    if isinstance(t, Ctor):
-        for a in t.args:
-            out.extend(_term_var_order(a))
-    return out
 
 
 def cata_sig(catas: list[Atom] | tuple[Atom, ...]) -> tuple[tuple[str, int], ...]:
@@ -239,13 +216,10 @@ def match_definition(d: Definition, atom: Atom, catas: list[Atom],
             break
         if not found and require_all:
             raise MatchError(f"no counterpart for {ca}")
-    for j, da in enumerate(d.catas):
-        if j in used_def:
-            continue
-        for t in da.args:
-            for v in _term_var_order(t):
-                if v not in sigma:
-                    sigma[v] = gen.fresh_var(v.sort, v.name)
+    for v in vars_in_order([da for j, da in enumerate(d.catas)
+                            if j not in used_def]):
+        if v not in sigma:
+            sigma[v] = gen.fresh_var(v.sort, v.name)
     return Subst(sigma), matched_clause
 
 
@@ -291,7 +265,9 @@ class Transformer:
         self.decls: dict[str, PredDecl] = dict(problem.preds)
         self.true_clauses: list[Clause] = []
         self.new_decls: dict[str, PredDecl] = {}
-        engine.set_sorts(problem.sorts)
+        # an unused datatype the oracle cannot take must not poison its queries
+        engine.set_sorts(problem.sorts.used_by(problem.preds.values(),
+                                               problem.all_clauses()))
 
     # -- naming ----------------------------------------------------------------
 
@@ -632,7 +608,7 @@ class Transformer:
     def _mk_definition(self, catas: tuple[Atom, ...], prog: Atom,
                        constraint: Formula) -> Definition:
         name = self.fresh_pred()
-        head_vars = _head_tuple(catas, prog)
+        head_vars = tuple(vars_in_order([*catas, prog]))
         head = Atom(name, head_vars)
         d = Definition(name, head, constraint, catas, prog)
         _check_definition_conditions(d)
@@ -763,8 +739,7 @@ def propagate_equalities(c: Clause) -> Clause:
             v = parent[v]
         return v
 
-    order = _occurrence_order(c)
-    rank = {v: i for i, v in enumerate(order)}
+    rank = {v: i for i, v in enumerate(vars_in_order(c))}
     for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra == rb:
@@ -788,12 +763,6 @@ def _var_eq(f: Formula) -> tuple[Var, Var] | None:
     if isinstance(f, FIff) and isinstance(f.lhs, FVar) and isinstance(f.rhs, FVar):
         return f.lhs.var, f.rhs.var
     return None
-
-
-def _occurrence_order(c: Clause) -> list[Var]:
-    ren = display_renaming(c)
-    pairs = sorted(ren.mapping.items(), key=lambda p: (len(p[1].name), p[1].name))
-    return [v for v, _ in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import os
 import random
+import re
+import string
 import subprocess
 import sys
 import threading
@@ -539,3 +541,27 @@ def test_oracle_spares_across_threads(request):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert verdicts == [(SAT, UNSAT)] * 9
+
+
+def test_oracle_declarations_follow_first_occurrence_past_52_variables(tmp_path):
+    # a stand-in that records what it is sent; display names run A..Z,
+    # A1..Z1, A2..: sorting them by (length, name) would put A2 before B1
+    code = """
+import sys
+with open(sys.argv[1], "w") as log:
+    for line in sys.stdin:
+        log.write(line)
+        log.flush()
+        if line.startswith("(check-sat"):
+            print("sat", flush=True)
+"""
+    sent = tmp_path / "sent"
+    vs = [Var(f"V{i:02d}", INT) for i in range(60)]
+    oracle = Oracle([sys.executable, "-S", "-c", code, str(sent)])
+    try:
+        assert oracle.check(mk_and(*(geq(v, IntConst(0)) for v in vs))) == SAT
+    finally:
+        oracle.close()
+    declared = re.findall(r"\(declare-const (\w+) Int\)", sent.read_text())
+    assert declared == [f"{ch}{n or ''}" for n in range(3)
+                        for ch in string.ascii_uppercase][:60]

@@ -1,7 +1,11 @@
 import pytest
 
 from catafuse.parser import ParseError, parse_problem
-from catafuse.syntax import FEq, PRED_CATA, PRED_PROGRAM, Var, conjuncts
+from catafuse.syntax import (INT, PRED_CATA, PRED_PROGRAM, FComp, FEq, IntConst,
+                             Var, conjuncts, lin)
+
+X = Var("X", INT)
+Y = Var("Y", INT)
 
 
 def test_fixture_counts(insertion_sort):
@@ -124,3 +128,27 @@ def test_comments_and_ite():
         "pred p(int, int).\n"
         "p(X, Y) :- Y = ite(X > 0, X, 0 - X).  % abs\n")
     assert len(p.program) == 1
+
+
+@pytest.mark.parametrize("rhs, want", [
+    ("-X", lin({X: -1})),
+    ("-(X+1)", lin({X: -1}, -1)),
+    ("2*X", lin({X: 2})),
+    ("X*2", lin({X: 2})),
+    ("2*3", IntConst(6)),
+    ("X - Y", lin({X: 1, Y: -1})),
+])
+def test_linear_arithmetic(rhs, want):
+    p = parse_problem(f"pred p(int, int).\np(X, Y) :- Y = {rhs}.\n")
+    assert p.program[0].constraint == FComp("=", Y, want)
+
+
+@pytest.mark.parametrize("rhs, msg", [
+    ("X*Y", "2:17: non-linear product"),
+    ("2*ite(X > 0, X, 1)", "2:17: non-linear arithmetic term"),
+    ("X + ite(X > 0, X, 1)", "2:18: non-linear arithmetic term"),
+])
+def test_nonlinear_arithmetic_rejected(rhs, msg):
+    with pytest.raises(ParseError) as e:
+        parse_problem(f"pred p(int, int).\np(X, Y) :- Y = {rhs}.\n")
+    assert str(e.value) == msg

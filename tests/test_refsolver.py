@@ -795,6 +795,30 @@ def test_horn_unknown_over_finite_datatype():
     assert horn.solve_script(emit_smtlib(parse_problem(text)), 10) == "unknown"
 
 
+def test_unused_finite_datatype_is_not_declared(corpus_dir):
+    # the refusal of a finite sort that no clause uses must not reach the
+    # transform's oracle or the emitted script
+    text = (corpus_dir / "member_unsat.chc").read_text(encoding="utf-8")
+    runs = []
+    for src in (text, "sort color = red | green.\n" + text):
+        problem = parse_problem(src)
+        assert "color" not in emit_smtlib(problem)
+        oracle = Oracle([sys.executable, "-m", "catafuse.refsolver.oracle"])
+        verdicts = []
+        check = oracle.check
+        oracle.check = lambda f: verdicts.append(check(f)) or verdicts[-1]
+        engine = ConstraintEngine(oracle)
+        try:
+            tp = transformed_problem(problem, transform_problem(problem, engine))
+        finally:
+            engine.close()
+        assert verdicts and UNKNOWN not in verdicts
+        runs.append(([pretty_clause(c) for c in tp.all_clauses()],
+                     emit_smtlib(tp)))
+    assert runs[0] == runs[1]
+    assert horn.solve_script(runs[1][1], 60) == "unsat"
+
+
 @pytest.mark.parametrize("decl", [
     "(declare-datatypes ((B 0)) (((box (v Bool)))))",
     "(declare-datatypes ((E 0) (F 0)) (((e0) (e1 (f F))) ((f0) (f1 (b Bool)))))",
@@ -1174,3 +1198,33 @@ def test_horn_cli_entry(tmp_path):
         [sys.executable, "-m", "catafuse.refsolver.horn", str(f)],
         capture_output=True, text=True, timeout=120)
     assert out.stdout.split()[0] == "unsat"
+
+
+_SMT_ENV = {"x": X, "y": Y, "z": Var("Z", INT), "b": B1}
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("(- x)", lin({X: -1})),
+    ("(- x y z)", lin({X: 1, Y: -1, Var("Z", INT): -1})),
+    ("(+ x)", X),
+    ("(- 3)", IntConst(-3)),
+    ("(* 2 x)", lin({X: 2})),
+    ("(* x 2)", lin({X: 2})),
+    ("(* 0 x)", IntConst(0)),
+    ("(+ 1 2 x (* 3 y))", lin({X: 1, Y: 3}, 3)),
+])
+def test_smtparse_linear_arithmetic(expr, want):
+    assert SmtContext().to_term(parse_sexps(expr)[0], _SMT_ENV) == want
+
+
+@pytest.mark.parametrize("expr, msg", [
+    ("(* x y)", "non-linear term"),
+    ("(* 1 2 3)", "n-ary *"),
+    ("(+ x (ite (< x y) x y))", "ite inside arithmetic"),
+    ("(* 2 (ite (< x y) x y))", "ite inside arithmetic"),
+    ("(- (ite (< x y) x y))", "ite inside arithmetic"),
+])
+def test_smtparse_rejects_nonlinear_arithmetic(expr, msg):
+    with pytest.raises(UnsupportedSmt) as e:
+        SmtContext().to_term(parse_sexps(expr)[0], _SMT_ENV)
+    assert str(e.value) == msg

@@ -1,9 +1,13 @@
+import re
+import string
+
 from catafuse.catas import check_schema
 from catafuse.parser import parse_problem
 from catafuse.refsolver.smtparse import parse_sexps
 from catafuse.refsolver import horn
-from catafuse.smtlib import (emit_smtlib, functionality_obligation,
-                             totality_obligation)
+from catafuse.smtlib import (clause_assert, emit_smtlib,
+                             functionality_obligation, totality_obligation)
+from catafuse.syntax import INT, Clause, FComp, IntConst, Var, mk_and
 
 
 def test_emission_is_deterministic(insertion_sort_text):
@@ -74,3 +78,13 @@ def test_datatype_block_mangling(insertion_sort):
     script = emit_smtlib(insertion_sort)
     assert "(declare-datatypes ((Lst_Int 0))" in script
     assert "(cons_Lst_Int (cons_Lst_Int_1 Int) (cons_Lst_Int_2 Lst_Int))" in script
+
+
+def test_binders_follow_first_occurrence_past_52_variables():
+    # display names run A..Z, A1..Z1, A2..: sorting them by (length, name)
+    # would put A2 before B1
+    vs = [Var(f"V{i:02d}", INT) for i in range(60)]
+    c = Clause(None, mk_and(*(FComp(">=", v, IntConst(0)) for v in vs)), ())
+    binders = re.findall(r"\((\w+) Int\)", clause_assert(c).split(") (=>")[0])
+    assert binders == [f"{ch}{n or ''}" for n in range(3)
+                       for ch in string.ascii_uppercase][:60]

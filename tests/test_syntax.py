@@ -309,3 +309,173 @@ def test_value_class_defaults_apply():
     for cls, args in ((Clause, (None, TRUE, ())), (PredDecl, ("p", ())),
                       (parser.Node, ("id",))):
         assert repr(cls(*args)) == repr(_twin(cls)(*args))
+
+
+# ---------------------------------------------------------------------------
+# term algebra: variable order and linear sums, against reference copies of
+# the separate implementations they replace
+# ---------------------------------------------------------------------------
+
+def _ref_order(c):
+    """The first-occurrence visitor `display_renaming` once had of its own."""
+    order, seen = [], set()
+
+    def visit_term(t):
+        if isinstance(t, Var):
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+        elif isinstance(t, syntax.LinExpr):
+            for v, _ in t.coeffs:
+                visit_term(v)
+        elif isinstance(t, Ctor):
+            for a in t.args:
+                visit_term(a)
+        elif isinstance(t, syntax.TermIte):
+            visit_formula(t.cond)
+            visit_term(t.then)
+            visit_term(t.els)
+
+    def visit_formula(f):
+        if isinstance(f, FVar):
+            visit_term(f.var)
+        elif isinstance(f, syntax.FNot):
+            visit_formula(f.arg)
+        elif isinstance(f, (syntax.FAnd, syntax.FOr)):
+            for a in f.args:
+                visit_formula(a)
+        elif isinstance(f, (syntax.FImp, syntax.FIff)):
+            visit_formula(f.lhs)
+            visit_formula(f.rhs)
+        elif isinstance(f, syntax.FIte):
+            visit_formula(f.cond)
+            visit_formula(f.then)
+            visit_formula(f.els)
+        elif isinstance(f, (FComp, syntax.FEq)):
+            visit_term(f.lhs)
+            visit_term(f.rhs)
+
+    if c.head is not None:
+        for a in c.head.args:
+            visit_term(a)
+    visit_formula(c.constraint)
+    for at in c.body:
+        for a in at.args:
+            visit_term(a)
+    return order
+
+
+def _ref_lin_sum(parts, const=0):
+    """The accumulation `Subst.term`, `lin_sub`, the parsers and smtparse
+    each once wrote out: as_lin of every part, scaled and added."""
+    acc = {}
+    for k, t in parts:
+        c, k0 = syntax.as_lin(t)
+        for v, a in c.items():
+            acc[v] = acc.get(v, 0) + k * a
+        const += k * k0
+    return lin(acc, const)
+
+
+_IVARS = [ivar(n) for n in ("X", "Y", "Z", "W")]
+_BVARS = [Var(n, BOOL) for n in ("P", "Q")]
+_LVARS = [lvar(n) for n in ("Xs", "Ys")]
+
+
+def _rand_int(r, depth):
+    k = r.randrange(5 if depth else 3)
+    if k == 0:
+        return r.choice(_IVARS)
+    if k == 1:
+        return IntConst(r.randint(-3, 3))
+    if k == 2:
+        return lin({v: r.choice([-2, -1, 1, 3]) for v in r.sample(_IVARS, 2)},
+                   r.randint(-2, 2))
+    if k == 3:
+        return syntax.TermIte(_rand_formula(r, depth - 1),
+                              _rand_int(r, depth - 1), _rand_int(r, depth - 1))
+    return lin({r.choice(_IVARS): 1}, r.randint(1, 4))
+
+
+def _rand_list(r, depth):
+    if depth == 0 or r.random() < 0.4:
+        return r.choice(_LVARS + [NIL])
+    return cons(_rand_int(r, depth - 1), _rand_list(r, depth - 1))
+
+
+def _rand_formula(r, depth):
+    k = r.randrange(9 if depth > 0 else 3)
+    if k == 0:
+        return FVar(r.choice(_BVARS))
+    if k == 1:
+        return FComp(r.choice(["=", "<", "=<"]), _rand_int(r, depth), _rand_int(r, depth))
+    if k == 2:
+        return syntax.FEq(_rand_list(r, depth), _rand_list(r, depth), LI)
+    sub = [_rand_formula(r, depth - 1) for _ in range(3)]
+    if k == 3:
+        return syntax.FNot(sub[0])
+    if k == 4:
+        return syntax.FAnd(tuple(sub))
+    if k == 5:
+        return syntax.FOr(tuple(sub[:2]))
+    if k == 6:
+        return syntax.FImp(sub[0], sub[1])
+    if k == 7:
+        return syntax.FIff(sub[0], sub[1])
+    return syntax.FIte(*sub)
+
+
+def _rand_atom(r):
+    return Atom(r.choice("pq"), (_rand_list(r, 2), _rand_int(r, 2)))
+
+
+def _rand_clause(r):
+    head = None if r.random() < 0.3 else _rand_atom(r)
+    return Clause(head, _rand_formula(r, 3),
+                  tuple(_rand_atom(r) for _ in range(r.randrange(3))))
+
+
+def test_vars_in_order_matches_reference_visitor():
+    r = random.Random(20261018)
+    for _ in range(400):
+        c = _rand_clause(r)
+        order = _ref_order(c)
+        assert syntax.vars_in_order(c) == order
+        ren = syntax.display_renaming(c)
+        assert list(ren.mapping) == order
+        assert [v.name for v in ren.mapping.values()] == \
+            list(itertools.islice(syntax._display_names(), len(order)))
+        # a term, a formula and an atom are visited as in a clause holding them
+        t = _rand_int(r, 3)
+        assert syntax.vars_in_order(t) == \
+            _ref_order(Clause(Atom("p", (t,)), TRUE, ()))
+        assert syntax.vars_in_order(c.constraint) == \
+            _ref_order(Clause(None, c.constraint, ()))
+        assert list(syntax.display_renaming(c.constraint).mapping) == \
+            _ref_order(Clause(None, c.constraint, ()))
+        assert syntax.vars_in_order(list(c.body)) == _ref_order(Clause(None, TRUE, c.body))
+        assert set(order) == free_vars(c)
+
+
+def test_lin_sum_matches_reference_accumulation():
+    r = random.Random(7)
+    for _ in range(500):
+        parts = [(r.randint(-3, 3), _rand_int(r, 1)) for _ in range(r.randrange(4))]
+        const = r.randint(-5, 5)
+        try:
+            want = _ref_lin_sum(parts, const)
+        except TypeError as e:
+            with pytest.raises(TypeError) as info:
+                syntax.lin_sum(parts, const)
+            assert str(info.value) == str(e)
+            continue
+        got = syntax.lin_sum(parts, const)
+        assert got == want
+        assert syntax.lin_sum(iter(parts), const) == want  # any iterable
+        if len(parts) == 2:
+            (_, a), (_, b) = parts
+            assert syntax.lin_sub(a, b) == _ref_lin_sum([(1, a), (-1, b)])
+    # canonical: a lone variable and a cancelled sum collapse
+    X = ivar("X")
+    assert syntax.lin_sum([(1, X)]) == X
+    assert syntax.lin_sum([(2, X), (-1, lin({X: 2}, 3))], 3) == IntConst(0)

@@ -7,9 +7,11 @@ import pytest
 from catafuse.catas import io_split
 from catafuse.engine import ConstraintEngine
 from catafuse.parser import parse_problem
-from catafuse.syntax import Atom, Clause, PRED_TRUE, TRUE, Var, free_vars
+from catafuse.syntax import (INT, PRED_TRUE, TRUE, Atom, Clause, FComp,
+                             IntConst, Var, conjuncts, free_vars, mk_and)
 from catafuse.transform import (DefinitionSet, TransformError, Transformer,
-                                def_extends, transform_problem)
+                                def_extends, propagate_equalities,
+                                transform_problem)
 
 
 @pytest.fixture()
@@ -213,3 +215,14 @@ def test_deterministic_output(insertion_sort_text):
         return emit_smtlib(transformed_problem(p, res))
 
     assert run() == run()
+
+
+def test_propagate_equalities_keeps_first_occurrence_past_52_variables():
+    # V27 occurs first (display name B1), V52 later (A2); the representative
+    # is the one that occurs first, not the one whose display name sorts first
+    vs = [Var(f"V{i:02d}", INT) for i in range(60)]
+    c = Clause(None, mk_and(*(FComp(">=", v, IntConst(0)) for v in vs),
+                            FComp("=", vs[52], vs[27])), ())
+    out = propagate_equalities(c)
+    assert vs[27] in free_vars(out) and vs[52] not in free_vars(out)
+    assert len(conjuncts(out.constraint)) == 59
