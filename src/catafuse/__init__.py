@@ -5,11 +5,12 @@ transformed_problem, emit_smtlib, solve, check_equisat, run_bench.
 
 These names load on first use (PEP 562), so importing a submodule imports
 only what that submodule needs. The bundled oracle and CHC-solver children
-(`python -m catafuse.refsolver.oracle` / `catafuse.refsolver.horn`) import
-only `catafuse.syntax` and `catafuse.refsolver`, and one of them starts per
-transform or per solve, so their start-up is paid every time. For the same
-reason they import no `dataclasses`, `inspect` or `typing`: the value
-classes in `catafuse.syntax` are generated without `dataclasses`.
+(`catafuse.refsolver.oracle` / `catafuse.refsolver.horn`, started without
+`site`: see `engine.bundled_cmd`) import only `catafuse.syntax` and
+`catafuse.refsolver`, and one of them starts per transform or per solve, so
+their start-up is paid every time. For the same reason they import no
+`dataclasses`, `inspect` or `typing`: the value classes in `catafuse.syntax`
+are generated without `dataclasses`.
 """
 
 from importlib import import_module

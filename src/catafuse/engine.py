@@ -6,12 +6,18 @@ command is configurable; the default resolution order is
 
   1. the CHC_ORACLE environment variable (shell-split),
   2. a z3 binary on PATH (`z3 -in`),
-  3. the bundled reference oracle (`python -m catafuse.refsolver.oracle`).
+  3. the bundled reference oracle (`catafuse.refsolver.oracle`).
 
 Each Oracle owns one child. Once a process has started a command's child
 twice, every start also launches the next Oracle's child, so that child's
 start-up runs while this one works; it is sent nothing until it is taken.
+`take_child` is that policy, and `solver.solve_file` uses it for the bundled
+CHC solver too. Both bundled children start without `site` (`python -S`),
+which they need nothing from, and get this package's root on their path
+from their command (`bundled_cmd`), not from the caller's environment.
 A child that replies `(error ...)` is dropped, and that query is unknown.
+A child that refuses the problem's datatype declarations is dropped too,
+and every query over those declarations is unknown without another start.
 
 Verdicts are three-valued and the transformer treats unknown conservatively
 (see the callers): never drop a clause or merge definitions without proof.
@@ -62,6 +68,21 @@ STDERR_TAIL_LINES = 5
 STDERR_TAIL_BYTES = 4096
 
 
+# `python -S -c _LAUNCH <package root> <module> [args]` runs the module as
+# `python -m <module> [args]` would, with the package root first on its path
+_LAUNCH = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+           "runpy.run_module(sys.argv.pop(1), run_name='__main__', "
+           "alter_sys=True)")
+
+
+def bundled_cmd(module: str) -> list[str]:
+    """The command that starts one of the bundled children: without `site`,
+    which costs each start tens of milliseconds and which they need nothing
+    from, and with this package found where the parent found it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return [sys.executable, "-S", "-c", _LAUNCH, root, module]
+
+
 def default_oracle_cmd() -> list[str]:
     env = os.environ.get("CHC_ORACLE")
     if env:
@@ -69,11 +90,11 @@ def default_oracle_cmd() -> list[str]:
     z3 = shutil.which("z3")
     if z3:
         return [z3, "-in"]
-    return [sys.executable, "-m", "catafuse.refsolver.oracle"]
+    return bundled_cmd("catafuse.refsolver.oracle")
 
 
 def _spawn(cmd: list[str]) -> tuple[subprocess.Popen, object]:
-    """A started oracle child and its stderr, an unnamed temporary file."""
+    """A started child and its stderr, an unnamed temporary file."""
     # a file, not a pipe: a chatty child can never block on a full pipe
     stderr = tempfile.TemporaryFile()
     try:
@@ -82,7 +103,7 @@ def _spawn(cmd: list[str]) -> tuple[subprocess.Popen, object]:
             stderr=stderr, text=True, bufsize=1)
     except OSError as e:
         stderr.close()
-        raise OracleError(f"cannot launch oracle {cmd}: {e}") from e
+        raise OracleError(f"cannot launch {cmd}: {e}") from e
     return proc, stderr
 
 
@@ -99,7 +120,16 @@ def _discard(child: tuple[subprocess.Popen, object]) -> None:
     stderr.close()
 
 
-# One started, not yet used child per oracle command, kept once a command has
+def stderr_tail(stderr) -> list[str]:
+    """The last lines a child from `_spawn` wrote to its stderr."""
+    fd = stderr.fileno()
+    size = os.fstat(fd).st_size
+    # pread leaves the file offset, which the child shares, alone
+    tail = os.pread(fd, STDERR_TAIL_BYTES, max(0, size - STDERR_TAIL_BYTES))
+    return tail.decode(errors="replace").splitlines()[-STDERR_TAIL_LINES:]
+
+
+# One started, not yet used child per command, kept once a command has
 # started twice in this process. It has been sent nothing, so it carries no
 # problem's state; it runs in the environment of the start that launched it.
 _spares: dict[tuple[str, ...], tuple[subprocess.Popen, object]] = {}
@@ -116,6 +146,37 @@ def _discard_spares() -> None:
         _discard(child)
 
 
+def take_child(cmd: list[str]) -> tuple[subprocess.Popen, object]:
+    """A started child of `cmd` and its stderr: the waiting spare if it is
+    alive, else a new child. From the command's second start in this process
+    on, the next start's child is launched now, so that its start-up runs
+    while this one works. Only for a command whose children all get the same
+    input: a spare is started before anyone knows what it will be sent."""
+    key = tuple(cmd)
+    with _spares_lock:
+        spare = _spares.pop(key, None)
+        again = key in _started
+        _started.add(key)
+    if spare is not None and spare[0].poll() is None:
+        child = spare
+    else:
+        if spare is not None:
+            _discard(spare)
+        child = _spawn(cmd)
+    if again:
+        try:
+            fresh = _spawn(cmd)
+        except OracleError:
+            _discard(child)
+            raise
+        with _spares_lock:
+            old = _spares.get(key)
+            _spares[key] = fresh
+        if old is not None:
+            _discard(old)
+    return child
+
+
 class Oracle:
     """One child solver process; push/pop per query; thread-safe via a lock."""
 
@@ -125,40 +186,33 @@ class Oracle:
         self._stderr = None  # the child's stderr, an unnamed temporary file
         self.lock = threading.Lock()
         self._decls: list[str] = []
+        # the child refused `_decls`: every query over them is unknown
+        self._refused = False
 
     def _start(self) -> None:
-        key = tuple(self.cmd)
-        with _spares_lock:
-            spare = _spares.pop(key, None)
-            again = key in _started
-            _started.add(key)
-        if spare is not None and spare[0].poll() is None:
-            self.proc, self._stderr = spare
-        else:
-            if spare is not None:
-                _discard(spare)
-            self.proc, self._stderr = _spawn(self.cmd)
-        if again:
-            # this command starts more than once here: the next Oracle's
-            # child starts now, while this one works
-            fresh = _spawn(self.cmd)
-            with _spares_lock:
-                old = _spares.get(key)
-                _spares[key] = fresh
-            if old is not None:
-                _discard(old)
+        self.proc, self._stderr = take_child(self.cmd)
         self._preamble()
 
     def _preamble(self) -> None:
         self._send("(set-option :print-success false)")
         self._send("(set-logic ALL)")
+        if not self._decls:
+            return
         for line in self._decls:
             self._send(line)
+        # an `(error` before this check's answer is a refused declaration;
+        # the answer would then still be in the pipe, so drop the child
+        self._send("(check-sat)")
+        if self._read_verdict(time.monotonic() + TIMEOUT_MS / 1000 + 10) \
+                is None:
+            self._refused = True
+            self._kill()
 
     def set_datatypes(self, sorts: SortTable) -> None:
         decls = datatype_block(sorts)
         if decls != self._decls:
             self._decls = decls
+            self._refused = False
             if self.proc is not None:
                 self._send("(reset)")
                 self._preamble()
@@ -178,11 +232,7 @@ class Oracle:
             status = f"exit status {self.proc.wait(timeout=1)}"
         except subprocess.TimeoutExpired:
             status = "still running"
-        fd = self._stderr.fileno()
-        size = os.fstat(fd).st_size
-        # pread leaves the file offset, which the child shares, alone
-        tail = os.pread(fd, STDERR_TAIL_BYTES, max(0, size - STDERR_TAIL_BYTES))
-        lines = tail.decode(errors="replace").splitlines()[-STDERR_TAIL_LINES:]
+        lines = stderr_tail(self._stderr)
         if not lines:
             return OracleError(f"{what} ({status}, nothing on stderr)")
         return OracleError(f"{what} ({status}); its stderr ends:\n"
@@ -215,7 +265,10 @@ class Oracle:
             for attempt in (0, 1):
                 if self.proc is None or self.proc.poll() is not None:
                     self._kill()  # releases a dead child's stderr file
-                    self._start()
+                    if not self._refused:
+                        self._start()
+                if self._refused:
+                    return UNKNOWN
                 try:
                     return self._query(formula)
                 except OracleError:

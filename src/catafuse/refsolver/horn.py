@@ -1,4 +1,7 @@
-"""Reference CHC solver: `python -m catafuse.refsolver.horn file.smt2`.
+"""Reference CHC solver.
+
+Run as `python -m catafuse.refsolver.horn [-t seconds] file.smt2`; the file
+`-` means the script is read from stdin.
 
 Decides satisfiability of Horn clause scripts in the emitted dialect and
 prints sat, unsat, or unknown:
@@ -17,7 +20,8 @@ prints sat, unsat, or unknown:
 
 A time limit (-t) bounds every phase: derivation checks the clock for each
 fact row it joins, invariant inference for each candidate it tests, and the
-QF core inside each query.
+QF core inside each query. It starts once the script is read and parsed, so
+a child that waits for its script on stdin spends none of it waiting.
 
 Designed for desk-scale problems; a production solver (z3/SPACER) remains a
 drop-in via the driver configuration.
@@ -492,10 +496,14 @@ def main(argv: list[str]) -> int:
         timeout = float(args[i + 1])
         del args[i:i + 2]
     if len(args) != 1:
-        print("usage: horn [-t seconds] file.smt2", file=sys.stderr)
+        print("usage: horn [-t seconds] file.smt2 (- for stdin)",
+              file=sys.stderr)
         return 2
-    with open(args[0], encoding="utf-8") as fh:
-        text = fh.read()
+    if args[0] == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args[0], encoding="utf-8") as fh:
+            text = fh.read()
     print(solve_script(text, timeout), flush=True)
     return 0
 

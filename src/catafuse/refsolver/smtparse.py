@@ -326,6 +326,9 @@ class SmtContext:
 
 
 def _lin_sum(parts: list[tuple[int, Term]]) -> Term:
+    for _, t in parts:
+        if isinstance(t, Var) and t.sort != INT:
+            raise UnsupportedSmt(f"{t.name} of sort {t.sort} inside arithmetic")
     try:
         return lin_sum(parts)
     except TypeError as e:

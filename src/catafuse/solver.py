@@ -4,7 +4,11 @@ The solver is configuration-driven: binary path plus arguments, invoked as
 `<solver> <args> <file.smt2>`, first stdout token one of sat/unsat/unknown.
 Resolution order for the default: the CHC_SOLVER environment variable, a z3
 binary on PATH (driven with its Horn engine), then the bundled reference
-solver. Equisatisfiability checking and the benchmark harness sit on top.
+solver. The bundled solver takes its limit as `-t` and its script on stdin
+(`-t <limit> -`), so its argv is the same for every script: its children
+come from `engine.take_child`, which keeps the next one started while this
+one solves (see `engine`). A command that names its file gets no such spare.
+Equisatisfiability checking and the benchmark harness sit on top.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import os
 import shlex
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import ConstraintEngine
+from .engine import (ConstraintEngine, OracleError, _discard, bundled_cmd,
+                     stderr_tail, take_child)
 from .parser import ParseError, parse_problem
 from .smtlib import emit_smtlib
 from .syntax import Problem
@@ -41,7 +45,7 @@ def default_solver_cmd() -> list[str]:
     z3 = shutil.which("z3")
     if z3:
         return [z3, "fp.engine=spacer"]
-    return [sys.executable, "-m", "catafuse.refsolver.horn"]
+    return bundled_cmd("catafuse.refsolver.horn")
 
 
 @dataclass
@@ -70,30 +74,50 @@ class SolveResult:
     solver: str
 
 
+def _run(cmd: list[str], path: str | Path,
+         timeout: float) -> tuple[int, str, str]:
+    """Run a solver on the script at `path`, killed `timeout` + 10 s after
+    its start: (exit status, stdout, stderr)."""
+    if not (cmd and cmd[-1].endswith("refsolver.horn")):
+        try:
+            run = subprocess.run(cmd + [str(path)], capture_output=True,
+                                 text=True, timeout=timeout + 10)
+        except FileNotFoundError:
+            raise RuntimeError(f"solver binary not found: {cmd[0]}")
+        return run.returncode, run.stdout, run.stderr
+    # the bundled solver reads its script on stdin; its limit starts there
+    script = Path(path).read_text(encoding="utf-8")
+    try:
+        proc, stderr = take_child(cmd + ["-t", str(timeout), "-"])
+    except OracleError as e:
+        raise RuntimeError(str(e)) from e
+    try:
+        out, _ = proc.communicate(script, timeout=timeout + 10)
+    except subprocess.TimeoutExpired:
+        _discard((proc, stderr))
+        raise
+    try:
+        return proc.returncode, out, "\n".join(stderr_tail(stderr))
+    finally:
+        stderr.close()
+
+
 def solve_file(path: str | Path, config: SolverConfig) -> SolveResult:
-    cmd = list(config.cmd)
-    if cmd[-2:] == ["-m", "catafuse.refsolver.horn"] or \
-            (cmd and cmd[-1].endswith("refsolver.horn")):
-        cmd += ["-t", str(config.timeout)]
-    cmd.append(str(path))
     start = time.monotonic()
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=config.timeout + 10)
-    except FileNotFoundError:
-        raise RuntimeError(f"solver binary not found: {config.cmd[0]}")
+        status, out, err = _run(list(config.cmd), path, config.timeout)
     except subprocess.TimeoutExpired:
         return SolveResult(TIMEOUT, time.monotonic() - start, config.identity())
     elapsed = time.monotonic() - start
-    tokens = proc.stdout.split()
+    tokens = out.split()
     verdict = tokens[0] if tokens else ""
     if verdict not in (SAT, UNSAT, UNKNOWN):
-        if "timeout" in proc.stdout.lower():
+        if "timeout" in out.lower():
             verdict = TIMEOUT
-        elif proc.returncode != 0:
-            last = proc.stderr.strip().splitlines()[-1:]
+        elif status != 0:
+            last = err.strip().splitlines()[-1:]
             raise RuntimeError(
-                f"solver {config.identity()} exited with status {proc.returncode} and no "
+                f"solver {config.identity()} exited with status {status} and no "
                 f"verdict; stderr: {last[0] if last else '(empty)'}")
         else:
             verdict = UNKNOWN

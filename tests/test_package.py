@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import catafuse
+from catafuse.engine import default_oracle_cmd
+from catafuse.solver import default_solver_cmd
 
 # what `python -m catafuse.refsolver.oracle` / `.horn` may load of the package
 CHILD_MODULES = ("catafuse", "catafuse.syntax", "catafuse.refsolver")
@@ -26,6 +29,68 @@ def test_solver_children_import_only_syntax_and_refsolver():
     extra = [m for m in loaded if m not in CHILD_MODULES
              and not m.startswith("catafuse.refsolver.")]
     assert extra == []
+
+
+TRIVIAL_QUERY = "(declare-const x Int)\n(assert (> x 0))\n(check-sat)\n"
+TRIVIAL_HORN = """(set-logic HORN)
+(declare-fun p (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (p x))))
+(assert (forall ((x Int)) (=> (and (p x) (= x 0)) false)))
+(check-sat)
+"""
+
+
+def test_default_children_start_without_site(monkeypatch, tmp_path):
+    """The default commands themselves, as the engine and the solver start
+    them: every module a child imports is in its import-time report."""
+    monkeypatch.delenv("CHC_ORACLE", raising=False)
+    monkeypatch.delenv("CHC_SOLVER", raising=False)
+    monkeypatch.setattr(shutil, "which", lambda name: None)  # no z3
+    script = tmp_path / "q.smt2"
+    script.write_text(TRIVIAL_HORN)
+    env = dict(os.environ, PYTHONPROFILEIMPORTTIME="1")
+    for cmd, stdin, want in (
+            (default_oracle_cmd(), TRIVIAL_QUERY, "sat"),
+            (default_solver_cmd() + ["-"], TRIVIAL_HORN, "unsat"),
+            (default_solver_cmd() + [str(script)], None, "unsat")):
+        proc = subprocess.run(cmd, input=stdin, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.stdout.split()[:1] == [want], proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "catafuse.refsolver.qfcore" in imported
+        assert "site" not in imported
+        extra = [m for m in imported if m.startswith("catafuse")
+                 and m not in CHILD_MODULES
+                 and not m.startswith("catafuse.refsolver.")]
+        assert extra == []
+
+
+def test_bundled_children_need_no_pythonpath(tmp_path):
+    """A parent that found the package on `sys.path` alone, run from outside
+    the checkout: its children find the package through their command."""
+    src = Path(catafuse.__file__).resolve().parent.parent
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from catafuse.engine import Oracle, bundled_cmd
+from catafuse.solver import SolverConfig, solve_file
+from catafuse.syntax import INT, FComp, IntConst, Var
+oracle = Oracle(bundled_cmd("catafuse.refsolver.oracle"))
+print(oracle.check(FComp(">", Var("X", INT), IntConst(0))))
+oracle.close()
+config = SolverConfig(cmd=bundled_cmd("catafuse.refsolver.horn"), timeout=30)
+for _ in range(3):  # the third is served by a spare
+    print(solve_file("q.smt2", config).verdict)
+"""
+    (tmp_path / "q.smt2").write_text(TRIVIAL_HORN)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "CHC_ORACLE", "CHC_SOLVER")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sat", "unsat", "unsat", "unsat"]
 
 
 def test_public_names_load_on_first_use():

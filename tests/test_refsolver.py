@@ -819,6 +819,40 @@ def test_unused_finite_datatype_is_not_declared(corpus_dir):
     assert horn.solve_script(runs[1][1], 60) == "unsat"
 
 
+def test_refused_datatypes_start_the_oracle_once(corpus_dir):
+    # a used finite sort: its declaration is refused once, and every query
+    # over it is unknown without another child start
+    text = ("sort color = red | green.\npred paint(color).\npaint(red).\n"
+            + (corpus_dir / "member_unsat.chc").read_text(encoding="utf-8"))
+    problem = parse_problem(text)
+    oracle = Oracle([sys.executable, "-m", "catafuse.refsolver.oracle"])
+    starts, verdicts = [], []
+    start, check = oracle._start, oracle.check
+    oracle._start = lambda: starts.append(1) or start()
+    oracle.check = lambda f: verdicts.append(check(f)) or verdicts[-1]
+    engine = ConstraintEngine(oracle)
+    try:
+        transform_problem(problem, engine)
+    finally:
+        engine.close()
+    assert len(starts) == 1
+    assert len(verdicts) > 1 and set(verdicts) == {UNKNOWN}
+
+
+def test_new_datatypes_clear_a_refusal():
+    oracle = Oracle([sys.executable, "-m", "catafuse.refsolver.oracle"])
+    positive = FComp(">=", X, IntConst(1))
+    try:
+        oracle.set_datatypes(parse_problem(COLOR).sorts)
+        assert oracle.check(positive) == UNKNOWN
+        assert oracle.proc is None
+        oracle.set_datatypes(parse_problem("pred p(list(int)).\n").sorts)
+        assert oracle.check(positive) == "sat"
+        assert oracle.check(mk_and(positive, FComp("=<", X, IntConst(0)))) == "unsat"
+    finally:
+        oracle.close()
+
+
 @pytest.mark.parametrize("decl", [
     "(declare-datatypes ((B 0)) (((box (v Bool)))))",
     "(declare-datatypes ((E 0) (F 0)) (((e0) (e1 (f F))) ((f0) (f1 (b Bool)))))",
@@ -1228,3 +1262,11 @@ def test_smtparse_rejects_nonlinear_arithmetic(expr, msg):
     with pytest.raises(UnsupportedSmt) as e:
         SmtContext().to_term(parse_sexps(expr)[0], _SMT_ENV)
     assert str(e.value) == msg
+
+
+@pytest.mark.parametrize("expr", [
+    "(+ x b)", "(- b)", "(- x b)", "(* 2 b)", "(* b 2)", "(+ 1 (* 3 b))",
+])
+def test_smtparse_rejects_bool_inside_arithmetic(expr):
+    with pytest.raises(UnsupportedSmt, match="bool inside arithmetic"):
+        SmtContext().to_term(parse_sexps(expr)[0], _SMT_ENV)

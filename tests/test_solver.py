@@ -1,12 +1,16 @@
 import sys
+import time
 
 import pytest
 
-from catafuse.engine import ConstraintEngine
+from catafuse import engine as engine_mod
+from catafuse import solver as solver_mod
+from catafuse.engine import ConstraintEngine, bundled_cmd
 from catafuse.parser import parse_problem
 from catafuse.solver import (SolveResult, SolverConfig, bench_one,
                              check_equisat, expected_tag, run_bench, solve,
                              solve_file, write_reports)
+from catafuse.smtlib import emit_smtlib
 from catafuse.transform import transform_problem, transformed_problem
 
 
@@ -122,3 +126,95 @@ def test_crashed_solver_is_an_error_not_unknown(tmp_path, corpus_dir):
     row = bench_one(src, crashing)
     assert not row.ok
     assert "solver crashed" in row.note
+
+
+TRIVIAL_HORN = """(set-logic HORN)
+(declare-fun p (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (p x))))
+(assert (forall ((x Int)) (=> (and (p x) (= x 0)) false)))
+(check-sat)
+"""
+
+
+def _bundled(limit: float) -> tuple[SolverConfig, tuple[str, ...]]:
+    """The bundled solver at `limit`, and the key of its spares; a limit that
+    no other test uses gives a test spares of its own."""
+    config = SolverConfig(bundled_cmd("catafuse.refsolver.horn"), limit)
+    return config, tuple(config.cmd + ["-t", str(limit), "-"])
+
+
+@pytest.fixture()
+def taken(monkeypatch):
+    """The pid of every child `solve_file` takes."""
+    pids = []
+
+    def take_child(cmd):
+        child = engine_mod.take_child(cmd)
+        pids.append(child[0].pid)
+        return child
+
+    monkeypatch.setattr(solver_mod, "take_child", take_child)
+    return pids
+
+
+def test_second_solve_prestarts_the_third(tmp_path, taken):
+    config, key = _bundled(91.0)
+    script = tmp_path / "q.smt2"
+    script.write_text(TRIVIAL_HORN)
+    assert solve_file(script, config).verdict == "unsat"
+    # a single start in a process keeps no spare
+    assert key not in engine_mod._spares
+    assert solve_file(script, config).verdict == "unsat"
+    spare = engine_mod._spares[key][0].pid
+    assert spare not in taken
+    assert solve_file(script, config).verdict == "unsat"
+    assert taken[2] == spare
+    assert engine_mod._spares[key][0].pid not in taken
+    assert len(set(taken)) == 3
+
+
+def test_dead_solver_spare_is_replaced(tmp_path, taken):
+    config, key = _bundled(92.0)
+    script = tmp_path / "q.smt2"
+    script.write_text(TRIVIAL_HORN)
+    solve_file(script, config)
+    solve_file(script, config)
+    dead, dead_stderr = engine_mod._spares[key]
+    dead.kill()
+    dead.wait()
+    assert solve_file(script, config).verdict == "unsat"
+    assert taken[2] != dead.pid
+    assert dead_stderr.closed
+    assert engine_mod._spares[key][0].poll() is None
+
+
+def test_waiting_spare_keeps_its_whole_limit(tmp_path, corpus_dir, taken):
+    # the limit runs from the hand-over, not from the spare's launch
+    pb = parse_problem((corpus_dir / "bst_insert_sat.chc").read_text())
+    eng = ConstraintEngine()
+    try:
+        tp = transformed_problem(pb, transform_problem(pb, eng))
+    finally:
+        eng.close()
+    script = tmp_path / "bst_insert_sat.transformed.smt2"
+    script.write_text(emit_smtlib(tp))
+    config, key = _bundled(1.0)
+    for _ in range(2):
+        solve_file(script, config)
+    spare = engine_mod._spares[key][0].pid
+    time.sleep(2)
+    r = solve_file(script, config)
+    assert taken[2] == spare
+    assert r.verdict == "unknown"
+    assert 1.0 <= r.seconds < 5
+
+
+def test_solver_naming_its_file_gets_no_spare(tmp_path):
+    code = "import sys; print(open(sys.argv[1]).read().split()[0])"
+    config = SolverConfig(cmd=[sys.executable, "-S", "-c", code], timeout=30)
+    script = tmp_path / "q.smt2"
+    for verdict in ("sat", "unsat", "unknown"):
+        script.write_text(verdict + "\n")
+        assert solve_file(script, config).verdict == verdict
+    started = set(engine_mod._spares) | engine_mod._started
+    assert not any(k[:len(config.cmd)] == tuple(config.cmd) for k in started)
