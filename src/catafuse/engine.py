@@ -18,6 +18,12 @@ from their command (`bundled_cmd`), not from the caller's environment.
 A child that replies `(error ...)` is dropped, and that query is unknown.
 A child that refuses the problem's datatype declarations is dropped too,
 and every query over those declarations is unknown without another start.
+Messages name a bundled child by its module (`command_name`).
+
+Each engine keeps one verdict memo, keyed up to renaming: the oracle sees a
+query with its variables display-renamed, so that renamed query is the key,
+and an entailment c |= d shares the entry of its query c & ~d. An unknown
+verdict is never memoised.
 
 Verdicts are three-valued and the transformer treats unknown conservatively
 (see the callers): never drop a clause or merge definitions without proof.
@@ -83,6 +89,14 @@ def bundled_cmd(module: str) -> list[str]:
     return [sys.executable, "-S", "-c", _LAUNCH, root, module]
 
 
+def command_name(cmd: list[str]) -> str:
+    """How messages name a command: one from `bundled_cmd` by its module
+    and arguments, not by its launcher source."""
+    if cmd[1:4] == ["-S", "-c", _LAUNCH]:
+        return " ".join(cmd[5:]) + " (bundled)"
+    return " ".join(cmd)
+
+
 def default_oracle_cmd() -> list[str]:
     env = os.environ.get("CHC_ORACLE")
     if env:
@@ -103,7 +117,7 @@ def _spawn(cmd: list[str]) -> tuple[subprocess.Popen, object]:
             stderr=stderr, text=True, bufsize=1)
     except OSError as e:
         stderr.close()
-        raise OracleError(f"cannot launch {cmd}: {e}") from e
+        raise OracleError(f"cannot launch {command_name(cmd)}: {e}") from e
     return proc, stderr
 
 
@@ -336,8 +350,8 @@ def is_atomic_conjunct(f: Formula) -> bool:
 class ConstraintEngine:
     def __init__(self, oracle: Oracle | None = None) -> None:
         self.oracle = oracle or Oracle()
+        # display-renamed query -> sat/unsat (see the module docstring)
         self._sat_cache: dict[Formula, str] = {}
-        self._ent_cache: dict[tuple[Formula, Formula], str] = {}
 
     def set_sorts(self, sorts: SortTable) -> None:
         self.oracle.set_datatypes(sorts)
@@ -353,12 +367,19 @@ class ConstraintEngine:
             return SAT
         if isinstance(c, FFalse):
             return UNSAT
-        hit = self._sat_cache.get(c)
+        return self._check(c)
+
+    def _check(self, q: Formula) -> str:
+        """The oracle's verdict on q, memoised up to renaming. The oracle
+        answers q display-renamed, and renaming that again changes nothing,
+        so the renamed query is both the key and what the oracle is sent."""
+        q = display_renaming(q).formula(q)
+        hit = self._sat_cache.get(q)
         if hit is not None:
             return hit
-        v = self.oracle.check(c)
+        v = self.oracle.check(q)
         if v != UNKNOWN:
-            self._sat_cache[c] = v
+            self._sat_cache[q] = v
         return v
 
     def entails(self, c: Formula, d: Formula) -> str:
@@ -367,15 +388,8 @@ class ConstraintEngine:
         d = simplify(d)
         if isinstance(d, FTrue) or isinstance(c, FFalse) or c == d:
             return HOLDS
-        key = (c, d)
-        hit = self._ent_cache.get(key)
-        if hit is not None:
-            return hit
-        v = self.oracle.check(mk_and(c, mk_not(d)))
-        out = HOLDS if v == UNSAT else FAILS if v == SAT else UNKNOWN
-        if out != UNKNOWN:
-            self._ent_cache[key] = out
-        return out
+        v = self._check(mk_and(c, mk_not(d)))
+        return HOLDS if v == UNSAT else FAILS if v == SAT else UNKNOWN
 
     def equivalent(self, c: Formula, d: Formula) -> bool:
         return self.entails(c, d) == HOLDS and self.entails(d, c) == HOLDS

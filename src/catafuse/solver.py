@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (ConstraintEngine, OracleError, _discard, bundled_cmd,
-                     stderr_tail, take_child)
+                     command_name, stderr_tail, take_child)
 from .parser import ParseError, parse_problem
 from .smtlib import emit_smtlib
 from .syntax import Problem
@@ -58,7 +58,7 @@ class SolverConfig:
     original_timeout: float | None = None
 
     def identity(self) -> str:
-        return " ".join(self.cmd)
+        return command_name(self.cmd)
 
     def for_original(self) -> "SolverConfig":
         if self.original_timeout is None:

@@ -54,13 +54,22 @@ class LogRecord:
 class DerivationLog:
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
+        # pretty_clause is a function of the clause value alone, and a
+        # clause is often logged as one record's output and the next's input
+        self._shown: dict[Clause, str] = {}
 
     def add(self, rule: str, detail: str, inputs: list[Clause] | None = None,
             outputs: list[Clause] | None = None) -> None:
         self.records.append(LogRecord(
             rule, detail,
-            [pretty_clause(c) for c in inputs or []],
-            [pretty_clause(c) for c in outputs or []]))
+            [self._show(c) for c in inputs or []],
+            [self._show(c) for c in outputs or []]))
+
+    def _show(self, c: Clause) -> str:
+        text = self._shown.get(c)
+        if text is None:
+            text = self._shown[c] = pretty_clause(c)
+        return text
 
     def count(self, rule: str) -> int:
         return sum(1 for r in self.records if r.rule == rule)
@@ -265,6 +274,9 @@ class Transformer:
         self.decls: dict[str, PredDecl] = dict(problem.preds)
         self.true_clauses: list[Clause] = []
         self.new_decls: dict[str, PredDecl] = {}
+        # the last definition_step's unfolded and strengthened clauses, and
+        # the log records that computing them wrote
+        self.last_round: tuple[list[Clause], list[LogRecord]] = ([], [])
         # an unused datatype the oracle cannot take must not poison its queries
         engine.set_sorts(problem.sorts.used_by(problem.preds.values(),
                                                problem.all_clauses()))
@@ -630,10 +642,15 @@ class Transformer:
         return [self.strengthen_clause(c) for c in cls]
 
     def definition_step(self, defs: DefinitionSet) -> bool:
-        """One unfold-strengthen-define round; True if the set grew."""
+        """One unfold-strengthen-define round; True if the set grew. The
+        round's clauses are kept in `last_round`: after a round that changed
+        nothing they are the body that transform_all folds."""
         if len(defs) == 0:
+            self.last_round = ([], [])
             return self.define_fn(self.problem.queries, defs)
+        mark = len(self.log.records)
         cls = self.strengthen_all(self.unfold_all(defs))
+        self.last_round = (cls, self.log.records[mark:])
         return self.define_fn(cls, defs)
 
     def definition_fixpoint(self) -> tuple[DefinitionSet, int]:
@@ -654,7 +671,10 @@ class Transformer:
     def transform_all(self) -> TransformResult:
         defs, iterations = self.definition_fixpoint()
         folded_queries = [self.fold_clause(q, defs) for q in self.problem.queries]
-        body = self.strengthen_all(self.unfold_all(defs))
+        # the stable round unfolded the final set; its records are logged
+        # again where unfolding that set once more would have written them
+        body, records = self.last_round
+        self.log.records.extend(records)
         folded = [self.fold_clause(c, defs) for c in body]
         out = folded_queries + folded
         out = [propagate_equalities(c) for c in out]

@@ -17,10 +17,11 @@ from catafuse.engine import (
 )
 from catafuse.refsolver import qfcore
 from catafuse.syntax import (
-    BOOL, INT, FAnd, FComp, FIff, FImp, FNot, FOr, FVar, Formula, IntConst,
-    TRUE, Var, as_lin, conjuncts, free_vars, lin, lin_sub, mk_and, mk_not,
-    mk_or,
+    BOOL, INT, FAnd, FComp, FEq, FIff, FImp, FNot, FOr, FVar, Formula,
+    IntConst, TRUE, Var, as_lin, conjuncts, display_renaming, free_vars, lin,
+    lin_sub, list_sort, mk_and, mk_not, mk_or, tree_sort,
 )
+from catafuse.transform import transform_problem
 
 X = Var("X", INT)
 Y = Var("Y", INT)
@@ -565,3 +566,81 @@ with open(sys.argv[1], "w") as log:
     declared = re.findall(r"\(declare-const (\w+) Int\)", sent.read_text())
     assert declared == [f"{ch}{n or ''}" for n in range(3)
                         for ch in string.ascii_uppercase][:60]
+
+
+# ---------------------------------------------------------------------------
+# the verdict memo, keyed up to renaming
+# ---------------------------------------------------------------------------
+
+class CountingOracle:
+    """Answers every query with `verdict` and records what it was sent."""
+
+    def __init__(self, verdict: str) -> None:
+        self.verdict = verdict
+        self.sent: list[Formula] = []
+
+    def check(self, formula: Formula) -> str:
+        self.sent.append(formula)
+        return self.verdict
+
+    def close(self) -> None:
+        pass
+
+
+def test_memo_answers_a_renamed_query_once():
+    oracle = CountingOracle(SAT)
+    eng = engine_mod.ConstraintEngine(oracle)
+    a, b = Var("A#7", INT), Var("Z", INT)
+    assert eng.is_satisfiable(geq(X, Y)) == SAT
+    assert eng.is_satisfiable(geq(a, b)) == SAT
+    assert len(oracle.sent) == 1
+    # the oracle is sent the query display-renamed, which renaming again
+    # leaves alone, so the text it writes to its child is unchanged
+    q = oracle.sent[0]
+    assert q == display_renaming(geq(X, Y)).formula(geq(X, Y))
+    assert display_renaming(q).formula(q) == q
+
+
+def test_memo_tells_sorts_apart():
+    oracle = CountingOracle(SAT)
+    eng = engine_mod.ConstraintEngine(oracle)
+    for s in (list_sort(INT), tree_sort(INT)):
+        assert eng.is_satisfiable(FEq(Var("X", s), Var("Y", s), s)) == SAT
+    assert len(oracle.sent) == 2
+
+
+def test_memo_asks_again_after_unknown():
+    oracle = CountingOracle(UNKNOWN)
+    eng = engine_mod.ConstraintEngine(oracle)
+    assert eng.is_satisfiable(geq(X, Y)) == UNKNOWN
+    assert eng.entails(geq(X, Y), geq(X, IntConst(0))) == UNKNOWN
+    assert eng.is_satisfiable(geq(X, Y)) == UNKNOWN
+    assert eng.entails(geq(X, Y), geq(X, IntConst(0))) == UNKNOWN
+    assert len(oracle.sent) == 4
+
+
+def test_entailment_shares_the_satisfiability_entry():
+    oracle = CountingOracle(UNSAT)
+    eng = engine_mod.ConstraintEngine(oracle)
+    c, d = geq(X, IntConst(1)), geq(X, IntConst(0))
+    assert eng.is_satisfiable(mk_and(c, mk_not(d))) == UNSAT
+    assert eng.entails(c, d) == HOLDS
+    assert len(oracle.sent) == 1
+
+
+def test_transform_checks_each_query_once_up_to_renaming(insertion_sort):
+    oracle = Oracle()
+    sent = []
+    check = oracle.check
+
+    def counting(formula):
+        sent.append(display_renaming(formula).formula(formula))
+        return check(formula)
+
+    oracle.check = counting
+    eng = engine_mod.ConstraintEngine(oracle)
+    try:
+        transform_problem(insertion_sort, eng)
+    finally:
+        eng.close()
+    assert sent and len(sent) == len(set(sent))

@@ -218,3 +218,24 @@ def test_solver_naming_its_file_gets_no_spare(tmp_path):
         assert solve_file(script, config).verdict == verdict
     started = set(engine_mod._spares) | engine_mod._started
     assert not any(k[:len(config.cmd)] == tuple(config.cmd) for k in started)
+
+
+def test_bundled_solver_is_named_by_its_module(tmp_path, monkeypatch):
+    assert SolverConfig(cmd=bundled_cmd("catafuse.refsolver.horn")) \
+        .identity() == "catafuse.refsolver.horn (bundled)"
+    # a bundled child that exits with no verdict: json.tool on a non-JSON file
+    script = tmp_path / "p.smt2"
+    script.write_text("(check-sat)\n")
+    config = SolverConfig(cmd=bundled_cmd("json.tool"), timeout=30.0)
+    with pytest.raises(RuntimeError) as err:
+        solve_file(script, config)
+    assert "solver json.tool (bundled) exited with status 1" in str(err.value)
+    assert engine_mod._LAUNCH not in str(err.value)
+    # and one that cannot be launched at all
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
+    with pytest.raises(engine_mod.OracleError) as err:
+        engine_mod.Oracle(bundled_cmd("catafuse.refsolver.oracle")).check(
+            parse_problem("false.\n").queries[0].constraint)
+    assert "cannot launch catafuse.refsolver.oracle (bundled)" \
+        in str(err.value)
+    assert engine_mod._LAUNCH not in str(err.value)
