@@ -8,7 +8,10 @@ prints sat, unsat, or unknown:
 
   * unsat by bounded bottom-up derivation: constrained facts are saturated
     breadth-first; a query whose premise becomes definitively satisfiable
-    yields a refutation, so the verdict is exact. Once a cap has truncated
+    yields a refutation, so the verdict is exact. A body atom joins a fact
+    through `syntax.mgu`, and the equalities it cannot solve by syntax go to
+    the QF core with the constraints. A fact that is a variant of a stored
+    one (equal once display-renamed) is dropped. Once a cap has truncated
     something, a clause whose head predicate is full is no longer joined
     (every head it derived would be rejected), and a join state whose
     partial check already came back sat is not checked again;
@@ -33,10 +36,9 @@ import sys
 import time
 
 from ..syntax import (
-    BOOL, FALSE, TRUE, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FIff,
-    FImp, FIte, FNot, FOr, FVar, Formula, IntConst, LinExpr, NameGen, Subst,
-    Term, TermIte, Var, conjuncts, eq_of, free_vars, mk_and, mk_not,
-    term_sort, unify_terms, variant_of,
+    BOOL, FALSE, TRUE, Atom, Clause, FComp, FImp, FNot, FVar, Formula,
+    IntConst, NameGen, Subst, Term, Var, conjuncts, display_renaming, eq_of,
+    free_vars, mgu, mk_and, mk_not,
 )
 from . import qfcore
 from .smtparse import SmtContext, UnsupportedSmt, parse_sexps
@@ -79,56 +81,23 @@ def _expired(deadline: float | None) -> bool:
 class _Facts:
     def __init__(self, cap_per_pred: int) -> None:
         self.by_pred: dict[str, list[tuple[tuple[Term, ...], Formula]]] = {}
-        # rows by _shape key: only rows with the same key can be variants
-        self.by_shape: dict[tuple, list[tuple[tuple[Term, ...], Formula]]] = {}
+        # each fact's clause under display names: variants share it
+        self.seen: set[Clause] = set()
         self.cap = cap_per_pred
         self.saturated = True  # flips when a cap truncates anything
 
     def add(self, pred: str, args: tuple[Term, ...], c: Formula) -> bool:
         row = self.by_pred.setdefault(pred, [])
-        same = self.by_shape.setdefault(
-            (pred, tuple(_shape(t) for t in args), _shape(c)), [])
-        probe = Clause(Atom(pred, args), c, ())
-        for a2, c2 in same:
-            if variant_of(Clause(Atom(pred, a2), c2, ()), probe):
-                return False
+        f = Clause(Atom(pred, args), c, ())
+        key = display_renaming(f).clause(f)
+        if key in self.seen:
+            return False
         if len(row) >= self.cap:
             self.saturated = False
             return False
         row.append((args, c))
-        same.append((args, c))
+        self.seen.add(key)
         return True
-
-
-def _shape(x) -> tuple:
-    """A key of a term or formula that variable renaming leaves unchanged:
-    each variable is replaced by its sort, and a linear term keeps the
-    multiset of its coefficients, since variant_of may pair them in any
-    order. Variants therefore always have equal keys."""
-    t = type(x)
-    if t is Var:
-        return (Var, x.sort)
-    if t is FVar:
-        return (FVar, x.var.sort)
-    if t is IntConst or t is BoolConst:
-        return (t, x.value)
-    if t is LinExpr:
-        return (LinExpr, x.const, tuple(sorted(a for _, a in x.coeffs)))
-    if t is Ctor:
-        return (Ctor, x.sort, x.ctor, tuple(_shape(a) for a in x.args))
-    if t is FAnd or t is FOr:
-        return (t, tuple(_shape(a) for a in x.args))
-    if t is FComp:
-        return (FComp, x.rel, _shape(x.lhs), _shape(x.rhs))
-    if t is FEq:
-        return (FEq, x.sort, _shape(x.lhs), _shape(x.rhs))
-    if t is FNot:
-        return (FNot, _shape(x.arg))
-    if t is FImp or t is FIff:
-        return (t, _shape(x.lhs), _shape(x.rhs))
-    if t is FIte or t is TermIte:
-        return (t, _shape(x.cond), _shape(x.then), _shape(x.els))
-    return (t,)  # FTrue, FFalse
 
 
 class _FreshNames(NameGen):
@@ -156,6 +125,7 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
         rows = facts.by_pred.get(atom.pred, [])
         nxt = []
         for s, c, _ in state:
+            a = s.atom(atom)
             for fargs, fc in rows:
                 if _expired(budget.deadline):
                     facts.saturated = False
@@ -164,26 +134,13 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
                        sorted(free_vars(list(fargs)) | free_vars(fc),
                               key=lambda w: w.name)}
                 r = Subst(ren)
-                fargs2 = tuple(r.term(t) for t in fargs)
-                fc2 = r.formula(fc)
-                s2 = s
-                extra: list[Formula] = []
-                ok = True
-                for pa, fa in zip(atom.args, fargs2):
-                    u = unify_terms(s2.term(pa), s2.term(fa))
-                    if u is None:
-                        pa_s, fa_s = s2.term(pa), s2.term(fa)
-                        st = term_sort(pa_s)
-                        if st.is_adt:
-                            ok = False  # constructor clash
-                            break
-                        extra.append(eq_of(pa_s, fa_s, st))
-                    else:
-                        s2 = s2.compose(u)
-                if not ok:
-                    continue
-                cns = mk_and(s2.formula(c), fc2,
-                             *(s2.formula(e) for e in extra))
+                u = mgu(a, Atom(atom.pred, tuple(r.term(t) for t in fargs)))
+                if u is None:
+                    continue  # constructor clash, or a cyclic term
+                theta, residue = u
+                s2 = s.compose(theta)
+                cns = mk_and(theta.formula(c), r.compose(theta).formula(fc),
+                             *residue)
                 # prune dead partial joins early; unknown survives
                 verdict = qfcore.check_sat(
                     cns, qfcore.Budget(20_000, budget.deadline))
@@ -488,17 +445,23 @@ def solve_script(text: str, timeout: float | None = None) -> str:
     return solve_clauses(clauses, ctx.preds, timeout)
 
 
+def _usage() -> int:
+    print("usage: horn [-t seconds] file.smt2 (- for stdin)", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str]) -> int:
     args = list(argv)
     timeout = None
     if "-t" in args:
         i = args.index("-t")
-        timeout = float(args[i + 1])
+        try:
+            timeout = float(args[i + 1])
+        except (IndexError, ValueError):
+            return _usage()
         del args[i:i + 2]
     if len(args) != 1:
-        print("usage: horn [-t seconds] file.smt2 (- for stdin)",
-              file=sys.stderr)
-        return 2
+        return _usage()
     if args[0] == "-":
         text = sys.stdin.read()
     else:

@@ -776,48 +776,67 @@ def occurs(v: Var, t: Term) -> bool:
     return v in free_vars(t)
 
 
-def _unify(lhs: Term, rhs: Term, s: Subst) -> Subst | None:
+def _rigid(v: Var, t: Term) -> bool:
+    """v is t or a constructor argument of t, at any depth."""
+    return t == v or (isinstance(t, Ctor)
+                      and any(_rigid(v, a) for a in t.args))
+
+
+def _unify(lhs: Term, rhs: Term, s: Subst,
+           residue: list[Formula]) -> Subst | None:
     lhs = s.term(lhs)
     rhs = s.term(rhs)
     if lhs == rhs:
         return s
-    if isinstance(lhs, Var):
-        if occurs(lhs, rhs):
-            return None
-        return s.compose(Subst({lhs: rhs}))
-    if isinstance(rhs, Var):
-        if occurs(rhs, lhs):
-            return None
-        return s.compose(Subst({rhs: lhs}))
     if isinstance(lhs, Ctor) and isinstance(rhs, Ctor):
         if lhs.sort != rhs.sort or lhs.ctor != rhs.ctor or len(lhs.args) != len(rhs.args):
             return None
         for a, b in zip(lhs.args, rhs.args):
-            s2 = _unify(a, b, s)
-            if s2 is None:
+            s = _unify(a, b, s, residue)
+            if s is None:
                 return None
-            s = s2
         return s
-    # LIA / ite / constant subterms unify only syntactically; semantic equality
-    # is the constraint engine's job.
-    return None
+    # the left side is bound first: which variable survives decides the
+    # names in unfolded clauses and in derived facts
+    for v, t in ((lhs, rhs), (rhs, lhs)):
+        if isinstance(v, Var) and not occurs(v, t):
+            return s.compose(Subst({v: t}))
+    for v, t in ((lhs, rhs), (rhs, lhs)):
+        if isinstance(v, Var) and v.sort.is_adt and _rigid(v, t):
+            return None  # no finite term equals a constructor term inside it
+    # LIA / ite / constant subterms, and a basic variable that occurs on the
+    # other side: semantic equality is the constraint's job
+    residue.append(eq_of(lhs, rhs, term_sort(lhs)))
+    return s
 
 
 def unify_terms(lhs: Term, rhs: Term) -> Subst | None:
-    return _unify(lhs, rhs, Subst())
+    """A unifier of two terms by syntax alone: None also where `mgu` would
+    leave a residue."""
+    residue: list[Formula] = []
+    s = _unify(lhs, rhs, Subst(), residue)
+    return None if residue else s
 
 
-def mgu(a1: Atom, a2: Atom) -> Subst | None:
-    """Most general unifier of two atoms over constructor terms and variables."""
+def mgu(a1: Atom, a2: Atom) -> tuple[Subst, tuple[Formula, ...]] | None:
+    """Most general unifier of two atoms, as (unifier, residue).
+
+    Constructor terms unify structurally. Where two subterms meet that are
+    not both constructors and neither is a variable that can be bound (linear
+    terms, constants, ite, a basic variable occurring on the other side), their
+    equality is left in the residue, with the unifier applied: the atoms'
+    common instances are the unifier's instances that satisfy the residue.
+    None only for a constructor clash, or for an ADT variable that would have
+    to equal a constructor term containing it."""
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return None
     s = Subst()
+    residue: list[Formula] = []
     for x, y in zip(a1.args, a2.args):
-        s2 = _unify(x, y, s)
-        if s2 is None:
+        s = _unify(x, y, s, residue)
+        if s is None:
             return None
-        s = s2
-    return s
+    return s, tuple(s.formula(e) for e in residue)
 
 
 # ---------------------------------------------------------------------------

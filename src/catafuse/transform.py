@@ -330,11 +330,12 @@ class Transformer:
             if k.head is None or k.head.pred != a.pred:
                 continue
             k2, _ = rename_apart(k, free_vars(c), self.var_gen)
-            theta = mgu(a, k2.head)
-            if theta is None:
+            u = mgu(a, k2.head)
+            if u is None:
                 continue
+            theta, residue = u
             resolvent = mk_and(theta.formula(c.constraint),
-                               theta.formula(k2.constraint))
+                               theta.formula(k2.constraint), *residue)
             if self.engine.is_satisfiable(resolvent) == UNSAT:
                 continue  # unknown is kept, per the conservative policy
             body = tuple(theta.atom(b) for b in c.body[:atom_index]) \

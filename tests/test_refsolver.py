@@ -1,5 +1,6 @@
 """The bundled reference oracle and CHC solver."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -927,6 +928,138 @@ def test_horn_recursive_unsat_found_by_unrolling():
     assert _solve(s) == "unsat"
 
 
+LIST_INT = ("(declare-datatypes ((Lst_Int 0)) (((nil_Lst_Int) (cons_Lst_Int"
+            " (cons_Lst_Int_1 Int) (cons_Lst_Int_2 Lst_Int)))))\n")
+
+
+@pytest.mark.parametrize("script, want", [
+    # the query binds the fact's A to 0, and A > 5 must follow it there
+    ("""(declare-fun p (Int) Bool)
+(assert (forall ((A Int)) (=> (> A 5) (p A))))
+(assert (=> (p 0) false))""", "sat"),
+    # the repeated X makes the fact's A and B one variable: A = 0, B = 1 clash
+    ("""(declare-fun p (Int Int) Bool)
+(assert (forall ((A Int) (B Int)) (=> (and (= A 0) (= B 1)) (p A B))))
+(assert (forall ((X Int)) (=> (p X X) false)))""", "sat"),
+    # X+1 against 1 inside a constructor is the equation X = 0, not a clash
+    (LIST_INT + """(declare-fun p (Lst_Int) Bool)
+(assert (p (cons_Lst_Int 1 nil_Lst_Int)))
+(assert (forall ((X Int)) (=> (p (cons_Lst_Int (+ X 1) nil_Lst_Int)) false)))""",
+     "unsat"),
+], ids=["bound-to-constant", "repeated-variable", "arithmetic-in-constructor"])
+def test_horn_join_keeps_fact_constraints(script, want):
+    assert _solve(f"(set-logic HORN)\n{script}\n(check-sat)") == want
+
+
+def _random_system(rng):
+    """A small integer Horn system whose every clause variable is bounded by
+    0 <= v <= 2: (clauses as (head, body, constraint), arities). A head or a
+    body atom is (pred, args); an argument is a variable name or a constant
+    0-2; the constraint is a list of (op, a, b) with op in =, <=, !=, +1."""
+    arity = {f"p{i}": rng.randint(1, 2) for i in range(rng.randint(1, 3))}
+    preds = list(arity)
+    clauses = []
+    for k in range(rng.randint(2, 6)):
+        vs = [f"V{i}" for i in range(rng.randint(1, 3))]
+
+        def args(p):
+            return tuple(rng.choice(vs + [0, 1, 2]) for _ in range(arity[p]))
+        head = None
+        if k == 0 or rng.random() < 0.6:
+            p = rng.choice(preds)
+            head = (p, args(p))
+        body = [(p, args(p)) for p in rng.choices(preds, k=rng.randint(
+            0 if head else 1, 2))]
+        extra = [(rng.choice(("=", "<=", "!=", "+1")), rng.choice(vs),
+                  rng.choice(vs + [0, 1, 2])) for _ in range(rng.randint(0, 2))]
+        clauses.append((head, body, extra))
+    if all(h is not None for h, _, _ in clauses):
+        p = rng.choice(preds)
+        clauses.append((None, [(p, tuple(rng.choice([0, 1, 2, "V0"])
+                                         for _ in range(arity[p])))], []))
+    return clauses, arity
+
+
+def _clause_vars(clause):
+    head, body, extra = clause
+    atoms = body + ([head] if head else [])
+    names = {a for _, args in atoms for a in args} | \
+        {x for _, a, b in extra for x in (a, b)}
+    return sorted(n for n in names if isinstance(n, str))
+
+
+def _least_model_unsat(clauses, arity):
+    """Does a query fire in the least model? Exact over Int, since every
+    variable is confined to {0, 1, 2} and so is every constant."""
+    model = {p: set() for p in arity}
+    ops = {"=": lambda a, b: a == b, "<=": lambda a, b: a <= b,
+           "!=": lambda a, b: a != b, "+1": lambda a, b: a == b + 1}
+
+    def firings(clause):
+        head, body, extra = clause
+        vs = _clause_vars(clause)
+        for vals in itertools.product(range(3), repeat=len(vs)):
+            env = dict(zip(vs, vals))
+
+            def val(a):
+                return env[a] if isinstance(a, str) else a
+            if all(ops[op](val(a), val(b)) for op, a, b in extra) and all(
+                    tuple(map(val, args)) in model[p] for p, args in body):
+                yield None if head is None else (
+                    head[0], tuple(map(val, head[1])))
+
+    grew = True
+    while grew:
+        grew = False
+        for clause in clauses:
+            for fact in firings(clause):
+                if fact is None:
+                    return True
+                if fact[1] not in model[fact[0]]:
+                    model[fact[0]].add(fact[1])
+                    grew = True
+    return False
+
+
+def _smt_system(clauses, arity):
+    def atom(p, args):
+        return f"({p} {' '.join(map(str, args))})"
+
+    rel = {"=": "(= {} {})", "<=": "(<= {} {})", "!=": "(not (= {} {}))",
+           "+1": "(= {} (+ {} 1))"}
+    lines = ["(set-logic HORN)"]
+    lines += [f"(declare-fun {p} ({' '.join(['Int'] * n)}) Bool)"
+              for p, n in arity.items()]
+    for clause in clauses:
+        head, body, extra = clause
+        vs = _clause_vars(clause)
+        parts = [f"(<= 0 {v})" for v in vs] + [f"(<= {v} 2)" for v in vs]
+        parts += [rel[op].format(a, b) for op, a, b in extra]
+        parts += [atom(p, args) for p, args in body]
+        f = atom(*head) if head else "false"
+        if parts:
+            f = f"(=> (and {' '.join(parts)}) {f})"
+        if vs:
+            f = f"(forall ({' '.join(f'({v} Int)' for v in vs)}) {f})"
+        lines.append(f"(assert {f})")
+    return "\n".join(lines + ["(check-sat)"])
+
+
+def test_horn_never_contradicts_least_model():
+    """On small random integer systems, every definitive verdict agrees with
+    the least model computed by brute force."""
+    rng = random.Random(11)
+    decided = 0
+    for _ in range(400):
+        clauses, arity = _random_system(rng)
+        want = "unsat" if _least_model_unsat(clauses, arity) else "sat"
+        got = _solve(_smt_system(clauses, arity), 2)
+        if got != "unknown":
+            assert got == want, _smt_system(clauses, arity)
+            decided += 1
+    assert decided > 350
+
+
 def test_horn_honours_deadline(corpus_dir):
     """The transformed bst_insert_sat is beyond the bundled solver; every
     phase must stop at the limit instead of finishing its round or sweep."""
@@ -997,7 +1130,7 @@ def _ref_join(clause, facts, gen, limit):
                         s2 = s2.compose(u)
                 if not ok:
                     continue
-                cns = mk_and(s2.formula(c), fc2,
+                cns = mk_and(s2.formula(c), s2.formula(fc2),
                              *(s2.formula(e) for e in extra))
                 if qfcore.check_sat(cns, qfcore.Budget(20_000)) == qfcore.UNSAT:
                     continue
@@ -1232,6 +1365,15 @@ def test_horn_cli_entry(tmp_path):
         [sys.executable, "-m", "catafuse.refsolver.horn", str(f)],
         capture_output=True, text=True, timeout=120)
     assert out.stdout.split()[0] == "unsat"
+
+
+@pytest.mark.parametrize("argv", [["-t"], ["-t", "abc", "-"], ["x", "-t"]])
+def test_horn_cli_rejects_a_bad_limit(argv):
+    out = subprocess.run(
+        [sys.executable, "-m", "catafuse.refsolver.horn", *argv],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stderr.startswith("usage: horn") and "Traceback" not in out.stderr
 
 
 _SMT_ENV = {"x": X, "y": Y, "z": Var("Z", INT), "b": B1}

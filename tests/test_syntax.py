@@ -38,15 +38,15 @@ def test_mgu_repeated_head_variable_case():
     # first and third arguments coincide
     a = Atom("ins_sort", (lvar("A"), lvar("E"), lvar("C")))
     k = Atom("ins_sort", (lvar("Xs"), NIL, lvar("Xs")))
-    s = mgu(a, k)
-    assert s is not None
+    s, residue = mgu(a, k)
+    assert residue == ()
     assert s.term(lvar("A")) == s.term(lvar("C"))
     assert s.term(lvar("E")) == NIL
 
 
 def test_mgu_var_var():
-    s = mgu(Atom("p", (ivar("X"),)), Atom("p", (ivar("Y"),)))
-    assert s is not None
+    s, residue = mgu(Atom("p", (ivar("X"),)), Atom("p", (ivar("Y"),)))
+    assert residue == ()
     assert s.term(ivar("X")) == s.term(ivar("Y"))
 
 
@@ -54,10 +54,30 @@ def test_mgu_constructor_clash():
     a = Atom("p", (cons(ivar("H"), lvar("T")),))
     b = Atom("p", (NIL,))
     assert mgu(a, b) is None
+    assert mgu(b, a) is None
 
 
 def test_mgu_occurs_check():
     assert unify_terms(lvar("X"), cons(ivar("H"), lvar("X"))) is None
+    assert mgu(Atom("p", (lvar("X"),)),
+               Atom("p", (cons(ivar("H"), lvar("X")),))) is None
+
+
+def test_mgu_leaves_arithmetic_to_the_constraint():
+    # inside a constructor, X+1 against 3 is an equation, not a clash
+    x1 = lin({ivar("X"): 1}, 1)
+    s, residue = mgu(Atom("p", (cons(x1, lvar("T")),)),
+                     Atom("p", (cons(IntConst(3), lvar("T2")),)))
+    assert s.term(lvar("T")) == lvar("T2")
+    assert residue == (FComp("=", x1, IntConst(3)),)
+    # a basic variable that occurs on the other side is not bound
+    s, residue = mgu(Atom("p", (ivar("X"),)), Atom("p", (x1,)))
+    assert not s and residue == (FComp("=", ivar("X"), x1),)
+    # the residue is returned with the final unifier applied
+    s, residue = mgu(Atom("p", (x1, ivar("X"))),
+                     Atom("p", (IntConst(3), ivar("Y"))))
+    assert s.term(ivar("X")) == ivar("Y")
+    assert residue == (FComp("=", lin({ivar("Y"): 1}, 1), IntConst(3)),)
 
 
 def _ground_terms(depth):
@@ -85,8 +105,8 @@ def test_mgu_is_most_general_bruteforce():
     # every common ground instance factors through the mgu
     a1 = Atom("p", (lvar("X"), cons(ivar("H"), lvar("X"))))
     a2 = Atom("p", (cons(ivar("K"), lvar("T")), lvar("Z")))
-    s = mgu(a1, a2)
-    assert s is not None
+    s, residue = mgu(a1, a2)
+    assert residue == ()
     found = 0
     for g1 in _ground_instances(a1, 1):
         inst = g1.atom(a1)
@@ -96,8 +116,8 @@ def test_mgu_is_most_general_bruteforce():
             found += 1
             # inst must be an instance of the unified atom
             base = s.atom(a1)
-            rho = mgu(base, inst)
-            assert rho is not None
+            rho, residue = mgu(base, inst)
+            assert residue == ()
             assert rho.atom(base) == inst
     assert found > 0
 
