@@ -302,9 +302,6 @@ class _Builder:
         self.sorts = SortTable()
         self.preds: dict[str, PredDecl] = {}
         self.ctor_sort: dict[str, SortDef] = {}
-        self.program: list[Clause] = []
-        self.properties: list[Clause] = []
-        self.queries: list[Clause] = []
         self.gen = NameGen("F")
 
     def register_sortdef(self, sd: SortDef) -> None:
@@ -533,16 +530,23 @@ def _parse_sortname(p: _Parser, b: _Builder) -> Sort:
     raise ParseError(f"expected a sort, found {t.text!r}", t.line, t.col)
 
 
-def _parse_pred(p: _Parser, b: _Builder) -> None:
-    p.expect("pred")
+def _declared_name(p: _Parser, b: _Builder, what: str) -> Tok:
+    """The name a `pred` or `cata` declaration introduces: new, and outside
+    the true_* namespace of the transformer's structural carriers."""
     name = p.next()
     if name.kind != "id":
-        raise ParseError("predicate name expected", name.line, name.col)
+        raise ParseError(f"{what} name expected", name.line, name.col)
     if name.text in b.preds:
         raise ParseError(f"predicate {name.text} declared twice",
                          name.line, name.col)
     if name.text.startswith("true_"):
         raise ParseError("the true_* namespace is reserved", name.line, name.col)
+    return name
+
+
+def _parse_pred(p: _Parser, b: _Builder) -> None:
+    p.expect("pred")
+    name = _declared_name(p, b, "predicate")
     p.expect("(")
     sorts: list[Sort] = []
     if not p.at(")"):
@@ -557,12 +561,7 @@ def _parse_pred(p: _Parser, b: _Builder) -> None:
 
 def _parse_cata(p: _Parser, b: _Builder) -> None:
     p.expect("cata")
-    name = p.next()
-    if name.kind != "id":
-        raise ParseError("catamorphism name expected", name.line, name.col)
-    if name.text in b.preds:
-        raise ParseError(f"predicate {name.text} declared twice",
-                         name.line, name.col)
+    name = _declared_name(p, b, "catamorphism")
     p.expect("(")
     p.expect("in:")
     ins: list[Sort] = []

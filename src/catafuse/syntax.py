@@ -878,128 +878,75 @@ def rename_apart(c: Clause, avoid: set[Var], gen: NameGen) -> tuple[Clause, Subs
 # Variant matching (clause isomorphism modulo variable renaming)
 # ---------------------------------------------------------------------------
 
-def _match_term(pat: Term, t: Term, bij: dict[Var, Var], rev: dict[Var, Var]) -> bool:
+def _match(pat, t, bij: dict[Var, Var], rev: dict[Var, Var]) -> Iterator[None]:
+    """Yield once for each extension of the variable bijection `bij` (from
+    pattern to target variables; `rev` is its inverse) under which `pat`
+    equals `t`: terms, formulas and atoms field by field, sequences in
+    order, the summands of a linear term in any order.
+
+    Each extension is made in place and undone before the next is sought,
+    so matchers run one inside another backtrack into each other's choices:
+    a pairing of summands is revised when a later part of the clause fails.
+    """
     if isinstance(pat, Var):
-        if not isinstance(t, Var) or pat.sort != t.sort:
-            return False
         if pat in bij:
-            return bij[pat] == t
-        if t in rev:
-            return False
-        bij[pat] = t
-        rev[t] = pat
-        return True
-    if isinstance(pat, (IntConst, BoolConst)):
-        return pat == t
-    if isinstance(pat, LinExpr):
-        if not isinstance(t, LinExpr) or pat.const != t.const:
-            return False
-        if len(pat.coeffs) != len(t.coeffs):
-            return False
-        # Coefficient multisets must correspond under the bijection; try in order
-        # of the pattern, matching each var to an unused counterpart.
-        used: set[int] = set()
-        for v, a in pat.coeffs:
-            ok = False
-            for i, (w, b) in enumerate(t.coeffs):
-                if i in used or a != b:
-                    continue
-                save_b, save_r = dict(bij), dict(rev)
-                if _match_term(v, w, bij, rev):
-                    used.add(i)
-                    ok = True
-                    break
-                bij.clear(); bij.update(save_b)
-                rev.clear(); rev.update(save_r)
-            if not ok:
-                return False
-        return True
-    if isinstance(pat, Ctor):
-        if not isinstance(t, Ctor) or pat.sort != t.sort or pat.ctor != t.ctor:
-            return False
-        return all(_match_term(a, b, bij, rev) for a, b in zip(pat.args, t.args))
-    if isinstance(pat, TermIte):
-        return (isinstance(t, TermIte)
-                and _match_formula(pat.cond, t.cond, bij, rev)
-                and _match_term(pat.then, t.then, bij, rev)
-                and _match_term(pat.els, t.els, bij, rev))
-    return False
+            if bij[pat] == t:
+                yield
+        elif isinstance(t, Var) and t not in rev and pat.sort == t.sort:
+            bij[pat], rev[t] = t, pat
+            yield
+            del bij[pat], rev[t]
+    elif isinstance(pat, tuple):
+        if isinstance(t, tuple) and len(pat) == len(t):
+            yield from _match_seq(pat, t, 0, bij, rev)
+    elif type(pat) is type(t):
+        if isinstance(pat, LinExpr):
+            if pat.const == t.const:
+                yield from _match_multiset(pat.coeffs, t.coeffs, bij, rev)
+        elif isinstance(pat, (Term, Formula, Atom)):
+            fields = type(pat).__match_args__
+            yield from _match_seq(tuple(getattr(pat, f) for f in fields),
+                                  tuple(getattr(t, f) for f in fields),
+                                  0, bij, rev)
+        elif pat == t:
+            yield
 
 
-def _match_formula(pat: Formula, f: Formula, bij: dict[Var, Var], rev: dict[Var, Var]) -> bool:
-    if type(pat) is not type(f):
-        return False
-    if isinstance(pat, (FTrue, FFalse)):
-        return True
-    if isinstance(pat, FVar):
-        return _match_term(pat.var, f.var, bij, rev)
-    if isinstance(pat, FNot):
-        return _match_formula(pat.arg, f.arg, bij, rev)
-    if isinstance(pat, (FAnd, FOr)):
-        if len(pat.args) != len(f.args):
-            return False
-        return all(_match_formula(a, b, bij, rev) for a, b in zip(pat.args, f.args))
-    if isinstance(pat, (FImp, FIff)):
-        return (_match_formula(pat.lhs, f.lhs, bij, rev)
-                and _match_formula(pat.rhs, f.rhs, bij, rev))
-    if isinstance(pat, FIte):
-        return (_match_formula(pat.cond, f.cond, bij, rev)
-                and _match_formula(pat.then, f.then, bij, rev)
-                and _match_formula(pat.els, f.els, bij, rev))
-    if isinstance(pat, FComp):
-        return (pat.rel == f.rel and _match_term(pat.lhs, f.lhs, bij, rev)
-                and _match_term(pat.rhs, f.rhs, bij, rev))
-    if isinstance(pat, FEq):
-        return (pat.sort == f.sort and _match_term(pat.lhs, f.lhs, bij, rev)
-                and _match_term(pat.rhs, f.rhs, bij, rev))
-    return False
+def _match_seq(pats: tuple, ts: tuple, i: int,
+               bij: dict[Var, Var], rev: dict[Var, Var]) -> Iterator[None]:
+    """`_match` on equally long sequences from position i on."""
+    if i == len(pats):
+        yield
+        return
+    for _ in _match(pats[i], ts[i], bij, rev):
+        yield from _match_seq(pats, ts, i + 1, bij, rev)
 
 
-def _match_atoms_multiset(pats: tuple[Atom, ...], ats: tuple[Atom, ...],
-                          bij: dict[Var, Var], rev: dict[Var, Var]) -> bool:
+def _match_multiset(pats: tuple, ts: tuple,
+                    bij: dict[Var, Var], rev: dict[Var, Var]) -> Iterator[None]:
+    """`_match` on sequences taken as multisets."""
     if not pats:
-        return not ats
-    pat = pats[0]
-    for i, a in enumerate(ats):
-        if a.pred != pat.pred or len(a.args) != len(pat.args):
-            continue
-        save_b, save_r = dict(bij), dict(rev)
-        if all(_match_term(p, t, bij, rev) for p, t in zip(pat.args, a.args)):
-            if _match_atoms_multiset(pats[1:], ats[:i] + ats[i + 1:], bij, rev):
-                return True
-        bij.clear(); bij.update(save_b)
-        rev.clear(); rev.update(save_r)
-    return False
+        if not ts:
+            yield
+        return
+    for i, t in enumerate(ts):
+        for _ in _match(pats[0], t, bij, rev):
+            yield from _match_multiset(pats[1:], ts[:i] + ts[i + 1:], bij, rev)
 
 
 def variant_of(c1: Clause, c2: Clause, ordered_body: bool = False) -> bool:
     """True iff c1 and c2 are equal modulo a variable bijection.
 
     Body atoms are matched as a multiset unless ordered_body is set; the
-    constraint is compared structurally (same And-flattened shape).
+    constraint is compared structurally (same And-flattened shape), up to
+    the order of the summands of each linear term.
     """
-    if (c1.head is None) != (c2.head is None):
-        return False
     bij: dict[Var, Var] = {}
     rev: dict[Var, Var] = {}
-    if c1.head is not None:
-        if c1.head.pred != c2.head.pred or len(c1.head.args) != len(c2.head.args):
-            return False
-        if not all(_match_term(p, t, bij, rev)
-                   for p, t in zip(c1.head.args, c2.head.args)):
-            return False
-    if not _match_formula(c1.constraint, c2.constraint, bij, rev):
-        return False
-    if ordered_body:
-        if len(c1.body) != len(c2.body):
-            return False
-        for a, b in zip(c1.body, c2.body):
-            if a.pred != b.pred or len(a.args) != len(b.args):
-                return False
-            if not all(_match_term(p, t, bij, rev) for p, t in zip(a.args, b.args)):
-                return False
-        return True
-    return _match_atoms_multiset(c1.body, c2.body, bij, rev)
+    body = _match if ordered_body else _match_multiset
+    return any(True for _ in _match((c1.head, c1.constraint),
+                                    (c2.head, c2.constraint), bij, rev)
+               for _ in body(tuple(c1.body), tuple(c2.body), bij, rev))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ Conventions that matter for reading this module:
   * a Definition is  newp(U) <- c, folds..., A  with A a program atom; the
     case with no program atom uses the structural builtin true_<sort>(T),
     whose clauses walk the ADT so that unfolding can consume the folds;
-  * real program predicates get at most one definition each; true_*
-    definitions are keyed by their exact fold signature, so several can
-    coexist when differently-shaped orphan groups need carriers;
+  * the fold group of a body atom (program or true_*) is the catamorphism
+    atoms that share an ADT variable with it (Transformer.fold_groups);
+  * each definition has one slot (_slot): a program predicate has one, a
+    true_* carrier one per catamorphism signature of its fold group, so
+    differently-shaped orphan groups get carriers of their own;
   * matching a definition against a clause (for Skip/Extend/Fold/extension
     checks) renames the definition, never the clause: program atom first,
     then each clause catamorphism to a definition catamorphism with the same
@@ -106,9 +108,6 @@ class Definition:
         return Clause(self.head, self.constraint,
                       self.catas + (self.prog,), origin="define")
 
-    def cata_signature(self) -> tuple[tuple[str, int], ...]:
-        return cata_sig(self.catas)
-
 
 def cata_sig(catas: list[Atom] | tuple[Atom, ...]) -> tuple[tuple[str, int], ...]:
     counts: dict[str, int] = {}
@@ -117,14 +116,20 @@ def cata_sig(catas: list[Atom] | tuple[Atom, ...]) -> tuple[tuple[str, int], ...
     return tuple(sorted(counts.items()))
 
 
+TRUE_PREFIX = "true_"
+
+
+def _slot(pred: str, catas: list[Atom] | tuple[Atom, ...]) -> str | tuple:
+    """The slot of a definition of `pred` whose fold group is `catas`."""
+    return (pred, cata_sig(catas)) if pred.startswith(TRUE_PREFIX) else pred
+
+
 class DefinitionSet:
-    """Monovariant for real program predicates; true_* slots are keyed by
-    exact catamorphism signature."""
+    """The definitions in introduction order, at most one per slot."""
 
     def __init__(self) -> None:
         self.order: list[Definition] = []
-        self.by_pred: dict[str, Definition] = {}
-        self.by_true: dict[tuple[str, tuple], Definition] = {}
+        self.by_pred: dict[str | tuple, Definition] = {}
 
     def __len__(self) -> int:
         return len(self.order)
@@ -132,31 +137,22 @@ class DefinitionSet:
     def __iter__(self):
         return iter(self.order)
 
-    def lookup(self, prog_pred: str, sig: tuple, is_true: bool) -> Definition | None:
-        if is_true:
-            return self.by_true.get((prog_pred, sig))
-        return self.by_pred.get(prog_pred)
+    def lookup(self, prog: Atom, catas: list[Atom]) -> Definition | None:
+        return self.by_pred.get(_slot(prog.pred, catas))
 
-    def add(self, d: Definition, is_true: bool) -> None:
+    def add(self, d: Definition) -> None:
+        slot = _slot(d.prog.pred, d.catas)
+        if slot in self.by_pred:
+            raise TransformError(f"definition slot {slot} is taken")
         self.order.append(d)
-        if is_true:
-            key = (d.prog.pred, d.cata_signature())
-            if key in self.by_true:
-                raise TransformError(f"duplicate true-definition slot {key}")
-            self.by_true[key] = d
-        else:
-            if d.prog.pred in self.by_pred:
-                raise TransformError(
-                    f"monovariance violated for {d.prog.pred}")
-            self.by_pred[d.prog.pred] = d
+        self.by_pred[slot] = d
 
-    def replace(self, old: Definition, new: Definition, is_true: bool) -> None:
+    def replace(self, old: Definition, new: Definition) -> None:
+        """Put `new` in `old`'s place in the order; a true_* Extend can
+        change the slot."""
         self.order[self.order.index(old)] = new
-        if is_true:
-            del self.by_true[(old.prog.pred, old.cata_signature())]
-            self.by_true[(new.prog.pred, new.cata_signature())] = new
-        else:
-            self.by_pred[new.prog.pred] = new
+        del self.by_pred[_slot(old.prog.pred, old.catas)]
+        self.by_pred[_slot(new.prog.pred, new.catas)] = new
 
     def snapshot(self) -> list[Definition]:
         return list(self.order)
@@ -187,12 +183,12 @@ def _bind(sigma: dict[Var, Term], taken: set[Var], dv: Term, ct: Term) -> None:
 
 
 def match_definition(d: Definition, atom: Atom, catas: list[Atom],
-                     gen: NameGen, require_all: bool = True
-                     ) -> tuple[Subst, set[int]]:
+                     gen: NameGen) -> tuple[Subst, set[int]]:
     """Rename d so its program atom equals `atom` and its catamorphism atoms
     cover `catas` (same predicate, same structural argument). Returns the
-    renaming and the set of indices of `catas` that found a counterpart.
-    Unmatched definition variables go to fresh ones."""
+    renaming and the set of indices of `catas` that found a counterpart;
+    callers that need every atom covered check the set. Unmatched
+    definition variables go to fresh ones."""
     if d.prog.pred != atom.pred or len(d.prog.args) != len(atom.args):
         raise MatchError("program atom mismatch")
     sigma: dict[Var, Term] = {}
@@ -202,7 +198,6 @@ def match_definition(d: Definition, atom: Atom, catas: list[Atom],
     matched_clause: set[int] = set()
     used_def: set[int] = set()
     for i, ca in enumerate(catas):
-        found = False
         for j, da in enumerate(d.catas):
             if j in used_def or da.pred != ca.pred:
                 continue
@@ -221,10 +216,7 @@ def match_definition(d: Definition, atom: Atom, catas: list[Atom],
             sigma, taken = trial, trial_taken
             used_def.add(j)
             matched_clause.add(i)
-            found = True
             break
-        if not found and require_all:
-            raise MatchError(f"no counterpart for {ca}")
     for v in vars_in_order([da for j, da in enumerate(d.catas)
                             if j not in used_def]):
         if v not in sigma:
@@ -243,9 +235,6 @@ def _adt_pos(a: Atom) -> int:
 # ---------------------------------------------------------------------------
 # Transformer
 # ---------------------------------------------------------------------------
-
-TRUE_PREFIX = "true_"
-
 
 def true_pred_name(sort: Sort) -> str:
     return TRUE_PREFIX + sort.name.replace("(", "_").replace(")", "")
@@ -270,10 +259,9 @@ class Transformer:
         self.log = DerivationLog()
         self.pred_gen = 0
         self.var_gen = NameGen("V")
-        self.kinds = {n: d.kind for n, d in problem.preds.items()}
+        # the problem's predicates, then each introduced one as it is made
         self.decls: dict[str, PredDecl] = dict(problem.preds)
         self.true_clauses: list[Clause] = []
-        self.new_decls: dict[str, PredDecl] = {}
         # the last definition_step's unfolded and strengthened clauses, and
         # the log records that computing them wrote
         self.last_round: tuple[list[Clause], list[LogRecord]] = ([], [])
@@ -288,7 +276,7 @@ class Transformer:
         return f"new{self.pred_gen}"
 
     def _kind(self, pred: str) -> str:
-        return self.kinds[pred]
+        return self.decls[pred].kind
 
     def is_program_kind(self, pred: str) -> bool:
         return self._kind(pred) in (PRED_PROGRAM, PRED_TRUE)
@@ -302,10 +290,7 @@ class Transformer:
         sort = term_sort(t)
         name = true_pred_name(sort)
         if name not in self.decls:
-            decl = PredDecl(name, (sort,), PRED_TRUE)
-            self.decls[name] = decl
-            self.kinds[name] = PRED_TRUE
-            self.new_decls[name] = decl
+            self.decls[name] = PredDecl(name, (sort,), PRED_TRUE)
             sd = self.problem.sorts.resolve(sort)
             for c in sd.ctors:
                 args = tuple(Var(f"T{i}", s) for i, s in enumerate(c.arg_sorts))
@@ -419,17 +404,12 @@ class Transformer:
         return new
 
     def _attach_orphans(self, c: Clause) -> Clause:
-        covered: set[Var] = set()
-        for a in c.body:
-            if self.is_program_kind(a.pred):
-                covered |= free_vars(a, "adt")
-        orphan_ts: list[Var] = []
-        for a in c.body:
-            if self.is_cata(a.pred):
-                t = a.args[_adt_pos(a)]
-                if isinstance(t, Var) and t not in covered \
-                        and t not in orphan_ts:
-                    orphan_ts.append(t)
+        # driving has made the structural argument of every catamorphism
+        # atom a variable, so an orphan's carrier is true_<sort>(that variable)
+        grouped = {b for _, group in self.fold_groups(c) for b in group}
+        orphan_ts = list(dict.fromkeys(
+            b.args[_adt_pos(b)] for b in c.body
+            if self.is_cata(b.pred) and b not in grouped))
         if not orphan_ts:
             return c
         body = tuple(c.body) + tuple(self.true_atom(t) for t in orphan_ts)
@@ -507,27 +487,28 @@ class Transformer:
 
     # -- folding -------------------------------------------------------------------
 
-    def fold_clause(self, c: Clause, defs: DefinitionSet) -> Clause:
+    def fold_groups(self, c: Clause) -> list[tuple[Atom, list[Atom]]]:
+        """Each program or true_* atom of c's body, in body order, with the
+        catamorphism atoms of the body that share an ADT variable with it."""
+        catas = [b for b in c.body if self.is_cata(b.pred)]
         groups: list[tuple[Atom, list[Atom]]] = []
-        consumed: set[int] = set()
-        catas = [(i, b) for i, b in enumerate(c.body) if self.is_cata(b.pred)]
-        for b in c.body:
-            if not self.is_program_kind(b.pred):
-                continue
-            adt = free_vars(b, "adt")
-            group = [ca for i, ca in catas if free_vars(ca, "adt") & adt]
-            for i, ca in catas:
-                if free_vars(ca, "adt") & adt:
-                    consumed.add(i)
-            groups.append((b, group))
-        if len(consumed) != len(catas):
+        for a in c.body:
+            if self.is_program_kind(a.pred):
+                adt = free_vars(a, "adt")
+                groups.append((a, [b for b in catas
+                                   if free_vars(b, "adt") & adt]))
+        return groups
+
+    def fold_clause(self, c: Clause, defs: DefinitionSet) -> Clause:
+        groups = self.fold_groups(c)
+        grouped = {b for _, group in groups for b in group}
+        if grouped != {b for b in c.body if self.is_cata(b.pred)}:
             raise TransformError(
                 "internal: catamorphism atom attached to no program atom")
 
         heads: list[Atom] = []
         for a, group in groups:
-            d = defs.lookup(a.pred, cata_sig(group),
-                            self._kind(a.pred) == PRED_TRUE)
+            d = defs.lookup(a, group)
             if d is None:
                 raise TransformError(
                     f"no definition available to fold {a.pred} "
@@ -535,9 +516,12 @@ class Transformer:
             if variant_of(d.clause(), c):
                 raise TransformError("folding a clause using itself")
             try:
-                sigma, _ = match_definition(d, a, group, self.var_gen)
+                sigma, matched = match_definition(d, a, group, self.var_gen)
             except MatchError as e:
                 raise TransformError(f"fold match failed for {a.pred}: {e}")
+            if len(matched) != len(group):
+                raise TransformError(f"fold match failed for {a.pred}: a "
+                                     f"catamorphism atom has no counterpart")
             ent = self.engine.entails(c.constraint, sigma.formula(d.constraint))
             if ent != HOLDS:
                 raise TransformError(
@@ -555,43 +539,29 @@ class Transformer:
         anything actually changed (Project or a proper Extend)."""
         changed = False
         for c in cls:
-            for a in c.body:
-                if not self.is_program_kind(a.pred):
-                    continue
-                adt = free_vars(a, "adt")
-                group = [b for b in c.body if self.is_cata(b.pred)
-                         and free_vars(b, "adt") & adt]
-                is_true = self._kind(a.pred) == PRED_TRUE
-                existing = defs.lookup(a.pred, cata_sig(group), is_true)
-                if existing is not None:
-                    if self._skip_or_extend(c, a, group, existing, defs, is_true):
-                        changed = True
-                else:
-                    self._project(c, a, group, defs, is_true)
+            for a, group in self.fold_groups(c):
+                existing = defs.lookup(a, group)
+                if existing is None:
+                    self._project(c, a, group, defs)
+                    changed = True
+                elif self._skip_or_extend(c, a, group, existing, defs):
                     changed = True
         return changed
 
     def _skip_or_extend(self, c: Clause, a: Atom, group: list[Atom],
-                        d: Definition, defs: DefinitionSet,
-                        is_true: bool) -> bool:
+                        d: Definition, defs: DefinitionSet) -> bool:
         try:
-            sigma, matched = match_definition(d, a, group, self.var_gen,
-                                              require_all=True)
-            if self.engine.entails(c.constraint,
-                                   sigma.formula(d.constraint)) == HOLDS:
-                return False  # Skip
-            full_match = True
-        except MatchError:
-            try:
-                sigma, matched = match_definition(d, a, group, self.var_gen,
-                                                  require_all=False)
-            except MatchError as e:
-                raise TransformError(
-                    f"definition for {a.pred} cannot be matched: {e}")
-            full_match = False
+            sigma, matched = match_definition(d, a, group, self.var_gen)
+        except MatchError as e:
+            raise TransformError(
+                f"definition for {a.pred} cannot be matched: {e}")
+        full_match = len(matched) == len(group)
+        d_constraint = sigma.formula(d.constraint)
+        if full_match and \
+                self.engine.entails(c.constraint, d_constraint) == HOLDS:
+            return False  # Skip
 
         # Extend
-        d_constraint = sigma.formula(d.constraint)
         widened = self.engine.generalize(d_constraint, c.constraint)
         b_prime = [sigma.atom(b) for b in d.catas] + \
             [ca for i, ca in enumerate(group) if i not in matched]
@@ -600,13 +570,13 @@ class Transformer:
         new = self._mk_definition(tuple(b_prime), a, widened)
         assert def_extends(d, new, self.engine), \
             "Extend must produce an extension"
-        defs.replace(d, new, is_true)
+        defs.replace(d, new)
         self.log.add("define.extend", f"{d.name} -> {new.name} for {a.pred}",
                      [d.clause()], [new.clause()])
         return True
 
     def _project(self, c: Clause, a: Atom, group: list[Atom],
-                 defs: DefinitionSet, is_true: bool) -> None:
+                 defs: DefinitionSet) -> None:
         inputs: set[Var] = set()
         for ca in group:
             decl = self.decls[ca.pred]
@@ -614,7 +584,7 @@ class Transformer:
             inputs |= {x for x in xs if isinstance(x, Var)}
         projected = self.engine.project(c.constraint, inputs)
         new = self._mk_definition(tuple(group), a, projected)
-        defs.add(new, is_true)
+        defs.add(new)
         self.log.add("define.project", f"{new.name} for {a.pred}", [c],
                      [new.clause()])
 
@@ -625,10 +595,8 @@ class Transformer:
         head = Atom(name, head_vars)
         d = Definition(name, head, constraint, catas, prog)
         _check_definition_conditions(d)
-        decl = PredDecl(name, tuple(v.sort for v in head_vars), PRED_PROGRAM)
-        self.decls[name] = decl
-        self.kinds[name] = PRED_PROGRAM
-        self.new_decls[name] = decl
+        self.decls[name] = PredDecl(name, tuple(v.sort for v in head_vars),
+                                    PRED_PROGRAM)
         return d
 
     # -- the definition-set operator and its fixpoint ----------------------------------
@@ -687,7 +655,9 @@ class Transformer:
         leftovers = [c for c in self.problem.properties
                      if c.head and c.head.pred in referenced]
         out.extend(leftovers)
-        return TransformResult(out, dict(self.new_decls), defs.snapshot(),
+        new_preds = {n: d for n, d in self.decls.items()
+                     if n not in self.problem.preds}
+        return TransformResult(out, new_preds, defs.snapshot(),
                                iterations, self.log)
 
 
@@ -715,10 +685,11 @@ def def_extends(d1: Definition, d2: Definition,
         return False
     gen = NameGen("x")
     try:
-        sigma, _ = match_definition(d2, d1.prog, list(d1.catas), gen)
+        sigma, matched = match_definition(d2, d1.prog, list(d1.catas), gen)
     except MatchError:
         return False
-    return engine.entails(d1.constraint, sigma.formula(d2.constraint)) == HOLDS
+    return len(matched) == len(d1.catas) and \
+        engine.entails(d1.constraint, sigma.formula(d2.constraint)) == HOLDS
 
 
 def _assert_monotone(before: list[Definition], after: DefinitionSet,

@@ -21,7 +21,8 @@ from catafuse.parser import parse_problem
 from catafuse.solver import SolverConfig, run_bench
 from catafuse.syntax import (BOOL, FComp, FVar, INT, IntConst, PRED_TRUE,
                              TRUE, Var, conjuncts, lin, mk_and, mk_not)
-from catafuse.transform import DefinitionSet, Transformer, def_extends
+from catafuse.transform import (DefinitionSet, Transformer, cata_sig,
+                                def_extends)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -135,7 +136,7 @@ def test_criterion_2_fixpoint_content(engine):
         t0 = time.monotonic()
         tr = Transformer(_fixture(), engine)
         defs, _ = tr.definition_fixpoint()
-        got = {(d.prog.pred, d.cata_signature()) for d in defs}
+        got = {(d.prog.pred, cata_sig(d.catas)) for d in defs}
         assert got == {
             ("ins_sort", (("ordered", 2),)),
             ("ord_ins", (("first", 1), ("last", 1), ("ordered", 3))),
@@ -205,7 +206,7 @@ def test_criterion_6_termination_and_monotonicity():
                     changed = tr.definition_step(defs)
                     snaps.append(defs.snapshot())
                     per_pred = [d.prog.pred for d in defs
-                                if tr.kinds[d.prog.pred] != PRED_TRUE]
+                                if tr.decls[d.prog.pred].kind != PRED_TRUE]
                     assert len(per_pred) == len(set(per_pred)), path.name
                     if not changed:
                         break

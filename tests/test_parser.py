@@ -112,6 +112,8 @@ def test_duplicate_query_rejected():
 def test_reserved_true_namespace():
     with pytest.raises(ParseError, match="reserved"):
         parse_problem("pred true_list_int(list(int)).\n")
+    with pytest.raises(ParseError, match="reserved"):
+        parse_problem("cata true_list_int(in:, adt: list(int), out: int).\n")
 
 
 def test_custom_adt_declaration():

@@ -192,6 +192,18 @@ def test_variant_requires_bijection():
     assert not variant_of(c3, c1)
 
 
+def test_variant_revises_a_pairing_of_summands():
+    """D+E pairs D with D and E with E first; only swapping them maps the
+    rest of the clause, so the first pairing must be revised."""
+    c1, c2 = parser.parse_problem(
+        "pred p(int).\n"
+        "p(C) :- C = D+E+1, E = 0, D = F+1.\n"
+        "p(C) :- C = D+E+1, D = 0, E = F+1.\n").program
+    assert variant_of(c1, c2)
+    assert variant_of(c2, c1)
+    assert variant_of(c1, c2, ordered_body=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.permutations(["p", "q", "r"]))
 def test_variant_body_is_multiset(order):

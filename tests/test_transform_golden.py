@@ -7,7 +7,7 @@ import pytest
 from catafuse.engine import ConstraintEngine
 from catafuse.parser import parse_problem
 from catafuse.syntax import variant_of
-from catafuse.transform import (DefinitionSet, Transformer,
+from catafuse.transform import (DefinitionSet, Transformer, cata_sig,
                                 transform_problem)
 
 GOLD = """
@@ -139,7 +139,7 @@ EXPECTED_SIGNATURES = {
 
 def test_fixpoint_has_the_seven_definitions(tr, engine):
     defs, iterations = tr.definition_fixpoint()
-    got = {(d.prog.pred, d.cata_signature()) for d in defs}
+    got = {(d.prog.pred, cata_sig(d.catas)) for d in defs}
     assert got == EXPECTED_SIGNATURES
     assert len(defs) == 7
     assert iterations <= 5
@@ -189,7 +189,7 @@ def test_equality_propagated_base_clause(insertion_sort):
     ins_def = next(d for d in res.definitions if d.prog.pred == "ins_sort")
     true_def = next(d for d in res.definitions
                     if d.prog.pred == "true_list_int"
-                    and d.cata_signature() == (("ordered", 1),))
+                    and cata_sig(d.catas) == (("ordered", 1),))
     base = next(c for c in res.clauses
                 if c.head is not None and c.head.pred == ins_def.name
                 and len(c.body) == 1 and c.body[0].pred == true_def.name)

@@ -8,9 +8,10 @@ from catafuse.catas import io_split
 from catafuse.engine import ConstraintEngine
 from catafuse.parser import parse_problem
 from catafuse.syntax import (INT, PRED_TRUE, TRUE, Atom, Clause, FComp,
-                             IntConst, Var, conjuncts, free_vars, mk_and)
-from catafuse.transform import (DefinitionSet, TransformError, Transformer,
-                                def_extends, propagate_equalities,
+                             IntConst, Var, conjuncts, free_vars, list_sort,
+                             mk_and)
+from catafuse.transform import (Definition, DefinitionSet, TransformError,
+                                Transformer, def_extends, propagate_equalities,
                                 transform_problem)
 
 
@@ -37,7 +38,7 @@ def test_monovariance_every_iteration(tr):
     defs, snaps = _iterate(tr)
     for snap in snaps:
         per_pred = [d.prog.pred for d in snap
-                    if tr.kinds[d.prog.pred] != PRED_TRUE]
+                    if tr.decls[d.prog.pred].kind != PRED_TRUE]
         assert len(per_pred) == len(set(per_pred))
 
 
@@ -80,6 +81,53 @@ def test_r1_conditions_on_introduced_definitions(tr):
         assert len(set(d.head.args)) == len(d.head.args)
         assert free_vars(d.constraint) <= body_vars
         assert free_vars(list(d.catas), "adt") <= free_vars(d.prog, "adt")
+
+
+def _definition(name, prog_pred, cata_preds):
+    t = Var("T", list_sort(INT))
+    prog = Atom(prog_pred, (t,))
+    catas = tuple(Atom(p, (t, Var(f"N{i}", INT)))
+                  for i, p in enumerate(cata_preds))
+    head = Atom(name, (t,) + tuple(a.args[1] for a in catas))
+    return Definition(name, head, TRUE, catas, prog)
+
+
+def test_definition_slot_takes_one_definition():
+    defs = DefinitionSet()
+    defs.add(_definition("new1", "app", ["len"]))
+    defs.add(_definition("new2", "true_list_int", ["len"]))
+    # a program predicate has one slot, whatever its fold group
+    with pytest.raises(TransformError):
+        defs.add(_definition("new3", "app", ["len", "sum"]))
+    with pytest.raises(TransformError):
+        defs.add(_definition("new4", "true_list_int", ["len"]))
+    assert [d.name for d in defs] == ["new1", "new2"]
+
+
+def test_true_definitions_coexist_by_signature():
+    defs = DefinitionSet()
+    one = _definition("new1", "true_list_int", ["len"])
+    two = _definition("new2", "true_list_int", ["len", "sum"])
+    defs.add(one)
+    defs.add(two)
+    assert defs.lookup(one.prog, one.catas) is one
+    assert defs.lookup(two.prog, two.catas) is two
+    assert defs.lookup(one.prog, two.catas[1:]) is None
+
+
+def test_replace_moves_a_true_definition_to_its_new_slot():
+    defs = DefinitionSet()
+    first = _definition("new1", "app", ["len"])
+    old = _definition("new2", "true_list_int", ["len"])
+    last = _definition("new3", "true_list_int", ["sum"])
+    for d in (first, old, last):
+        defs.add(d)
+    new = _definition("new4", "true_list_int", ["len", "len"])
+    defs.replace(old, new)
+    assert list(defs) == [first, new, last]
+    assert defs.lookup(new.prog, new.catas) is new
+    assert defs.lookup(old.prog, old.catas) is None
+    assert defs.lookup(last.prog, last.catas) is last
 
 
 def test_functionality_leaves_no_duplicate_catas(tr):

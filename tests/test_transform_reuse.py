@@ -32,7 +32,9 @@ def reference_transform_all(tr: Transformer) -> TransformResult:
     leftovers = [c for c in tr.problem.properties
                  if c.head and c.head.pred in referenced]
     out.extend(leftovers)
-    return TransformResult(out, dict(tr.new_decls), defs.snapshot(),
+    new_preds = {n: d for n, d in tr.decls.items()
+                 if n not in tr.problem.preds}
+    return TransformResult(out, new_preds, defs.snapshot(),
                            iterations, tr.log)
 
 
