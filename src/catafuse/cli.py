@@ -38,8 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--solver", help="CHC solver command "
                         "(default: $CHC_SOLVER, then z3, then the bundled one)")
+    # a string default goes through type, so CHC_TIMEOUT is checked too
     common.add_argument("--timeout", type=positive(float),
-                        default=float(os.environ.get("CHC_TIMEOUT", "300")),
+                        default=os.environ.get("CHC_TIMEOUT", "300"),
                         help="per-solve timeout in seconds (default 300)")
     common.add_argument("--max-iters", type=positive(int), default=50,
                         help="definition fixpoint iteration cap (default 50)")
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", parents=[common],
                        help="run the benchmark harness on a corpus")
     b.add_argument("corpus")
-    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--jobs", type=positive(int), default=1)
     return ap
 
 

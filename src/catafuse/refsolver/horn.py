@@ -8,13 +8,15 @@ prints sat, unsat, or unknown:
 
   * unsat by bounded bottom-up derivation: constrained facts are saturated
     breadth-first; a query whose premise becomes definitively satisfiable
-    yields a refutation, so the verdict is exact. A body atom joins a fact
-    through `syntax.mgu`, and the equalities it cannot solve by syntax go to
-    the QF core with the constraints. A fact that is a variant of a stored
-    one (equal once display-renamed) is dropped. Once a cap has truncated
-    something, a clause whose head predicate is full is no longer joined
-    (every head it derived would be rejected), and a join state whose
-    partial check already came back sat is not checked again;
+    yields a refutation, so the verdict is exact. A fact is a clause with
+    an empty body, and a clause joins facts by resolution (`syntax.resolve`)
+    on its body atoms in order, each fact renamed apart; the equalities that
+    unification cannot solve by syntax go to the QF core with the
+    constraints. A fact that is a variant of a stored one (equal once
+    display-renamed) is dropped. Once a cap has truncated something, a
+    clause whose head predicate is full is no longer joined (every head it
+    derived would be rejected), and a join state whose partial check
+    already came back sat is not checked again;
   * sat by Houdini-style invariant inference: candidate atoms are mined from
     clause constraints, query contracts, and head patterns, then pruned to
     the largest inductive conjunction; if the surviving assignment falsifies
@@ -32,13 +34,14 @@ drop-in via the driver configuration.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 
 from ..syntax import (
-    BOOL, FALSE, TRUE, Atom, Clause, FComp, FImp, FNot, FVar, Formula,
-    IntConst, NameGen, Subst, Term, Var, conjuncts, display_renaming, eq_of,
-    free_vars, mgu, mk_and, mk_not,
+    BOOL, FALSE, TRUE, Clause, FComp, FImp, FNot, FVar, Formula, IntConst,
+    NameGen, Subst, Term, Var, conjuncts, display_renaming, eq_of, free_vars,
+    mk_and, mk_not, resolve,
 )
 from . import qfcore
 from .smtparse import SmtContext, UnsupportedSmt, parse_sexps
@@ -80,22 +83,22 @@ def _expired(deadline: float | None) -> bool:
 
 class _Facts:
     def __init__(self, cap_per_pred: int) -> None:
-        self.by_pred: dict[str, list[tuple[tuple[Term, ...], Formula]]] = {}
-        # each fact's clause under display names: variants share it
+        # each fact is a clause with an empty body
+        self.by_pred: dict[str, list[Clause]] = {}
+        # each fact under display names: variants share it
         self.seen: set[Clause] = set()
         self.cap = cap_per_pred
         self.saturated = True  # flips when a cap truncates anything
 
-    def add(self, pred: str, args: tuple[Term, ...], c: Formula) -> bool:
-        row = self.by_pred.setdefault(pred, [])
-        f = Clause(Atom(pred, args), c, ())
+    def add(self, f: Clause) -> bool:
+        row = self.by_pred.setdefault(f.head.pred, [])
         key = display_renaming(f).clause(f)
         if key in self.seen:
             return False
         if len(row) >= self.cap:
             self.saturated = False
             return False
-        row.append((args, c))
+        row.append(f)
         self.seen.add(key)
         return True
 
@@ -115,57 +118,39 @@ class _FreshNames(NameGen):
 
 
 def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
-          limit: int) -> list[tuple[tuple[Term, ...] | None, Formula]]:
-    """All derivable head instances of clause from current facts."""
-    out: list[tuple[tuple[Term, ...] | None, Formula]] = []
-    # (substitution, constraint, verdict of the partial check): sat is exact,
-    # so only a state whose partial check was not sat is checked again
-    state = [(Subst(), clause.constraint, qfcore.UNKNOWN)]
+          limit: int) -> list[Clause]:
+    """The resolvents of clause with current facts on all its body atoms:
+    its derivable head instances."""
+    # (resolvent so far, verdict of its partial check): sat is exact, so
+    # only a state whose partial check was not sat is checked again
+    state = [(clause, qfcore.UNKNOWN)]
     for atom in clause.body:
-        rows = facts.by_pred.get(atom.pred, [])
         nxt = []
-        for s, c, _ in state:
-            a = s.atom(atom)
-            for fargs, fc in rows:
-                if _expired(budget.deadline):
-                    facts.saturated = False
-                    return []
-                ren = {v: gen.fresh_var(v.sort) for v in
-                       sorted(free_vars(list(fargs)) | free_vars(fc),
-                              key=lambda w: w.name)}
-                r = Subst(ren)
-                u = mgu(a, Atom(atom.pred, tuple(r.term(t) for t in fargs)))
-                if u is None:
-                    continue  # constructor clash, or a cyclic term
-                theta, residue = u
-                s2 = s.compose(theta)
-                cns = mk_and(theta.formula(c), r.compose(theta).formula(fc),
-                             *residue)
-                # prune dead partial joins early; unknown survives
-                verdict = qfcore.check_sat(
-                    cns, qfcore.Budget(20_000, budget.deadline))
-                if verdict == qfcore.UNSAT:
-                    continue
-                nxt.append((s2, cns, verdict))
-                if len(nxt) > limit:
-                    facts.saturated = False
-                    break
+        for (s, _), f in itertools.product(state, facts.by_pred.get(atom.pred, ())):
+            if _expired(budget.deadline):
+                facts.saturated = False
+                return []
+            ren = {v: gen.fresh_var(v.sort)
+                   for v in sorted(free_vars(f), key=lambda w: w.name)}
+            r = resolve(s, 0, Subst(ren).clause(f))
+            # prune dead partial joins early; unknown survives
+            verdict = qfcore.UNSAT if r is None else qfcore.check_sat(
+                r.constraint, qfcore.Budget(20_000, budget.deadline))
+            if verdict != qfcore.UNSAT:
+                nxt.append((r, verdict))
             if len(nxt) > limit:
+                facts.saturated = False
                 break
         state = nxt
-        if not state:
-            return []
-    for s, c, verdict in state:
+    out = []
+    for r, verdict in state:
         if verdict != qfcore.SAT:
-            verdict = qfcore.check_sat(c, qfcore.Budget(60_000, budget.deadline))
-        if verdict == qfcore.UNSAT:
-            continue
-        if verdict == qfcore.UNKNOWN:
+            verdict = qfcore.check_sat(r.constraint,
+                                       qfcore.Budget(60_000, budget.deadline))
+        if verdict == qfcore.SAT:
+            out.append(r)
+        elif verdict == qfcore.UNKNOWN:
             facts.saturated = False
-            continue
-        head = None if clause.head is None else tuple(
-            s.term(t) for t in clause.head.args)
-        out.append((head, c))
     return out
 
 
@@ -186,8 +171,8 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
             # facts.add would reject every head: a variant, or over the cap
             if not facts.saturated and len(facts.by_pred.get(c.head.pred, ())) >= cap:
                 continue
-            for head, cns in _join(c, facts, gen, budget, joins):
-                if facts.add(c.head.pred, head, cns):
+            for f in _join(c, facts, gen, budget, joins):
+                if facts.add(f):
                     grew = True
         for q in queries:
             if _join(q, facts, gen, budget, joins):
@@ -341,8 +326,8 @@ def _preprune(inv: dict[str, list[Formula]], samples: dict, pv: dict,
             continue
         keep: list[Formula] = []
         vs = _pos_vars(pred, preds[pred], pv)
-        substs = [(Subst({v: t for v, t in zip(vs, args)}), cns)
-                  for args, cns in rows]
+        substs = [(Subst(dict(zip(vs, f.head.args))), f.constraint)
+                  for f in rows]
         enc = qfcore.Encoding()
         for i, cand in enumerate(cands):
             if _expired(deadline):

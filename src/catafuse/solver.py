@@ -27,10 +27,10 @@ from pathlib import Path
 
 from .engine import (ConstraintEngine, OracleError, _discard, bundled_cmd,
                      command_name, stderr_tail, take_child)
-from .parser import ParseError, parse_problem
+from .parser import parse_problem
 from .smtlib import emit_smtlib
 from .syntax import Problem
-from .transform import TransformError, transform_problem, transformed_problem
+from .transform import transform_problem, transformed_problem
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -224,12 +224,11 @@ def bench_one(path: Path, config: SolverConfig) -> BenchRow:
         finally:
             engine.close()
         tp = transformed_problem(problem, result)
-    except (ParseError, TransformError, Exception) as e:  # noqa: BLE001
+    except Exception as e:  # noqa: BLE001
         return BenchRow(name, 0, expected, "-", 0.0, "-", 0.0, 0.0,
                         ok=False, note=f"error: {e}")
     try:
-        r_orig = solve(problem, config.for_original())
-        r_tr = solve(tp, config)
+        _, r_orig, r_tr = check_equisat(problem, tp, config)
     except RuntimeError as e:
         return BenchRow(name, len(problem.queries), expected, "-", 0.0, "-",
                         0.0, transform_secs, ok=False, note=f"error: {e}")

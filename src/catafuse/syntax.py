@@ -16,7 +16,9 @@ annotations are never evaluated.
 Two term operations are written here once, for every other module:
 `vars_in_order` (the walk of `free_vars`, in first-occurrence order, which
 display names, SMT-LIB binders and definition heads follow) and `lin_sum`
-(every sum of scaled linear terms, made canonical by `lin`).
+(every sum of scaled linear terms, made canonical by `lin`). Resolution is
+written here once too: `resolve` is both the transformer's unfolding step
+and the bundled CHC solver's refutation join.
 """
 
 from __future__ import annotations
@@ -837,6 +839,22 @@ def mgu(a1: Atom, a2: Atom) -> tuple[Subst, tuple[Formula, ...]] | None:
         if s is None:
             return None
     return s, tuple(s.formula(e) for e in residue)
+
+
+def resolve(c: Clause, i: int, k: Clause) -> Clause | None:
+    """The resolvent of c on its i-th body atom with k, a definite clause
+    already renamed apart from c: the unifier applied to c's head, both
+    constraints and the body c.body[:i] + k.body + c.body[i+1:], with the
+    residue conjoined. None where the atoms do not unify."""
+    u = mgu(c.body[i], k.head)
+    if u is None:
+        return None
+    s, residue = u
+    head = None if c.head is None else s.atom(c.head)
+    body = c.body[:i] + k.body + c.body[i + 1:]
+    return Clause(head, mk_and(s.formula(c.constraint),
+                               s.formula(k.constraint), *residue),
+                  tuple(s.atom(b) for b in body), c.origin)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ Conventions that matter for reading this module:
   * each definition has one slot (_slot): a program predicate has one, a
     true_* carrier one per catamorphism signature of its fold group, so
     differently-shaped orphan groups get carriers of their own;
+  * a one-step unfold resolves (syntax.resolve) the clause with each
+    program clause renamed apart, and keeps the resolvents whose
+    constraint the engine does not find unsat;
   * matching a definition against a clause (for Skip/Extend/Fold/extension
     checks) renames the definition, never the clause: program atom first,
     then each clause catamorphism to a definition catamorphism with the same
@@ -32,8 +35,8 @@ from .engine import ConstraintEngine, HOLDS, UNSAT, simplify
 from .syntax import (
     Atom, Clause, Ctor, FComp, FEq, FIff, FVar, Formula, NameGen, PRED_CATA,
     PRED_PROGRAM, PRED_TRUE, PredDecl, Problem, Sort, Subst, Term, TRUE, Var,
-    conjuncts, eq_of, free_vars, mgu, mk_and, mk_not, pretty_clause,
-    rename_apart, term_sort, variant_of, vars_in_order,
+    conjuncts, eq_of, free_vars, mk_and, mk_not, pretty_clause, rename_apart,
+    resolve, term_sort, variant_of, vars_in_order,
 )
 
 
@@ -309,25 +312,15 @@ class Transformer:
                         p: list[Clause]) -> list[Clause]:
         if not (0 <= atom_index < len(c.body)):
             raise TransformError("atom to unfold is not in the clause body")
-        a = c.body[atom_index]
+        pred, avoid = c.body[atom_index].pred, free_vars(c)
         out: list[Clause] = []
         for k in p:
-            if k.head is None or k.head.pred != a.pred:
+            if k.head is None or k.head.pred != pred:
                 continue
-            k2, _ = rename_apart(k, free_vars(c), self.var_gen)
-            u = mgu(a, k2.head)
-            if u is None:
-                continue
-            theta, residue = u
-            resolvent = mk_and(theta.formula(c.constraint),
-                               theta.formula(k2.constraint), *residue)
-            if self.engine.is_satisfiable(resolvent) == UNSAT:
+            r = resolve(c, atom_index, rename_apart(k, avoid, self.var_gen)[0])
+            if r is None or self.engine.is_satisfiable(r.constraint) == UNSAT:
                 continue  # unknown is kept, per the conservative policy
-            body = tuple(theta.atom(b) for b in c.body[:atom_index]) \
-                + tuple(theta.atom(b) for b in k2.body) \
-                + tuple(theta.atom(b) for b in c.body[atom_index + 1:])
-            head = None if c.head is None else theta.atom(c.head)
-            out.append(Clause(head, simplify(resolvent), body, "unfold"))
+            out.append(Clause(r.head, simplify(r.constraint), r.body, "unfold"))
         return out
 
     def unfold_rule(self, d: Definition) -> list[Clause]:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from catafuse.cli import main
+from catafuse.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -112,3 +112,29 @@ def test_cli_as_module(tmp_path, corpus_dir):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "unsat"
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_chc_timeout_is_checked_like_the_option(value, monkeypatch, capsys):
+    """A bad CHC_TIMEOUT is a usage error (exit 2), as the same --timeout
+    is, and not a traceback or a limit that no solve can meet."""
+    monkeypatch.setenv("CHC_TIMEOUT", value)
+    with pytest.raises(SystemExit) as e:
+        run_cli("solve", "missing.chc")
+    assert e.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
+def test_chc_timeout_sets_the_default_limit(monkeypatch):
+    monkeypatch.setenv("CHC_TIMEOUT", "12.5")
+    assert build_parser().parse_args(["solve", "x.chc"]).timeout == 12.5
+    args = build_parser().parse_args(["solve", "x.chc", "--timeout", "3"])
+    assert args.timeout == 3.0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_bench_refuses_a_job_count_below_one(jobs, tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        run_cli("bench", str(tmp_path), "--jobs", jobs)
+    assert e.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -1181,8 +1181,10 @@ def _ref_refute(clauses, rounds, cap, joins):
 
 
 def _canonical(facts):
-    return {pred: [pretty_clause(Clause(Atom(pred, args), c, ()))
-                   for args, c in rows] for pred, rows in facts.items()}
+    # refute keeps each fact as a clause, the reference as (args, constraint)
+    return {pred: [pretty_clause(f if isinstance(f, Clause)
+                                 else Clause(Atom(pred, f[0]), f[1], ()))
+                   for f in rows] for pred, rows in facts.items()}
 
 
 REFUTE_PROBLEMS = ("bst_size_sat", "append_ordered_sat", "snoc_ordered_sat",
@@ -1249,9 +1251,9 @@ def test_facts_index_keeps_variants_together():
     second = FComp("=<", lin({y: 1, x: 2}), IntConst(0))
     assert [v.name for v, _ in second.lhs.coeffs] == ["x", "y"]
     facts = horn._Facts(5)
-    assert facts.add("p", (a, b), first)
-    assert not facts.add("p", (y, x), second)
-    assert facts.add("p", (b, a), first)
+    assert facts.add(Clause(Atom("p", (a, b)), first, ()))
+    assert not facts.add(Clause(Atom("p", (y, x)), second, ()))
+    assert facts.add(Clause(Atom("p", (b, a)), first, ()))
     assert len(facts.by_pred["p"]) == 2
 
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from catafuse import parser, syntax
 from catafuse.syntax import (
     BOOL, INT, Atom, Clause, Ctor, CtorDecl, IntConst, NameGen, PredDecl,
-    Subst, TRUE, Var, free_vars, lin, list_sort, mgu, pretty_clause,
-    rename_apart, unify_terms, variant_of, FComp, FFalse, FVar,
+    Subst, TRUE, Var, conjuncts, free_vars, lin, list_sort, mgu,
+    pretty_clause, rename_apart, unify_terms, variant_of, FComp, FEq, FFalse,
+    FVar,
 )
 
 LI = list_sort(INT)
@@ -120,6 +121,50 @@ def test_mgu_is_most_general_bruteforce():
             assert residue == ()
             assert rho.atom(base) == inst
     assert found > 0
+
+
+# ---------------------------------------------------------------------------
+# resolve
+# ---------------------------------------------------------------------------
+
+def test_resolve_constructor_clash_is_none():
+    c = Clause(Atom("p", (lvar("X"),)), TRUE, (Atom("q", (NIL,)),))
+    k = Clause(Atom("q", (cons(ivar("H"), lvar("T")),)), TRUE, ())
+    assert syntax.resolve(c, 0, k) is None
+
+
+def test_resolve_applies_the_unifier_and_keeps_the_residue():
+    """c = p(X, T) <- X >= 0, r(X), q(cons(X+1, T)), s(T) on q(cons(X+1, T))
+    with k = q(cons(3, T2)) <- T2 = [], t(T2): T becomes T2 everywhere and
+    X+1 = 3 joins both constraints."""
+    x, t, t2 = ivar("X"), lvar("T"), lvar("T2")
+    x1 = lin({x: 1}, 1)
+    c = Clause(Atom("p", (x, t)), FComp(">=", x, IntConst(0)),
+               (Atom("r", (x,)), Atom("q", (cons(x1, t),)), Atom("s", (t,))))
+    k = Clause(Atom("q", (cons(IntConst(3), t2),)), FEq(t2, NIL, LI),
+               (Atom("t", (t2,)),))
+    r = syntax.resolve(c, 1, k)
+    assert r.head == Atom("p", (x, t2))
+    assert r.body == (Atom("r", (x,)), Atom("t", (t2,)), Atom("s", (t2,)))
+    assert conjuncts(r.constraint) == (
+        FComp(">=", x, IntConst(0)), FEq(t2, NIL, LI),
+        FComp("=", x1, IntConst(3)))
+    assert r.origin == c.origin
+
+
+def test_resolve_body_splices_k_in_place_under_the_unifier():
+    a, b, y = lvar("A"), lvar("B"), ivar("Y")
+    c = Clause(None, TRUE, (Atom("u", (a,)), Atom("q", (a, b)),
+                            Atom("w", (b,))))
+    k = Clause(Atom("q", (NIL, cons(y, NIL))), FComp(">", y, IntConst(1)),
+               (Atom("v", (y,)), Atom("x", (y,))))
+    r = syntax.resolve(c, 1, k)
+    s, _ = mgu(c.body[1], k.head)
+    assert r.head is None  # a query stays a query
+    assert r.body == tuple(s.atom(b) for b in c.body[:1] + k.body + c.body[2:])
+    assert r.body == (Atom("u", (NIL,)), Atom("v", (y,)), Atom("x", (y,)),
+                      Atom("w", (cons(y, NIL),)))
+    assert r.constraint == FComp(">", y, IntConst(1))
 
 
 # ---------------------------------------------------------------------------
