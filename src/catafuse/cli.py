@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -30,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     def positive(kind):
         def parse(text):
             value = kind(text)
-            if value <= 0:
-                raise argparse.ArgumentTypeError("must be positive")
+            if not 0 < value < math.inf:  # also refuses nan
+                raise argparse.ArgumentTypeError("must be positive and finite")
             return value
         return parse
 

@@ -8,13 +8,18 @@ command is configurable; the default resolution order is
   2. a z3 binary on PATH (`z3 -in`),
   3. the bundled reference oracle (`catafuse.refsolver.oracle`).
 
-Each Oracle owns one child. Once a process has started a command's child
-twice, every start also launches the next Oracle's child, so that child's
-start-up runs while this one works; it is sent nothing until it is taken.
-`take_child` is that policy, and `solver.solve_file` uses it for the bundled
-CHC solver too. Both bundled children start without `site` (`python -S`),
+Each Oracle owns one child, ended by `close`. Once a process has started
+a command's child twice, every start also launches the next Oracle's child,
+so that child's start-up runs while this one works; it is sent nothing until
+it is taken. `take_child` is that policy, the oracle's only. The bundled CHC
+solver instead keeps its children as sessions: `solver` lends an idle one
+(`lend_child`) for each solve and gives it back (`give_back`) once it has
+answered and been sent `(reset)`. Spares and idle children still waiting at
+exit are killed. Both bundled children start without `site` (`python -S`),
 which they need nothing from, and get this package's root on their path
-from their command (`bundled_cmd`), not from the caller's environment.
+from their command (`bundled_cmd`), not from the caller's environment. Both
+speak SMT-LIB through `Child`, which sends commands and reads verdicts
+against a deadline.
 A child that replies `(error ...)` is dropped, and that query is unknown.
 A child that refuses the problem's datatype declarations is dropped too,
 and every query over those declarations is unknown without another start.
@@ -45,6 +50,7 @@ import sys
 import tempfile
 import threading
 import time
+from typing import NamedTuple
 
 from .refsolver import lia
 from .smtlib import datatype_block, mangle_sort, smt_formula
@@ -63,7 +69,12 @@ FAILS = "fails"
 
 
 class OracleError(Exception):
-    """The external oracle is unreachable or broke protocol."""
+    """A child (oracle or CHC solver session) is unreachable or broke
+    protocol."""
+
+
+class Overrun(OracleError):
+    """A child did not answer within its deadline."""
 
 
 # the time limit the oracle gets for each query
@@ -107,9 +118,73 @@ def default_oracle_cmd() -> list[str]:
     return bundled_cmd("catafuse.refsolver.oracle")
 
 
-def _spawn(cmd: list[str]) -> tuple[subprocess.Popen, object]:
-    """A started child and its stderr, an unnamed temporary file."""
-    # a file, not a pipe: a chatty child can never block on a full pipe
+class Child(NamedTuple):
+    """A started child and its stderr, an unnamed temporary file. The oracle
+    and the bundled CHC solver's session both speak SMT-LIB to it a line at
+    a time and read one verdict line per check-sat."""
+    proc: subprocess.Popen
+    stderr: object
+
+    def send(self, text: str) -> None:
+        assert self.proc.stdin is not None
+        try:
+            self.proc.stdin.write(text + "\n")
+            self.proc.stdin.flush()
+        except OSError as e:  # a broken pipe, most often
+            raise self.failure(f"pipe to {command_name(self.proc.args)} "
+                               f"broken: {e}") from e
+
+    def failure(self, what: str) -> OracleError:
+        """`what`, with the child's exit status and the end of its stderr."""
+        try:
+            status = f"exit status {self.proc.wait(timeout=1)}"
+        except subprocess.TimeoutExpired:
+            status = "still running"
+        lines = stderr_tail(self.stderr)
+        if not lines:
+            return OracleError(f"{what} ({status}, nothing on stderr)")
+        return OracleError(f"{what} ({status}); its stderr ends:\n"
+                           + "\n".join(lines))
+
+    def read_verdict(self, deadline: float) -> str | None:
+        """The child's next verdict, or None for an `(error` reply. Raises
+        Overrun at the deadline, and OracleError once the child is gone."""
+        assert self.proc.stdout is not None
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise Overrun(f"{command_name(self.proc.args)} did not "
+                              "answer within the deadline")
+            ready, _, _ = select.select([self.proc.stdout], [], [],
+                                        min(remaining, 0.5))
+            if not ready:
+                if self.proc.poll() is not None:
+                    raise self.failure(f"{command_name(self.proc.args)} "
+                                       "exited")
+                continue
+            line = self.proc.stdout.readline()
+            if not line:
+                raise self.failure(f"{command_name(self.proc.args)} exited")
+            line = line.strip()
+            if line in (SAT, UNSAT, UNKNOWN):
+                return line
+            if line.startswith("(error"):
+                return None
+
+    def discard(self) -> None:
+        """Kill and reap the child, and close its files."""
+        self.proc.kill()
+        self.proc.wait()
+        try:
+            self.proc.stdin.close()
+        except OSError:  # what a broken pipe did not take is still buffered
+            pass
+        self.proc.stdout.close()
+        self.stderr.close()
+
+
+def _spawn(cmd: list[str]) -> Child:
+    # stderr is a file, not a pipe: a chatty child can never block on it
     stderr = tempfile.TemporaryFile()
     try:
         proc = subprocess.Popen(
@@ -118,20 +193,7 @@ def _spawn(cmd: list[str]) -> tuple[subprocess.Popen, object]:
     except OSError as e:
         stderr.close()
         raise OracleError(f"cannot launch {command_name(cmd)}: {e}") from e
-    return proc, stderr
-
-
-def _discard(child: tuple[subprocess.Popen, object]) -> None:
-    """Kill and reap a child from `_spawn`, and close its files."""
-    proc, stderr = child
-    proc.kill()
-    proc.wait()
-    try:
-        proc.stdin.close()
-    except OSError:  # what a broken pipe did not take is still buffered
-        pass
-    proc.stdout.close()
-    stderr.close()
+    return Child(proc, stderr)
 
 
 def stderr_tail(stderr) -> list[str]:
@@ -143,52 +205,78 @@ def stderr_tail(stderr) -> list[str]:
     return tail.decode(errors="replace").splitlines()[-STDERR_TAIL_LINES:]
 
 
-# One started, not yet used child per command, kept once a command has
-# started twice in this process. It has been sent nothing, so it carries no
-# problem's state; it runs in the environment of the start that launched it.
-_spares: dict[tuple[str, ...], tuple[subprocess.Popen, object]] = {}
+# Children waiting to be used, per command; none carries a problem's state.
+# A spare is an oracle child started, and sent nothing, once its command has
+# started twice in this process; it runs in the environment of the start
+# that launched it. An idle child is a CHC solver session that has answered
+# its last script and been sent `(reset)`.
+_spares: dict[tuple[str, ...], Child] = {}
 _started: set[tuple[str, ...]] = set()
-_spares_lock = threading.Lock()
+_idle: dict[tuple[str, ...], list[Child]] = {}
+_waiting_lock = threading.Lock()
 
 
 @atexit.register
-def _discard_spares() -> None:
-    with _spares_lock:
-        spares = list(_spares.values())
+def _discard_waiting() -> None:
+    with _waiting_lock:
+        waiting = list(_spares.values())
+        waiting += (c for cs in _idle.values() for c in cs)
         _spares.clear()
-    for child in spares:
-        _discard(child)
+        _idle.clear()
+    for child in waiting:
+        child.discard()
 
 
-def take_child(cmd: list[str]) -> tuple[subprocess.Popen, object]:
-    """A started child of `cmd` and its stderr: the waiting spare if it is
-    alive, else a new child. From the command's second start in this process
-    on, the next start's child is launched now, so that its start-up runs
-    while this one works. Only for a command whose children all get the same
+def take_child(cmd: list[str]) -> Child:
+    """A started oracle child of `cmd`: the waiting spare if it is alive,
+    else a new child. From the command's second start in this process on,
+    the next start's child is launched now, so that its start-up runs while
+    this one works. Only for a command whose children all get the same
     input: a spare is started before anyone knows what it will be sent."""
     key = tuple(cmd)
-    with _spares_lock:
+    with _waiting_lock:
         spare = _spares.pop(key, None)
         again = key in _started
         _started.add(key)
-    if spare is not None and spare[0].poll() is None:
+    if spare is not None and spare.proc.poll() is None:
         child = spare
     else:
         if spare is not None:
-            _discard(spare)
+            spare.discard()
         child = _spawn(cmd)
     if again:
         try:
             fresh = _spawn(cmd)
         except OracleError:
-            _discard(child)
+            child.discard()
             raise
-        with _spares_lock:
+        with _waiting_lock:
             old = _spares.get(key)
             _spares[key] = fresh
         if old is not None:
-            _discard(old)
+            old.discard()
     return child
+
+
+def lend_child(cmd: list[str]) -> Child:
+    """An idle session child of `cmd` that is still alive, else a new one."""
+    key = tuple(cmd)
+    while True:
+        with _waiting_lock:
+            idle = _idle.get(key)
+            child = idle.pop() if idle else None
+        if child is None:
+            return _spawn(cmd)
+        if child.proc.poll() is None:
+            return child
+        child.discard()
+
+
+def give_back(cmd: list[str], child: Child) -> None:
+    """Put a child from `lend_child` that has been sent `(reset)` back on
+    the idle list."""
+    with _waiting_lock:
+        _idle.setdefault(tuple(cmd), []).append(child)
 
 
 class Oracle:
@@ -196,29 +284,33 @@ class Oracle:
 
     def __init__(self, cmd: list[str] | None = None) -> None:
         self.cmd = cmd or default_oracle_cmd()
-        self.proc: subprocess.Popen | None = None
-        self._stderr = None  # the child's stderr, an unnamed temporary file
+        self.child: Child | None = None
         self.lock = threading.Lock()
         self._decls: list[str] = []
         # the child refused `_decls`: every query over them is unknown
         self._refused = False
 
+    @property
+    def proc(self) -> subprocess.Popen | None:
+        return None if self.child is None else self.child.proc
+
     def _start(self) -> None:
-        self.proc, self._stderr = take_child(self.cmd)
+        self.child = take_child(self.cmd)
         self._preamble()
 
     def _preamble(self) -> None:
-        self._send("(set-option :print-success false)")
-        self._send("(set-logic ALL)")
+        assert self.child is not None
+        self.child.send("(set-option :print-success false)")
+        self.child.send("(set-logic ALL)")
         if not self._decls:
             return
         for line in self._decls:
-            self._send(line)
+            self.child.send(line)
         # an `(error` before this check's answer is a refused declaration;
         # the answer would then still be in the pipe, so drop the child
-        self._send("(check-sat)")
-        if self._read_verdict(time.monotonic() + TIMEOUT_MS / 1000 + 10) \
-                is None:
+        self.child.send("(check-sat)")
+        if self.child.read_verdict(time.monotonic() + TIMEOUT_MS / 1000
+                                   + 10) is None:
             self._refused = True
             self._kill()
 
@@ -227,57 +319,14 @@ class Oracle:
         if decls != self._decls:
             self._decls = decls
             self._refused = False
-            if self.proc is not None:
-                self._send("(reset)")
+            if self.child is not None:
+                self.child.send("(reset)")
                 self._preamble()
-
-    def _send(self, line: str) -> None:
-        assert self.proc is not None and self.proc.stdin is not None
-        try:
-            self.proc.stdin.write(line + "\n")
-            self.proc.stdin.flush()
-        except (BrokenPipeError, OSError) as e:
-            raise self._failure(f"oracle pipe broken: {e}") from e
-
-    def _failure(self, what: str) -> OracleError:
-        """`what`, with the child's exit status and the end of its stderr."""
-        assert self.proc is not None and self._stderr is not None
-        try:
-            status = f"exit status {self.proc.wait(timeout=1)}"
-        except subprocess.TimeoutExpired:
-            status = "still running"
-        lines = stderr_tail(self._stderr)
-        if not lines:
-            return OracleError(f"{what} ({status}, nothing on stderr)")
-        return OracleError(f"{what} ({status}); its stderr ends:\n"
-                           + "\n".join(lines))
-
-    def _read_verdict(self, deadline: float) -> str | None:
-        """The child's verdict, or None for an `(error` reply."""
-        assert self.proc is not None and self.proc.stdout is not None
-        while True:
-            if self.proc.poll() is not None:
-                raise self._failure("oracle process exited")
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise OracleError("oracle did not answer within the deadline")
-            ready, _, _ = select.select([self.proc.stdout], [], [],
-                                        min(remaining, 0.5))
-            if not ready:
-                continue
-            line = self.proc.stdout.readline()
-            if not line:
-                raise self._failure("oracle closed stdout")
-            line = line.strip()
-            if line in (SAT, UNSAT, UNKNOWN):
-                return line
-            if line.startswith("(error"):
-                return None
 
     def check(self, formula: Formula) -> str:
         with self.lock:
             for attempt in (0, 1):
-                if self.proc is None or self.proc.poll() is not None:
+                if self.child is None or self.child.proc.poll() is not None:
                     self._kill()  # releases a dead child's stderr file
                     if not self._refused:
                         self._start()
@@ -292,32 +341,35 @@ class Oracle:
         raise OracleError("unreachable")
 
     def _query(self, formula: Formula) -> str:
+        assert self.child is not None
         ren = display_renaming(formula)
-        self._send("(push 1)")
-        self._send(f"(set-option :timeout {TIMEOUT_MS})")
+        send = self.child.send
+        send("(push 1)")
+        send(f"(set-option :timeout {TIMEOUT_MS})")
         for v in ren.mapping.values():
-            self._send(f"(declare-const {v.name} {mangle_sort(v.sort)})")
-        self._send(f"(assert {smt_formula(ren.formula(formula))})")
-        self._send("(check-sat)")
-        verdict = self._read_verdict(time.monotonic() + TIMEOUT_MS / 1000 + 10)
+            send(f"(declare-const {v.name} {mangle_sort(v.sort)})")
+        send(f"(assert {smt_formula(ren.formula(formula))})")
+        send("(check-sat)")
+        verdict = self.child.read_verdict(
+            time.monotonic() + TIMEOUT_MS / 1000 + 10)
         if verdict is None:
             # a solver may still answer this check-sat after its error, and
             # that answer would be read as the next query's: drop the child
             self._kill()
             return UNKNOWN
-        self._send("(pop 1)")
+        send("(pop 1)")
         return verdict
 
     def _kill(self) -> None:
-        if self.proc is not None:
-            _discard((self.proc, self._stderr))
-            self.proc = self._stderr = None
+        if self.child is not None:
+            self.child.discard()
+            self.child = None
 
     def close(self) -> None:
         with self.lock:
-            if self.proc is not None and self.proc.poll() is None:
+            if self.child is not None and self.child.proc.poll() is None:
                 try:
-                    self._send("(exit)")
+                    self.child.send("(exit)")
                 except OracleError:
                     pass
             self._kill()

@@ -1,7 +1,14 @@
 """Reference CHC solver.
 
-Run as `python -m catafuse.refsolver.horn [-t seconds] file.smt2`; the file
-`-` means the script is read from stdin.
+Run as `python -m catafuse.refsolver.horn [-t seconds] file.smt2`, which
+prints one verdict for the file, or with the file `-` as an interactive
+SMT-LIB session on stdin. The session answers each `(check-sat)` for the
+commands since the last `(reset)` (or since the start) and exits on `(exit)`
+or at the end of its input. Piping one script into it therefore prints that
+script's verdict; input that never asks `(check-sat)` is answered once at
+its end, as a file is. A command outside the emitted dialect makes every
+`(check-sat)` up to the next `(reset)` unknown, with the error on stderr.
+The limit, a finite positive number of seconds, is each solve's own.
 
 Decides satisfiability of Horn clause scripts in the emitted dialect and
 prints sat, unsat, or unknown:
@@ -25,8 +32,10 @@ prints sat, unsat, or unknown:
 
 A time limit (-t) bounds every phase: derivation checks the clock for each
 fact row it joins, invariant inference for each candidate it tests, and the
-QF core inside each query. It starts once the script is read and parsed, so
-a child that waits for its script on stdin spends none of it waiting.
+QF core inside each query. It starts once the script is read and parsed:
+for a file, when it has been read, and in the session, at each
+`(check-sat)`, so a session child that waits for its next script spends
+none of it waiting.
 
 Designed for desk-scale problems; a production solver (z3/SPACER) remains a
 drop-in via the driver configuration.
@@ -35,6 +44,7 @@ drop-in via the driver configuration.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 
@@ -44,33 +54,43 @@ from ..syntax import (
     mk_and, mk_not, resolve,
 )
 from . import qfcore
-from .smtparse import SmtContext, UnsupportedSmt, parse_sexps
+from .smtparse import SmtContext, UnsupportedSmt, balanced, parse_sexps
 
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
 
-def read_script(text: str) -> tuple[list[Clause], SmtContext]:
-    ctx = SmtContext()
-    clauses: list[Clause] = []
-    for cmd in parse_sexps(text):
+class Script:
+    """The declarations and clauses of an SMT-LIB script, taken one command
+    at a time; `read_script` and the session on stdin both feed it."""
+
+    def __init__(self) -> None:
+        self.ctx = SmtContext()
+        self.clauses: list[Clause] = []
+
+    def take(self, cmd) -> None:
         if not isinstance(cmd, list) or not cmd:
-            continue
+            return
         op = cmd[0]
         if op == "declare-datatypes":
-            ctx.declare_datatypes(cmd[1], cmd[2])
+            self.ctx.declare_datatypes(cmd[1], cmd[2])
         elif op == "declare-fun":
-            ctx.declare_fun(cmd[1], cmd[2], cmd[3])
+            self.ctx.declare_fun(cmd[1], cmd[2], cmd[3])
         elif op == "declare-const":
-            ctx.declare_fun(cmd[1], [], cmd[2])
+            self.ctx.declare_fun(cmd[1], [], cmd[2])
         elif op == "assert":
-            clauses.append(ctx.to_clause(cmd[1]))
-        elif op in ("set-logic", "set-option", "set-info", "check-sat", "exit"):
-            continue
-        else:
+            self.clauses.append(self.ctx.to_clause(cmd[1]))
+        elif op not in ("set-logic", "set-option", "set-info", "check-sat",
+                        "exit"):
             raise UnsupportedSmt(f"unsupported command {op}")
-    return clauses, ctx
+
+
+def read_script(text: str) -> tuple[list[Clause], SmtContext]:
+    script = Script()
+    for cmd in parse_sexps(text):
+        script.take(cmd)
+    return script.clauses, script.ctx
 
 
 def _expired(deadline: float | None) -> bool:
@@ -425,13 +445,71 @@ def solve_script(text: str, timeout: float | None = None) -> str:
     try:
         clauses, ctx = read_script(text)
     except UnsupportedSmt as e:
-        print(f'(error "{e}")', file=sys.stderr)
-        return UNKNOWN
+        return _refused(e)
     return solve_clauses(clauses, ctx.preds, timeout)
 
 
+def _refused(e: UnsupportedSmt) -> str:
+    print(f'(error "{e}")', file=sys.stderr)
+    return UNKNOWN
+
+
+def _commands(lines):
+    """The commands on `lines`, each as soon as the line that ends it is
+    read; an UnsupportedSmt in place of lines that do not parse."""
+    buf = ""
+    for line in lines:
+        buf += line
+        if balanced(buf):
+            yield from _parsed(buf)
+            buf = ""
+    if buf:
+        yield from _parsed(buf)
+
+
+def _parsed(text: str) -> list:
+    try:
+        return parse_sexps(text)
+    except UnsupportedSmt as e:
+        return [e]
+
+
+def session(lines, timeout: float | None) -> None:
+    """Answer each `(check-sat)` on `lines` for the commands since the last
+    `(reset)`, its limit starting at that `(check-sat)`; stop at `(exit)` or
+    at the end. Lines that never ask are answered at their end, as a file
+    is."""
+    script, error, asked = Script(), None, False
+
+    def answer() -> None:
+        nonlocal asked
+        asked = True
+        print(_refused(error) if error else
+              solve_clauses(script.clauses, script.ctx.preds, timeout),
+              flush=True)
+
+    for cmd in _commands(lines):
+        op = cmd[0] if isinstance(cmd, list) and cmd else None
+        if op == "exit":
+            break
+        if op == "reset":
+            script, error = Script(), None
+        elif op == "check-sat":
+            answer()
+        elif isinstance(cmd, UnsupportedSmt):
+            error = error or cmd
+        else:
+            try:
+                script.take(cmd)
+            except UnsupportedSmt as e:
+                error = error or e
+    if not asked:
+        answer()
+
+
 def _usage() -> int:
-    print("usage: horn [-t seconds] file.smt2 (- for stdin)", file=sys.stderr)
+    print("usage: horn [-t seconds] file.smt2 (- for an SMT-LIB session on "
+          "stdin)", file=sys.stderr)
     return 2
 
 
@@ -444,14 +522,16 @@ def main(argv: list[str]) -> int:
             timeout = float(args[i + 1])
         except (IndexError, ValueError):
             return _usage()
+        if not 0 < timeout < math.inf:  # also refuses nan
+            return _usage()
         del args[i:i + 2]
     if len(args) != 1:
         return _usage()
     if args[0] == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args[0], encoding="utf-8") as fh:
-            text = fh.read()
+        session(sys.stdin, timeout)
+        return 0
+    with open(args[0], encoding="utf-8") as fh:
+        text = fh.read()
     print(solve_script(text, timeout), flush=True)
     return 0
 

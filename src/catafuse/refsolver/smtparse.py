@@ -75,12 +75,16 @@ def parse_sexps(text: str):
 
 def balanced(text: str) -> bool:
     depth = 0
-    in_bar = in_str = False
+    in_bar = in_str = in_comment = False
     for ch in text:
         if in_bar:
             in_bar = ch != "|"
         elif in_str:
             in_str = ch != '"'
+        elif in_comment:
+            in_comment = ch != "\n"
+        elif ch == ";":
+            in_comment = True
         elif ch == "|":
             in_bar = True
         elif ch == '"':

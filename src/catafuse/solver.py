@@ -4,10 +4,12 @@ The solver is configuration-driven: binary path plus arguments, invoked as
 `<solver> <args> <file.smt2>`, first stdout token one of sat/unsat/unknown.
 Resolution order for the default: the CHC_SOLVER environment variable, a z3
 binary on PATH (driven with its Horn engine), then the bundled reference
-solver. The bundled solver takes its limit as `-t` and its script on stdin
-(`-t <limit> -`), so its argv is the same for every script: its children
-come from `engine.take_child`, which keeps the next one started while this
-one solves (see `engine`). A command that names its file gets no such spare.
+solver. The bundled solver is an SMT-LIB session on stdin (`-t <limit> -`,
+see `refsolver.horn`): a solve lends an idle session child of that command
+from `engine.lend_child`, or starts one, sends it the script and `(reset)`,
+and gives it back once it has answered, so consecutive solves at one limit
+share one child. It gets no spare: `engine.take_child` is the oracle's
+policy only. A command that names its file is started for each solve.
 Equisatisfiability checking and the benchmark harness sit on top.
 """
 
@@ -25,8 +27,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import (ConstraintEngine, OracleError, _discard, bundled_cmd,
-                     command_name, stderr_tail, take_child)
+from .engine import (ConstraintEngine, OracleError, Overrun, bundled_cmd,
+                     command_name, give_back, lend_child)
 from .parser import parse_problem
 from .smtlib import emit_smtlib
 from .syntax import Problem
@@ -74,32 +76,57 @@ class SolveResult:
     solver: str
 
 
+# a solver that has not answered this long after its limit is killed
+KILL_GRACE = 10.0
+# the longest wait subprocess can time (poll takes a C int of milliseconds);
+# a solver whose limit is longer is waited for without a deadline
+_LONGEST_WAIT = (2**31 - 1) / 1000
+
+
 def _run(cmd: list[str], path: str | Path,
          timeout: float) -> tuple[int, str, str]:
-    """Run a solver on the script at `path`, killed `timeout` + 10 s after
-    its start: (exit status, stdout, stderr)."""
-    if not (cmd and cmd[-1].endswith("refsolver.horn")):
-        try:
-            run = subprocess.run(cmd + [str(path)], capture_output=True,
-                                 text=True, timeout=timeout + 10)
-        except FileNotFoundError:
-            raise RuntimeError(f"solver binary not found: {cmd[0]}")
-        return run.returncode, run.stdout, run.stderr
-    # the bundled solver reads its script on stdin; its limit starts there
-    script = Path(path).read_text(encoding="utf-8")
+    """Run a solver on the script at `path`: (exit status, stdout, stderr).
+    Raises subprocess.TimeoutExpired when it has not answered within
+    `timeout` + 10 s of being handed the script."""
+    wait = timeout + KILL_GRACE
+    if cmd and cmd[-1].endswith("refsolver.horn"):
+        cmd = cmd + ["-t", str(timeout)]
+        script = Path(path).read_text(encoding="utf-8")
+        # a session answers every check-sat: a script that asks none, or
+        # more than one, is solved by a child of its own, as a file
+        if script.count("(check-sat)") == 1:
+            return 0, _session_verdict(cmd + ["-"], script, wait), ""
     try:
-        proc, stderr = take_child(cmd + ["-t", str(timeout), "-"])
+        run = subprocess.run(cmd + [str(path)], capture_output=True,
+                             text=True,
+                             timeout=wait if wait < _LONGEST_WAIT else None)
+    except FileNotFoundError:
+        raise RuntimeError(f"solver binary not found: {cmd[0]}")
+    return run.returncode, run.stdout, run.stderr
+
+
+def _session_verdict(cmd: list[str], script: str, wait: float) -> str:
+    """A session child's verdict on `script`, waited for `wait` s at most
+    from the hand-over."""
+    try:
+        child = lend_child(cmd)
     except OracleError as e:
         raise RuntimeError(str(e)) from e
     try:
-        out, _ = proc.communicate(script, timeout=timeout + 10)
-    except subprocess.TimeoutExpired:
-        _discard((proc, stderr))
-        raise
-    try:
-        return proc.returncode, out, "\n".join(stderr_tail(stderr))
-    finally:
-        stderr.close()
+        # the child reads `(reset)` only once it has answered
+        child.send(script + "(reset)")
+        verdict = child.read_verdict(time.monotonic() + wait)
+    except Overrun:
+        child.discard()
+        raise subprocess.TimeoutExpired(cmd, wait)
+    except OracleError as e:
+        child.discard()
+        raise RuntimeError(str(e)) from e
+    if verdict is None:  # after an `(error`, what it prints next is unknown
+        child.discard()
+        return UNKNOWN
+    give_back(cmd, child)
+    return verdict
 
 
 def solve_file(path: str | Path, config: SolverConfig) -> SolveResult:

@@ -812,14 +812,6 @@ def _unify(lhs: Term, rhs: Term, s: Subst,
     return s
 
 
-def unify_terms(lhs: Term, rhs: Term) -> Subst | None:
-    """A unifier of two terms by syntax alone: None also where `mgu` would
-    leave a residue."""
-    residue: list[Formula] = []
-    s = _unify(lhs, rhs, Subst(), residue)
-    return None if residue else s
-
-
 def mgu(a1: Atom, a2: Atom) -> tuple[Subst, tuple[Formula, ...]] | None:
     """Most general unifier of two atoms, as (unifier, residue).
 

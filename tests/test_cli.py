@@ -1,8 +1,10 @@
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from catafuse import engine as engine_mod
 from catafuse.cli import build_parser, main
 
 
@@ -114,7 +116,7 @@ def test_cli_as_module(tmp_path, corpus_dir):
     assert proc.stdout.strip() == "unsat"
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "nan", "inf"])
 def test_chc_timeout_is_checked_like_the_option(value, monkeypatch, capsys):
     """A bad CHC_TIMEOUT is a usage error (exit 2), as the same --timeout
     is, and not a traceback or a limit that no solve can meet."""
@@ -123,6 +125,45 @@ def test_chc_timeout_is_checked_like_the_option(value, monkeypatch, capsys):
         run_cli("solve", "missing.chc")
     assert e.value.code == 2
     assert "--timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_timeout_must_be_finite(value, capsys):
+    """A limit that no clock reaches, or none at all, is a usage error, not a
+    crash while waiting for the solver, or a solver that ignores its limit."""
+    with pytest.raises(SystemExit) as e:
+        run_cli("solve", "missing.chc", "--timeout", value)
+    assert e.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
+def test_huge_finite_timeout_solves(tmp_path, corpus_dir, capsys):
+    src = tmp_path / "u.chc"
+    src.write_text((corpus_dir / "member_unsat.chc").read_text())
+    assert run_cli("solve", "--transformed", str(src), "--timeout", "1e300") \
+        == 0
+    assert capsys.readouterr().out.strip() == "unsat"
+
+
+def test_verify_at_one_limit_starts_one_solver_child(tmp_path, corpus_dir,
+                                                     capsys, monkeypatch):
+    monkeypatch.delenv("CHC_SOLVER", raising=False)
+    monkeypatch.setattr(shutil, "which", lambda name: None)  # no z3
+    starts = []
+    spawn = engine_mod._spawn
+
+    def counted(cmd):
+        starts.append(cmd)
+        return spawn(cmd)
+
+    monkeypatch.setattr(engine_mod, "_spawn", counted)
+    src = tmp_path / "u.chc"
+    src.write_text((corpus_dir / "append_len_unsat.chc").read_text())
+    # a limit no other test uses: no idle solver child is waiting for it
+    assert run_cli("verify", str(src), "--timeout", "95.5") == 0
+    assert "agree" in capsys.readouterr().out
+    solver_starts = [c for c in starts if "catafuse.refsolver.horn" in c]
+    assert len(solver_starts) == 1
 
 
 def test_chc_timeout_sets_the_default_limit(monkeypatch):

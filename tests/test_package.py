@@ -81,7 +81,7 @@ oracle = Oracle(bundled_cmd("catafuse.refsolver.oracle"))
 print(oracle.check(FComp(">", Var("X", INT), IntConst(0))))
 oracle.close()
 config = SolverConfig(cmd=bundled_cmd("catafuse.refsolver.horn"), timeout=30)
-for _ in range(3):  # the third is served by a spare
+for _ in range(3):  # one session child answers all three
     print(solve_file("q.smt2", config).verdict)
 """
     (tmp_path / "q.smt2").write_text(TRIVIAL_HORN)

@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from catafuse import engine as engine_mod
 from catafuse.engine import UNKNOWN, ConstraintEngine, Oracle
 from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
@@ -17,8 +18,8 @@ from catafuse.smtlib import emit_smtlib
 from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Sort, Subst, TermIte, Var,
-    conjuncts, eq_of, free_vars, lin, list_sort, mk_and, mk_not, mk_or,
-    pretty_clause, term_sort, tree_sort, unify_terms, variant_of, TRUE, FALSE,
+    conjuncts, eq_of, free_vars, lin, list_sort, mgu, mk_and, mk_not, mk_or,
+    pretty_clause, term_sort, tree_sort, variant_of, TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
 
@@ -1100,6 +1101,13 @@ class _RefFacts:
         return True
 
 
+def unify_terms(lhs, rhs):
+    """A unifier of two terms by syntax alone: None also where `mgu` would
+    leave a residue."""
+    u = mgu(Atom("_", (lhs,)), Atom("_", (rhs,)))
+    return None if u is None or u[1] else u[0]
+
+
 def _ref_join(clause, facts, gen, limit):
     out = []
     state = [(Subst(), clause.constraint)]
@@ -1369,10 +1377,54 @@ def test_horn_cli_entry(tmp_path):
     assert out.stdout.split()[0] == "unsat"
 
 
-@pytest.mark.parametrize("argv", [["-t"], ["-t", "abc", "-"], ["x", "-t"]])
+_P_OF_0 = ("(declare-fun p (Int) Bool)\n"
+           "(assert (forall ((x Int)) (=> (= x 0) (p x))))\n")
+_NOT_P = "(assert (forall ((x Int)) (=> (p x) false)))\n"
+
+
+@pytest.mark.parametrize("text, verdicts", [
+    # each check-sat, for the commands since the last reset
+    (_P_OF_0 + _NOT_P + "(check-sat)\n(check-sat)\n(reset)\n" + _P_OF_0
+     + "(check-sat)\n(reset)\n(assert false)\n(check-sat)\n(exit)\n"
+     "(check-sat)\n", ["unsat", "unsat", "sat", "unsat"]),
+    # an unsupported or unparsable command: unknown until the next reset
+    ("(get-model)\n" + _P_OF_0 + _NOT_P + "(check-sat)\n(check-sat)\n"
+     "(reset)\n(assert false))\n(check-sat)\n(reset)\n(assert false)\n"
+     "(check-sat)\n", ["unknown", "unknown", "unknown", "unsat"]),
+    # input that never asks is answered once at its end or exit, as a file
+    (_P_OF_0 + _NOT_P, ["unsat"]),
+    ("(assert false)\n(exit)\n", ["unsat"]),
+], ids=["per-reset", "refused-until-reset", "never-asked", "exit-unasked"])
+def test_horn_session_answers_each_check_sat(text, verdicts):
+    out = subprocess.run(
+        [sys.executable, "-m", "catafuse.refsolver.horn", "-t", "30", "-"],
+        input=text, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == verdicts
+
+
+def test_horn_session_answers_before_its_input_ends():
+    child = engine_mod._spawn(
+        engine_mod.bundled_cmd("catafuse.refsolver.horn") + ["-t", "30", "-"])
+    try:
+        # a parenthesis in a comment opens nothing
+        child.send("; (a comment\n(assert false)\n(check-sat)")
+        assert child.read_verdict(time.monotonic() + 30) == "unsat"
+        child.send("(reset)\n(check-sat)")
+        assert child.read_verdict(time.monotonic() + 30) == "sat"
+        child.send("(exit)")
+        assert child.proc.wait(timeout=30) == 0
+    finally:
+        child.discard()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-t"], ["-t", "abc", "-"], ["x", "-t"], ["-t", "nan", "-"],
+    ["-t", "inf", "-"], ["-t", "-1", "-"], ["-t", "0", "-"]])
 def test_horn_cli_rejects_a_bad_limit(argv):
     out = subprocess.run(
         [sys.executable, "-m", "catafuse.refsolver.horn", *argv],
+        input="(assert false)\n(check-sat)\n",
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert out.stderr.startswith("usage: horn") and "Traceback" not in out.stderr

@@ -1,5 +1,10 @@
+import os
+import signal
+import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -137,59 +142,74 @@ TRIVIAL_HORN = """(set-logic HORN)
 
 
 def _bundled(limit: float) -> tuple[SolverConfig, tuple[str, ...]]:
-    """The bundled solver at `limit`, and the key of its spares; a limit that
-    no other test uses gives a test spares of its own."""
+    """The bundled solver at `limit`, and the key of its idle session
+    children; a limit that no other test uses gives a test children of its
+    own."""
     config = SolverConfig(bundled_cmd("catafuse.refsolver.horn"), limit)
     return config, tuple(config.cmd + ["-t", str(limit), "-"])
 
 
+def _idle_pids(key: tuple[str, ...]) -> list[int]:
+    return [child.proc.pid for child in engine_mod._idle.get(key, [])]
+
+
 @pytest.fixture()
-def taken(monkeypatch):
-    """The pid of every child `solve_file` takes."""
+def lent(monkeypatch):
+    """The pid of every child `solve_file` lends."""
     pids = []
 
-    def take_child(cmd):
-        child = engine_mod.take_child(cmd)
-        pids.append(child[0].pid)
+    def lend_child(cmd):
+        child = engine_mod.lend_child(cmd)
+        pids.append(child.proc.pid)
         return child
 
-    monkeypatch.setattr(solver_mod, "take_child", take_child)
+    monkeypatch.setattr(solver_mod, "lend_child", lend_child)
     return pids
 
 
-def test_second_solve_prestarts_the_third(tmp_path, taken):
+@pytest.fixture()
+def spawned(monkeypatch):
+    """The command of every child the engine starts."""
+    cmds = []
+    spawn = engine_mod._spawn
+
+    def counted(cmd):
+        cmds.append(tuple(cmd))
+        return spawn(cmd)
+
+    monkeypatch.setattr(engine_mod, "_spawn", counted)
+    return cmds
+
+
+def test_consecutive_solves_share_one_session_child(tmp_path, lent, spawned):
     config, key = _bundled(91.0)
     script = tmp_path / "q.smt2"
     script.write_text(TRIVIAL_HORN)
-    assert solve_file(script, config).verdict == "unsat"
-    # a single start in a process keeps no spare
+    for _ in range(3):
+        assert solve_file(script, config).verdict == "unsat"
+    assert len(lent) == 3 and len(set(lent)) == 1
+    # one start, and no spare beside it
+    assert spawned == [key]
     assert key not in engine_mod._spares
-    assert solve_file(script, config).verdict == "unsat"
-    spare = engine_mod._spares[key][0].pid
-    assert spare not in taken
-    assert solve_file(script, config).verdict == "unsat"
-    assert taken[2] == spare
-    assert engine_mod._spares[key][0].pid not in taken
-    assert len(set(taken)) == 3
+    assert _idle_pids(key) == lent[:1]
 
 
-def test_dead_solver_spare_is_replaced(tmp_path, taken):
+def test_dead_idle_session_child_is_replaced(tmp_path, lent):
     config, key = _bundled(92.0)
     script = tmp_path / "q.smt2"
     script.write_text(TRIVIAL_HORN)
     solve_file(script, config)
-    solve_file(script, config)
-    dead, dead_stderr = engine_mod._spares[key]
-    dead.kill()
-    dead.wait()
+    [dead] = engine_mod._idle[key]
+    dead.proc.kill()
+    dead.proc.wait()
     assert solve_file(script, config).verdict == "unsat"
-    assert taken[2] != dead.pid
-    assert dead_stderr.closed
-    assert engine_mod._spares[key][0].poll() is None
+    assert lent[1] != dead.proc.pid
+    assert dead.stderr.closed
+    assert _idle_pids(key) == [lent[1]]
 
 
-def test_waiting_spare_keeps_its_whole_limit(tmp_path, corpus_dir, taken):
-    # the limit runs from the hand-over, not from the spare's launch
+def test_session_limit_runs_from_check_sat(tmp_path, corpus_dir, lent):
+    # an idle child spends none of the next solve's limit waiting
     pb = parse_problem((corpus_dir / "bst_insert_sat.chc").read_text())
     eng = ConstraintEngine()
     try:
@@ -199,14 +219,227 @@ def test_waiting_spare_keeps_its_whole_limit(tmp_path, corpus_dir, taken):
     script = tmp_path / "bst_insert_sat.transformed.smt2"
     script.write_text(emit_smtlib(tp))
     config, key = _bundled(1.0)
-    for _ in range(2):
-        solve_file(script, config)
-    spare = engine_mod._spares[key][0].pid
+    solve_file(script, config)
     time.sleep(2)
     r = solve_file(script, config)
-    assert taken[2] == spare
+    assert lent[0] == lent[1]
     assert r.verdict == "unknown"
     assert 1.0 <= r.seconds < 5
+
+
+def test_solves_at_once_get_a_session_child_each(tmp_path, monkeypatch):
+    """More threads than cores solve three times each; the first solve of
+    every thread holds its child until all four have one."""
+    config, key = _bundled(93.0)
+    script = tmp_path / "q.smt2"
+    script.write_text(TRIVIAL_HORN)
+    barrier = threading.Barrier(4, timeout=60)
+    lock = threading.Lock()
+    pids: list[int] = []
+
+    def lend_child(cmd):
+        child = engine_mod.lend_child(cmd)
+        with lock:
+            pids.append(child.proc.pid)
+            first = len(pids) <= 4
+        if first:
+            barrier.wait()
+        return child
+
+    monkeypatch.setattr(solver_mod, "lend_child", lend_child)
+    verdicts: list[str] = []
+    errors: list[BaseException] = []
+
+    def work():
+        try:
+            for _ in range(3):
+                verdicts.append(solve_file(script, config).verdict)
+        except Exception as e:  # noqa: BLE001 -- reported below
+            errors.append(e)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert verdicts == ["unsat"] * 12
+    assert len(set(pids[:4])) == 4
+    # every child went back to the idle list, once
+    idle = _idle_pids(key)
+    assert sorted(idle) == sorted(set(pids))
+    assert all(c.proc.poll() is None for c in engine_mod._idle[key])
+
+
+def test_one_session_answers_the_decide_scripts_as_files_are(
+        tmp_path, corpus_dir, lent):
+    """The scripts of the benchmark's decide workload, solved in a row by
+    one session child and each by a child of its own."""
+    config, key = _bundled(300.5)
+    paths = []
+    for src in sorted(corpus_dir.glob("*.chc")):
+        text = src.read_text()
+        if not expected_tag(text) or src.stem == "insertion_sort":
+            continue
+        pb = parse_problem(text)
+        eng = ConstraintEngine()
+        try:
+            tp = transformed_problem(pb, transform_problem(pb, eng))
+        finally:
+            eng.close()
+        path = tmp_path / f"{src.stem}.smt2"
+        path.write_text(emit_smtlib(tp))
+        paths.append(path)
+    assert len(paths) == 20
+    in_session = [solve_file(p, config).verdict for p in paths]
+    assert len(set(lent)) == 1
+    alone = [subprocess.run(config.cmd + ["-t", "300.5", str(p)],
+                            capture_output=True, text=True,
+                            timeout=330).stdout.split()[:1] for p in paths]
+    assert [[v] for v in in_session] == alone
+
+
+# a stand-in session that reads its script and then never answers
+SILENT_SESSION = """
+import sys, time
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        time.sleep(60)
+"""
+
+
+def test_overrunning_session_child_is_killed(tmp_path, monkeypatch, lent):
+    monkeypatch.setattr(solver_mod, "KILL_GRACE", 0.5)
+    cmd = [sys.executable, "-S", "-c", SILENT_SESSION, "fake.refsolver.horn"]
+    config = SolverConfig(cmd, 0.5)
+    script = tmp_path / "q.smt2"
+    script.write_text(TRIVIAL_HORN)
+    r = solve_file(script, config)
+    assert r.verdict == "timeout"
+    assert 1.0 <= r.seconds < 10
+    key = tuple(cmd + ["-t", "0.5", "-"])
+    assert lent[0] not in _idle_pids(key)
+    assert not _running(lent[0])
+
+
+def test_dead_session_child_reports_its_stderr(tmp_path, lent):
+    code = "import sys; sys.stdin.readline(); sys.exit('solver crashed')"
+    cmd = [sys.executable, "-S", "-c", code, "fake.refsolver.horn"]
+    script = tmp_path / "q.smt2"
+    script.write_text(TRIVIAL_HORN)
+    with pytest.raises(RuntimeError) as err:
+        solve_file(script, SolverConfig(cmd, 30.0))
+    assert "exit status 1" in str(err.value)
+    assert "solver crashed" in str(err.value)
+    assert lent[0] not in _idle_pids(tuple(cmd + ["-t", "30.0", "-"]))
+
+
+@pytest.mark.parametrize("bundled", [True, False])
+def test_a_huge_finite_limit_is_waited_out(tmp_path, bundled):
+    script = tmp_path / "q.smt2"
+    script.write_text(TRIVIAL_HORN)
+    cmd = bundled_cmd("catafuse.refsolver.horn") if bundled else \
+        [sys.executable, "-S", "-c", "print('unsat')"]
+    assert solve_file(script, SolverConfig(cmd, 1e300)).verdict == "unsat"
+
+
+def test_script_without_one_check_sat_is_solved_alone(tmp_path, lent):
+    config, _ = _bundled(94.0)
+    script = tmp_path / "q.smt2"
+    for text in (TRIVIAL_HORN.replace("(check-sat)", ""),
+                 TRIVIAL_HORN + "(check-sat)\n"):
+        script.write_text(text)
+        assert solve_file(script, config).verdict == "unsat"
+    assert lent == []
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is alive: neither gone nor a zombie that its new parent
+    has not reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _run_parent(code: str) -> subprocess.CompletedProcess:
+    src = Path(engine_mod.__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _gone_within(pid: int, seconds: float) -> bool:
+    end = time.monotonic() + seconds
+    while _running(pid) and time.monotonic() < end:
+        time.sleep(0.05)
+    return not _running(pid)
+
+
+# a stand-in session that answers once and then reads nothing more
+DEAF_SESSION = """
+import sys, time
+for line in sys.stdin:
+    if line.startswith("(check-sat"):
+        print("unsat", flush=True)
+        time.sleep(60)
+"""
+
+
+def test_idle_session_child_ends_with_its_parent(tmp_path):
+    # the stand-in reads no end of input, so only the exit hook can end it
+    (tmp_path / "q.smt2").write_text(TRIVIAL_HORN)
+    code = f"""
+import sys
+from catafuse import engine
+from catafuse.solver import SolverConfig, solve_file
+cmd = [sys.executable, "-S", "-c", {DEAF_SESSION!r}, "fake.refsolver.horn"]
+print(solve_file({str(tmp_path / "q.smt2")!r}, SolverConfig(cmd, 30.0)).verdict)
+[child] = engine._idle[tuple(cmd + ["-t", "30.0", "-"])]
+print(child.proc.pid, flush=True)
+"""
+    proc = _run_parent(code)
+    assert proc.returncode == 0, proc.stderr
+    verdict, pid = proc.stdout.split()
+    assert verdict == "unsat"
+    try:
+        assert _gone_within(int(pid), 5)
+    finally:
+        if _running(int(pid)):
+            os.kill(int(pid), signal.SIGKILL)
+
+
+def test_idle_session_child_ends_when_its_parent_is_killed(tmp_path):
+    # no exit hook runs: the child ends at the end of its input
+    (tmp_path / "q.smt2").write_text(TRIVIAL_HORN)
+    code = f"""
+import os, signal
+from catafuse import engine
+from catafuse.solver import SolverConfig, solve_file
+config = SolverConfig(engine.bundled_cmd("catafuse.refsolver.horn"), 30.0)
+print(solve_file({str(tmp_path / "q.smt2")!r}, config).verdict)
+[child] = engine._idle[tuple(config.cmd + ["-t", "30.0", "-"])]
+print(child.proc.pid, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+    proc = _run_parent(code)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    verdict, pid = proc.stdout.split()
+    assert verdict == "unsat"
+    try:
+        assert _gone_within(int(pid), 10)
+    finally:
+        if _running(int(pid)):
+            os.kill(int(pid), signal.SIGKILL)
 
 
 def test_solver_naming_its_file_gets_no_spare(tmp_path):
@@ -216,7 +449,8 @@ def test_solver_naming_its_file_gets_no_spare(tmp_path):
     for verdict in ("sat", "unsat", "unknown"):
         script.write_text(verdict + "\n")
         assert solve_file(script, config).verdict == verdict
-    started = set(engine_mod._spares) | engine_mod._started
+    started = set(engine_mod._spares) | engine_mod._started \
+        | set(engine_mod._idle)
     assert not any(k[:len(config.cmd)] == tuple(config.cmd) for k in started)
 
 
