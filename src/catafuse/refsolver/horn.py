@@ -17,13 +17,13 @@ prints sat, unsat, or unknown:
     breadth-first; a query whose premise becomes definitively satisfiable
     yields a refutation, so the verdict is exact. A fact is a clause with
     an empty body, and a clause joins facts by resolution (`syntax.resolve`)
-    on its body atoms in order, each fact renamed apart; the equalities that
-    unification cannot solve by syntax go to the QF core with the
-    constraints. A fact that is a variant of a stored one (equal once
-    display-renamed) is dropped. Once a cap has truncated something, a
-    clause whose head predicate is full is no longer joined (every head it
-    derived would be rejected), and a join state whose partial check
-    already came back sat is not checked again;
+    on its body atoms in order, each fact renamed apart within that step;
+    the equalities that unification cannot solve by syntax go to the QF
+    core with the constraints. A fact that is a variant of a stored one
+    (equal once display-renamed) is dropped. Once a cap has truncated
+    something, a clause whose head predicate is full is no longer joined
+    (every head it derived would be rejected), and a join state whose
+    partial check already came back sat is not checked again;
   * sat by Houdini-style invariant inference: candidate atoms are mined from
     clause constraints, query contracts, and head patterns, then pruned to
     the largest inductive conjunction; if the surviving assignment falsifies
@@ -54,7 +54,7 @@ from ..syntax import (
     mk_and, mk_not, resolve,
 )
 from . import qfcore
-from .smtparse import SmtContext, UnsupportedSmt, balanced, parse_sexps
+from .smtparse import SmtContext, UnsupportedSmt, commands, parse_sexps
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -105,6 +105,8 @@ class _Facts:
     def __init__(self, cap_per_pred: int) -> None:
         # each fact is a clause with an empty body
         self.by_pred: dict[str, list[Clause]] = {}
+        # beside each fact, its variables in the name order _join renames in
+        self.vars: dict[str, list[list[Var]]] = {}
         # each fact under display names: variants share it
         self.seen: set[Clause] = set()
         self.cap = cap_per_pred
@@ -119,6 +121,8 @@ class _Facts:
             self.saturated = False
             return False
         row.append(f)
+        self.vars.setdefault(f.head.pred, []).append(
+            sorted(free_vars(f), key=lambda w: w.name))
         self.seen.add(key)
         return True
 
@@ -146,13 +150,12 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
     state = [(clause, qfcore.UNKNOWN)]
     for atom in clause.body:
         nxt = []
-        for (s, _), f in itertools.product(state, facts.by_pred.get(atom.pred, ())):
+        rows = zip(facts.by_pred.get(atom.pred, ()), facts.vars.get(atom.pred, ()))
+        for (s, _), (f, fvars) in itertools.product(state, rows):
             if _expired(budget.deadline):
                 facts.saturated = False
                 return []
-            ren = {v: gen.fresh_var(v.sort)
-                   for v in sorted(free_vars(f), key=lambda w: w.name)}
-            r = resolve(s, 0, Subst(ren).clause(f))
+            r = resolve(s, 0, f, {v: gen.fresh_var(v.sort) for v in fvars})
             # prune dead partial joins early; unknown survives
             verdict = qfcore.UNSAT if r is None else qfcore.check_sat(
                 r.constraint, qfcore.Budget(20_000, budget.deadline))
@@ -454,26 +457,6 @@ def _refused(e: UnsupportedSmt) -> str:
     return UNKNOWN
 
 
-def _commands(lines):
-    """The commands on `lines`, each as soon as the line that ends it is
-    read; an UnsupportedSmt in place of lines that do not parse."""
-    buf = ""
-    for line in lines:
-        buf += line
-        if balanced(buf):
-            yield from _parsed(buf)
-            buf = ""
-    if buf:
-        yield from _parsed(buf)
-
-
-def _parsed(text: str) -> list:
-    try:
-        return parse_sexps(text)
-    except UnsupportedSmt as e:
-        return [e]
-
-
 def session(lines, timeout: float | None) -> None:
     """Answer each `(check-sat)` on `lines` for the commands since the last
     `(reset)`, its limit starting at that `(check-sat)`; stop at `(exit)` or
@@ -488,7 +471,7 @@ def session(lines, timeout: float | None) -> None:
               solve_clauses(script.clauses, script.ctx.preds, timeout),
               flush=True)
 
-    for cmd in _commands(lines):
+    for cmd in commands(lines):
         op = cmd[0] if isinstance(cmd, list) and cmd else None
         if op == "exit":
             break

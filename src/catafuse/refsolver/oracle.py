@@ -16,7 +16,7 @@ import time
 
 from ..syntax import mk_and
 from . import qfcore
-from .smtparse import SmtContext, UnsupportedSmt, balanced, parse_sexps
+from .smtparse import SmtContext, UnsupportedSmt, commands
 
 
 class OracleSession:
@@ -31,6 +31,8 @@ class OracleSession:
 
     def handle(self, cmd) -> str | None:
         if not isinstance(cmd, list) or not cmd:
+            # what did not parse as a command may have held an assertion
+            self.stack[-1].append("unparsed")
             raise UnsupportedSmt(f"bad command {cmd}")
         op = cmd[0]
         if op in ("set-logic", "set-info"):
@@ -99,29 +101,19 @@ def _quantified(e) -> bool:
 
 def main() -> int:
     session = OracleSession()
-    buf = ""
-    for line in sys.stdin:
-        buf += line
-        if not balanced(buf):
-            continue
+    for cmd in commands(sys.stdin):
         try:
-            cmds = parse_sexps(buf)
-        except UnsupportedSmt:
-            continue  # wait for more input
-        buf = ""
-        for cmd in cmds:
-            try:
-                out = session.handle(cmd)
-            except UnsupportedSmt as e:
-                print(f'(error "{e}")', flush=True)
-                continue
-            except Exception as e:  # never die mid-protocol
-                print(f'(error "internal: {e}")', flush=True)
-                continue
-            if out == "exit":
-                return 0
-            if out is not None:
-                print(out, flush=True)
+            out = session.handle(cmd)
+        except UnsupportedSmt as e:
+            print(f'(error "{e}")', flush=True)
+            continue
+        except Exception as e:  # never die mid-protocol
+            print(f'(error "internal: {e}")', flush=True)
+            continue
+        if out == "exit":
+            return 0
+        if out is not None:
+            print(out, flush=True)
     return 0
 
 

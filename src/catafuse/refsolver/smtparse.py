@@ -19,9 +19,6 @@ class UnsupportedSmt(Exception):
     pass
 
 
-Sexp = "str | list"
-
-
 def tokenize_sexp(text: str) -> list[str]:
     toks: list[str] = []
     i, n = 0, len(text)
@@ -94,6 +91,22 @@ def balanced(text: str) -> bool:
         elif ch == ")":
             depth -= 1
     return depth <= 0 and not in_bar and not in_str
+
+
+def commands(lines):
+    """The commands on `lines`, each once its last line is read, and an
+    UnsupportedSmt for lines that do not parse: a session's one reader."""
+    buf = ""
+    for line in lines:
+        buf += line
+        if balanced(buf):
+            try:
+                yield from parse_sexps(buf)
+            except UnsupportedSmt as e:
+                yield e
+            buf = ""
+    if buf:
+        yield UnsupportedSmt("input ends inside a command")
 
 
 def _finite(sort: Sort, new: dict[Sort, SortDef], known: SortTable,

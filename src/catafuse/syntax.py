@@ -727,10 +727,8 @@ class Subst:
         if isinstance(f, (FTrue, FFalse)):
             return f
         if isinstance(f, FVar):
-            img = self.mapping.get(f.var)
-            if img is None:
-                return f
-            return _as_formula(img)
+            img = self.term(f.var)
+            return f if img is f.var else _as_formula(img)
         if isinstance(f, FNot):
             return mk_not(self.formula(f.arg))
         if isinstance(f, FAnd):
@@ -774,42 +772,52 @@ class Subst:
 # Unification
 # ---------------------------------------------------------------------------
 
-def occurs(v: Var, t: Term) -> bool:
-    return v in free_vars(t)
-
-
 def _rigid(v: Var, t: Term) -> bool:
     """v is t or a constructor argument of t, at any depth."""
     return t == v or (isinstance(t, Ctor)
                       and any(_rigid(v, a) for a in t.args))
 
 
-def _unify(lhs: Term, rhs: Term, s: Subst,
-           residue: list[Formula]) -> Subst | None:
-    lhs = s.term(lhs)
-    rhs = s.term(rhs)
-    if lhs == rhs:
-        return s
+class _Triangular(Subst):
+    """Bindings whose images may hold variables bound after them."""
+
+    def term(self, t: Term) -> Term:
+        if isinstance(t, Var):
+            img = self.mapping.get(t)
+            return t if img is None else self.term(img)
+        if isinstance(t, LinExpr):
+            return lin_sum(((a, self.term(v)) for v, a in t.coeffs), t.const)
+        return super().term(t)
+
+
+def _unify(lhs: Term, rhs: Term, b: _Triangular,
+           residue: list[Formula]) -> bool:
+    m = b.mapping
+    while isinstance(lhs, Var) and lhs in m:
+        lhs = m[lhs]
+    while isinstance(rhs, Var) and rhs in m:
+        rhs = m[rhs]
     if isinstance(lhs, Ctor) and isinstance(rhs, Ctor):
         if lhs.sort != rhs.sort or lhs.ctor != rhs.ctor or len(lhs.args) != len(rhs.args):
-            return None
-        for a, b in zip(lhs.args, rhs.args):
-            s = _unify(a, b, s, residue)
-            if s is None:
-                return None
-        return s
+            return False
+        return all(_unify(a, c, b, residue) for a, c in zip(lhs.args, rhs.args))
+    # a leaf: the tests below need both sides with every binding applied
+    lhs, rhs = b.term(lhs), b.term(rhs)
+    if lhs == rhs:
+        return True
     # the left side is bound first: which variable survives decides the
     # names in unfolded clauses and in derived facts
     for v, t in ((lhs, rhs), (rhs, lhs)):
-        if isinstance(v, Var) and not occurs(v, t):
-            return s.compose(Subst({v: t}))
+        if isinstance(v, Var) and v not in free_vars(t):
+            m[v] = t
+            return True
     for v, t in ((lhs, rhs), (rhs, lhs)):
         if isinstance(v, Var) and v.sort.is_adt and _rigid(v, t):
-            return None  # no finite term equals a constructor term inside it
+            return False  # no finite term equals a constructor term inside it
     # LIA / ite / constant subterms, and a basic variable that occurs on the
     # other side: semantic equality is the constraint's job
     residue.append(eq_of(lhs, rhs, term_sort(lhs)))
-    return s
+    return True
 
 
 def mgu(a1: Atom, a2: Atom) -> tuple[Subst, tuple[Formula, ...]] | None:
@@ -821,32 +829,35 @@ def mgu(a1: Atom, a2: Atom) -> tuple[Subst, tuple[Formula, ...]] | None:
     equality is left in the residue, with the unifier applied: the atoms'
     common instances are the unifier's instances that satisfy the residue.
     None only for a constructor clash, or for an ADT variable that would have
-    to equal a constructor term containing it."""
+    to equal a constructor term containing it. Bindings stay triangular
+    (Baader and Snyder 2001); the unifier is built at the end, in their order."""
     if a1.pred != a2.pred or len(a1.args) != len(a2.args):
         return None
-    s = Subst()
+    b = _Triangular()
     residue: list[Formula] = []
-    for x, y in zip(a1.args, a2.args):
-        s = _unify(x, y, s, residue)
-        if s is None:
-            return None
+    if not all(_unify(x, y, b, residue) for x, y in zip(a1.args, a2.args)):
+        return None
+    s = Subst({v: b.term(t) for v, t in b.mapping.items()})
     return s, tuple(s.formula(e) for e in residue)
 
 
-def resolve(c: Clause, i: int, k: Clause) -> Clause | None:
+def resolve(c: Clause, i: int, k: Clause, ren: dict[Var, Var]) -> Clause | None:
     """The resolvent of c on its i-th body atom with k, a definite clause
-    already renamed apart from c: the unifier applied to c's head, both
-    constraints and the body c.body[:i] + k.body + c.body[i+1:], with the
-    residue conjoined. None where the atoms do not unify."""
-    u = mgu(c.body[i], k.head)
+    that ren (see `rename_apart`) renames apart from c: the unifier applied to
+    c's head, both constraints and the body c.body[:i] + k.body +
+    c.body[i+1:], k's parts renamed in the same walk, with the residue
+    conjoined. None where the atoms do not unify."""
+    u = mgu(c.body[i], Subst(ren).atom(k.head))
     if u is None:
         return None
     s, residue = u
+    sk = Subst({**s.mapping, **{v: s.term(t) for v, t in ren.items()}})
     head = None if c.head is None else s.atom(c.head)
-    body = c.body[:i] + k.body + c.body[i + 1:]
+    body = (*(s.atom(a) for a in c.body[:i]), *(sk.atom(a) for a in k.body),
+            *(s.atom(a) for a in c.body[i + 1:]))
     return Clause(head, mk_and(s.formula(c.constraint),
-                               s.formula(k.constraint), *residue),
-                  tuple(s.atom(b) for b in body), c.origin)
+                               sk.formula(k.constraint), *residue),
+                  body, c.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -869,9 +880,10 @@ class NameGen:
         return Var(self.fresh(base), sort)
 
 
-def rename_apart(c: Clause, avoid: set[Var], gen: NameGen) -> tuple[Clause, Subst]:
-    """A variant of c whose variables are disjoint from avoid (bijective renaming)."""
-    ren: dict[Var, Term] = {}
+def rename_apart(c: Clause, avoid: set[Var], gen: NameGen) -> dict[Var, Var]:
+    """The renaming, in name order, of c's variables named like one of avoid
+    to fresh ones: bijective, it makes c a variant disjoint from avoid."""
+    ren: dict[Var, Var] = {}
     taken = {v.name for v in avoid}
     for v in sorted(free_vars(c), key=lambda w: w.name):
         if v.name in taken:
@@ -880,8 +892,7 @@ def rename_apart(c: Clause, avoid: set[Var], gen: NameGen) -> tuple[Clause, Subs
                 nv = gen.fresh_var(v.sort, v.name)
             ren[v] = nv
             taken.add(nv.name)
-    s = Subst(ren)
-    return s.clause(c), s
+    return ren
 
 
 # ---------------------------------------------------------------------------

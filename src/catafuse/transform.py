@@ -17,8 +17,8 @@ Conventions that matter for reading this module:
     true_* carrier one per catamorphism signature of its fold group, so
     differently-shaped orphan groups get carriers of their own;
   * a one-step unfold resolves (syntax.resolve) the clause with each
-    program clause renamed apart, and keeps the resolvents whose
-    constraint the engine does not find unsat;
+    program clause and its renaming apart (syntax.rename_apart), and keeps
+    the resolvents whose constraint the engine does not find unsat;
   * matching a definition against a clause (for Skip/Extend/Fold/extension
     checks) renames the definition, never the clause: program atom first,
     then each clause catamorphism to a definition catamorphism with the same
@@ -317,7 +317,7 @@ class Transformer:
         for k in p:
             if k.head is None or k.head.pred != pred:
                 continue
-            r = resolve(c, atom_index, rename_apart(k, avoid, self.var_gen)[0])
+            r = resolve(c, atom_index, k, rename_apart(k, avoid, self.var_gen))
             if r is None or self.engine.is_satisfiable(r.constraint) == UNSAT:
                 continue  # unknown is kept, per the conservative policy
             out.append(Clause(r.head, simplify(r.constraint), r.body, "unfold"))

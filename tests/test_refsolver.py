@@ -753,6 +753,21 @@ def test_oracle_survives_errors():
     assert lines[-1] == "sat"
 
 
+def test_oracle_answers_after_lines_that_do_not_parse():
+    """A stray ')' is an error, not the start of a command that never ends;
+    the assertion it may have held leaves every later check-sat in its
+    scope unknown."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "catafuse.refsolver.oracle"],
+        input="(declare-const x Int)\n(assert (> x 0)))\n(check-sat)\n"
+              "(assert (> x 1))\n(check-sat)\n",
+        capture_output=True, text=True, timeout=30)
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0
+    assert len(lines) == 3 and lines[0].startswith("(error")
+    assert lines[1:] == ["unknown", "unknown"]
+
+
 # A finite datatype: no value of x differs from both red and green, which the
 # QF core (taking every datatype variable as able to differ) would miss.
 COLOR = "sort color = red | green.\npred p(color).\np(X) :- X = red.\n"
@@ -1394,7 +1409,10 @@ _NOT_P = "(assert (forall ((x Int)) (=> (p x) false)))\n"
     # input that never asks is answered once at its end or exit, as a file
     (_P_OF_0 + _NOT_P, ["unsat"]),
     ("(assert false)\n(exit)\n", ["unsat"]),
-], ids=["per-reset", "refused-until-reset", "never-asked", "exit-unasked"])
+    # input that ends inside a command, here a string, is refused
+    (_P_OF_0 + '(assert (= 1 "a))\n', ["unknown"]),
+], ids=["per-reset", "refused-until-reset", "never-asked", "exit-unasked",
+        "ends-in-a-string"])
 def test_horn_session_answers_each_check_sat(text, verdicts):
     out = subprocess.run(
         [sys.executable, "-m", "catafuse.refsolver.horn", "-t", "30", "-"],

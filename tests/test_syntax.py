@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from catafuse import parser, syntax
 from catafuse.syntax import (
-    BOOL, INT, Atom, Clause, Ctor, CtorDecl, IntConst, NameGen, PredDecl,
-    Subst, TRUE, Var, conjuncts, free_vars, lin, list_sort, mgu,
-    pretty_clause, rename_apart, variant_of, FComp, FEq, FFalse,
-    FVar,
+    BOOL, INT, Atom, BoolConst, Clause, Ctor, CtorDecl, IntConst, NameGen,
+    PredDecl, Subst, TRUE, Var, conjuncts, eq_of, free_vars, lin, list_sort,
+    mgu, mk_and, pretty_clause, rename_apart, term_sort, tree_sort,
+    variant_of, FComp, FEq, FFalse, FVar,
 )
 
 LI = list_sort(INT)
@@ -129,7 +129,7 @@ def test_mgu_is_most_general_bruteforce():
 def test_resolve_constructor_clash_is_none():
     c = Clause(Atom("p", (lvar("X"),)), TRUE, (Atom("q", (NIL,)),))
     k = Clause(Atom("q", (cons(ivar("H"), lvar("T")),)), TRUE, ())
-    assert syntax.resolve(c, 0, k) is None
+    assert syntax.resolve(c, 0, k, {}) is None
 
 
 def test_resolve_applies_the_unifier_and_keeps_the_residue():
@@ -142,7 +142,7 @@ def test_resolve_applies_the_unifier_and_keeps_the_residue():
                (Atom("r", (x,)), Atom("q", (cons(x1, t),)), Atom("s", (t,))))
     k = Clause(Atom("q", (cons(IntConst(3), t2),)), FEq(t2, NIL, LI),
                (Atom("t", (t2,)),))
-    r = syntax.resolve(c, 1, k)
+    r = syntax.resolve(c, 1, k, {})
     assert r.head == Atom("p", (x, t2))
     assert r.body == (Atom("r", (x,)), Atom("t", (t2,)), Atom("s", (t2,)))
     assert conjuncts(r.constraint) == (
@@ -157,7 +157,7 @@ def test_resolve_body_splices_k_in_place_under_the_unifier():
                             Atom("w", (b,))))
     k = Clause(Atom("q", (NIL, cons(y, NIL))), FComp(">", y, IntConst(1)),
                (Atom("v", (y,)), Atom("x", (y,))))
-    r = syntax.resolve(c, 1, k)
+    r = syntax.resolve(c, 1, k, {})
     s, _ = mgu(c.body[1], k.head)
     assert r.head is None  # a query stays a query
     assert r.body == tuple(s.atom(b) for b in c.body[:1] + k.body + c.body[2:])
@@ -178,25 +178,25 @@ def _clause():
 def test_rename_apart_disjoint():
     gen = NameGen()
     c = _clause()
-    out, _ = rename_apart(c, {lvar("A")}, gen)
+    ren = rename_apart(c, {lvar("A")}, gen)
+    assert set(ren) == {lvar("A")}
+    out = Subst(ren).clause(c)
     assert lvar("A") not in free_vars(out)
     assert variant_of(c, out)
 
 
 def test_rename_apart_empty_avoid_is_identity():
     gen = NameGen()
-    c = _clause()
-    out, s = rename_apart(c, set(), gen)
-    assert out == c and not s
+    assert rename_apart(_clause(), set(), gen) == {}
 
 
 def test_rename_apart_composes():
     gen = NameGen()
     c = _clause()
     avoid = set(free_vars(c))
-    c1, _ = rename_apart(c, avoid, gen)
+    c1 = Subst(rename_apart(c, avoid, gen)).clause(c)
     avoid |= free_vars(c1)
-    c2, _ = rename_apart(c1, avoid, gen)
+    c2 = Subst(rename_apart(c1, avoid, gen)).clause(c1)
     assert variant_of(c, c2)
     assert not (free_vars(c2) & set(free_vars(c)))
 
@@ -509,6 +509,155 @@ def _rand_clause(r):
     head = None if r.random() < 0.3 else _rand_atom(r)
     return Clause(head, _rand_formula(r, 3),
                   tuple(_rand_atom(r) for _ in range(r.randrange(3))))
+
+
+# ---------------------------------------------------------------------------
+# mgu and resolve against the compose-based unifier they replace
+# ---------------------------------------------------------------------------
+
+TI = tree_sort(INT)
+LEAF = Ctor(TI, "leaf", ())
+# the reference composes a Subst per binding; mgu must not
+_compose = Subst.compose
+
+
+def _ref_unify(lhs, rhs, s, residue):
+    lhs = s.term(lhs)
+    rhs = s.term(rhs)
+    if lhs == rhs:
+        return s
+    if isinstance(lhs, Ctor) and isinstance(rhs, Ctor):
+        if lhs.sort != rhs.sort or lhs.ctor != rhs.ctor or len(lhs.args) != len(rhs.args):
+            return None
+        for a, b in zip(lhs.args, rhs.args):
+            s = _ref_unify(a, b, s, residue)
+            if s is None:
+                return None
+        return s
+    for v, t in ((lhs, rhs), (rhs, lhs)):
+        if isinstance(v, Var) and v not in free_vars(t):
+            return _compose(s, Subst({v: t}))
+    for v, t in ((lhs, rhs), (rhs, lhs)):
+        if isinstance(v, Var) and v.sort.is_adt and syntax._rigid(v, t):
+            return None
+    residue.append(eq_of(lhs, rhs, term_sort(lhs)))
+    return s
+
+
+def _ref_mgu(a1, a2):
+    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
+        return None
+    s = Subst()
+    residue = []
+    for x, y in zip(a1.args, a2.args):
+        s = _ref_unify(x, y, s, residue)
+        if s is None:
+            return None
+    return s, tuple(s.formula(e) for e in residue)
+
+
+def _ref_resolve(c, i, k):
+    """Resolution in two steps, with k already renamed apart from c."""
+    u = _ref_mgu(c.body[i], k.head)
+    if u is None:
+        return None
+    s, residue = u
+    head = None if c.head is None else s.atom(c.head)
+    body = c.body[:i] + k.body + c.body[i + 1:]
+    return Clause(head, mk_and(s.formula(c.constraint),
+                               s.formula(k.constraint), *residue),
+                  tuple(s.atom(b) for b in body), c.origin)
+
+
+_TVARS = [Var(n, TI) for n in ("T", "U")]
+
+
+def _rand_tree(r, depth):
+    if depth == 0 or r.random() < 0.4:
+        return r.choice(_TVARS + [LEAF])
+    return Ctor(TI, "node", (_rand_tree(r, depth - 1), _rand_int(r, depth - 1),
+                             _rand_tree(r, depth - 1)))
+
+
+def _rand_arg(r, sort):
+    if sort == INT:
+        return _rand_int(r, 2)
+    if sort == BOOL:
+        return r.choice(_BVARS + [BoolConst(False), BoolConst(True)])
+    return _rand_list(r, 2) if sort == LI else _rand_tree(r, 2)
+
+
+# the variable pools are small, so both atoms share variables: repeated
+# variables, occurs checks and chains of bindings come up often
+_SIGS = {"s": (LI, INT), "t": (TI, INT, BOOL), "u": (INT, LI, TI, BOOL)}
+
+
+def _atom_pairs(r):
+    yield (Atom("p", (ivar("Y"), ivar("X"))),
+           Atom("p", (ivar("Z"), lin({ivar("X"): 1, ivar("Y"): 1, ivar("Z"): -1}))))
+    yield Atom("p", (lvar("L"),)), Atom("p", (cons(ivar("X"), lvar("L")),))
+    yield Atom("p", (NIL,)), Atom("p", (cons(ivar("X"), lvar("L")),))
+    for _ in range(4000):
+        pred = r.choice(tuple(_SIGS))
+        other = pred if r.random() < 0.95 else "s"
+        yield (Atom(pred, tuple(_rand_arg(r, a) for a in _SIGS[pred])),
+               Atom(other, tuple(_rand_arg(r, a) for a in _SIGS[other])))
+
+
+def test_mgu_matches_compose_based_reference(monkeypatch):
+    """On seeded random atom pairs, mgu gives the compose-based unifier's
+    mapping, its keys in the same order, and the same residue; it composes
+    no Subst to get them."""
+
+    def no_compose(self, other):
+        raise AssertionError("mgu composed a Subst")
+
+    monkeypatch.setattr(Subst, "compose", no_compose)
+    seen = {"none": 0, "bound": 0, "residue": 0}
+    for a1, a2 in _atom_pairs(random.Random(17)):
+        try:
+            want = _ref_mgu(a1, a2)
+        except TypeError:  # an int variable bound to an ite inside a sum
+            continue
+        got = mgu(a1, a2)
+        if want is None:
+            assert got is None, (a1, a2)
+            seen["none"] += 1
+            continue
+        assert list(got[0].mapping.items()) == list(want[0].mapping.items()), (a1, a2)
+        assert got[1] == want[1], (a1, a2)
+        seen["bound"] += bool(want[0])
+        seen["residue"] += bool(want[1])
+    assert min(seen.values()) > 300, seen
+
+
+def test_mgu_sees_a_bound_variable_cancel():
+    # Y is bound to Z first, so X against X+Y-Z is X against X
+    x, y, z = ivar("X"), ivar("Y"), ivar("Z")
+    s, residue = mgu(Atom("p", (y, x)), Atom("p", (z, lin({x: 1, y: 1, z: -1}))))
+    assert s.mapping == {y: z} and residue == ()
+
+
+def test_resolve_matches_two_step_resolution():
+    """resolve(c, i, k, ren) is the resolvent of c with k renamed by ren,
+    as the reference makes it from a renamed copy of k."""
+    r = random.Random(23)
+    resolved = 0
+    for _ in range(1500):
+        c = _rand_clause(r)
+        if not c.body:
+            continue
+        i = r.randrange(len(c.body))
+        k = _rand_clause(r)
+        k = Clause(Atom(c.body[i].pred, _rand_atom(r).args), k.constraint, k.body)
+        ren = rename_apart(k, free_vars(c), NameGen())
+        try:
+            want = _ref_resolve(c, i, Subst(ren).clause(k))
+        except TypeError:  # an int variable bound to an ite inside a sum
+            continue
+        assert syntax.resolve(c, i, k, ren) == want, (c, i, k)
+        resolved += want is not None
+    assert resolved > 500
 
 
 def test_vars_in_order_matches_reference_visitor():
