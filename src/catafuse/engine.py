@@ -17,9 +17,11 @@ solver instead keeps its children as sessions: `solver` lends an idle one
 answered and been sent `(reset)`. Spares and idle children still waiting at
 exit are killed. Both bundled children start without `site` (`python -S`),
 which they need nothing from, and get this package's root on their path
-from their command (`bundled_cmd`), not from the caller's environment. Both
-speak SMT-LIB through `Child`, which sends commands and reads verdicts
-against a deadline.
+from their command (`bundled_cmd`), not from the caller's environment. Their
+command also names this user's private bytecode cache (`bytecode_cache`), so
+each module is compiled once per source version, not at every start, and no
+bytecode is ever written beside the sources. Both speak SMT-LIB through
+`Child`, which sends commands and reads verdicts against a deadline.
 A child that replies `(error ...)` is dropped, and that query is unknown.
 A child that refuses the problem's datatype declarations is dropped too,
 and every query over those declarations is unknown without another start.
@@ -45,6 +47,7 @@ import os
 import select
 import shlex
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -85,26 +88,71 @@ STDERR_TAIL_LINES = 5
 STDERR_TAIL_BYTES = 4096
 
 
-# `python -S -c _LAUNCH <package root> <module> [args]` runs the module as
-# `python -m <module> [args]` would, with the package root first on its path
+# `python -S -c _LAUNCH <package root> <bytecode cache> <module> [args]` runs
+# the module as `python -m <module> [args]` would, with the package root first
+# on its path and, unless the cache is "", its bytecode kept in that cache
 _LAUNCH = ("import runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+           "sys.pycache_prefix = sys.argv.pop(1) or None; "
+           "sys.dont_write_bytecode = sys.dont_write_bytecode "
+           "and not sys.pycache_prefix; "
            "runpy.run_module(sys.argv.pop(1), run_name='__main__', "
            "alter_sys=True)")
+
+_bytecode_dir: str | None = None
+_bytecode_lock = threading.Lock()
+
+
+def bytecode_cache() -> str:
+    """The bundled children's bytecode cache (their `sys.pycache_prefix`):
+    this user's private directory in the temporary directory, made on the
+    first call in this process, or "" when it cannot be made or trusted.
+    Sharing it is safe: the import system checks each `.pyc` against its
+    source's mtime and size, names it by the interpreter's cache tag, keeps
+    it under the source's absolute path and writes it atomically."""
+    global _bytecode_dir
+    with _bytecode_lock:
+        if _bytecode_dir is None:
+            _bytecode_dir = private_dir(os.path.join(
+                tempfile.gettempdir(), f"catafuse-{os.getuid()}-bytecode"))
+        return _bytecode_dir
+
+
+def private_dir(path: str) -> str:
+    """`path`, made if missing, if it is a directory (not a link) that this
+    user owns and no one else may enter; else "". Bytecode from a directory
+    that another user could write would run that user's code."""
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    except OSError:
+        return ""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return ""
+    if stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() \
+            and not st.st_mode & 0o077:
+        return path
+    return ""
 
 
 def bundled_cmd(module: str) -> list[str]:
     """The command that starts one of the bundled children: without `site`,
     which costs each start tens of milliseconds and which they need nothing
-    from, and with this package found where the parent found it."""
+    from, with this package found where the parent found it, and with its
+    bytecode read from (or, the first time, written to) `bytecode_cache`
+    instead of compiled at every start."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return [sys.executable, "-S", "-c", _LAUNCH, root, module]
+    return [sys.executable, "-S", "-c", _LAUNCH, root, bytecode_cache(),
+            module]
 
 
 def command_name(cmd: list[str]) -> str:
     """How messages name a command: one from `bundled_cmd` by its module
     and arguments, not by its launcher source."""
     if cmd[1:4] == ["-S", "-c", _LAUNCH]:
-        return " ".join(cmd[5:]) + " (bundled)"
+        return " ".join(cmd[6:]) + " (bundled)"
     return " ".join(cmd)
 
 

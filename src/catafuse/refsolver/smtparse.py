@@ -323,7 +323,7 @@ class SmtContext:
         constraints: list[Formula] = []
         for item in items:
             if isinstance(item, list) and item and item[0] in self.preds:
-                atoms.append(self._atom(item, env))
+                atoms.append(self._atom(item, env, constraints))
             elif isinstance(item, str) and item in self.preds:
                 atoms.append(Atom(item, ()))
             else:
@@ -331,15 +331,35 @@ class SmtContext:
         if head == "false":
             h = None
         elif isinstance(head, list) and head and head[0] in self.preds:
-            h = self._atom(head, env)
+            h = self._atom(head, env, constraints)
         elif isinstance(head, str) and head in self.preds:
             h = Atom(head, ())
         else:
             raise UnsupportedSmt(f"clause head {head} is not an atom or false")
         return Clause(h, mk_and(*constraints), tuple(atoms))
 
-    def _atom(self, e, env) -> Atom:
-        return Atom(e[0], tuple(self.to_term(a, env) for a in e[1:]))
+    def _atom(self, e, env, constraints: list[Formula]) -> Atom:
+        """The atom `e`, each argument that holds an ite named by a fresh
+        variable whose defining equation joins `constraints`: resolution
+        substitutes arguments into linear terms, which cannot hold an ite,
+        and the QF core lifts an ite only where it sits in an atom."""
+        sorts = self.preds[e[0]]
+        if len(sorts) != len(e) - 1:
+            raise UnsupportedSmt(f"arity mismatch for {e[0]}")
+        args = []
+        for a, sort in zip(e[1:], sorts):
+            t = self.to_term(a, env)
+            if _has_ite(t):  # numbered by its equation: unique in the clause
+                v = Var(f"ite#{len(constraints)}", sort)
+                constraints.append(eq_of(v, t, sort))
+                t = v
+            args.append(t)
+        return Atom(e[0], tuple(args))
+
+
+def _has_ite(t: Term) -> bool:
+    return isinstance(t, TermIte) or \
+        isinstance(t, Ctor) and any(_has_ite(a) for a in t.args)
 
 
 def _lin_sum(parts: list[tuple[int, Term]]) -> Term:

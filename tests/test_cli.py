@@ -77,6 +77,15 @@ def test_solve_prints_verdict(tmp_path, corpus_dir, capsys):
     assert capsys.readouterr().out.strip() == "unsat"
 
 
+@pytest.mark.parametrize("bound, verdict", [(5, "sat"), (2, "unsat")])
+def test_solve_ite_in_a_predicate_argument(tmp_path, capsys, bound, verdict):
+    src = tmp_path / "ite.chc"
+    src.write_text(f"pred p(int).\np(ite(B, 1, 2)).\n"
+                   f"false :- X + 1 > {bound}, p(X).\n")
+    assert run_cli("solve", str(src), "--timeout", "90") == 0
+    assert capsys.readouterr().out.strip() == verdict
+
+
 def test_verify_subcommand(tmp_path, corpus_dir, capsys):
     src = tmp_path / "u.chc"
     src.write_text((corpus_dir / "append_len_unsat.chc").read_text())

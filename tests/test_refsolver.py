@@ -911,6 +911,34 @@ def test_horn_trivial_unsat():
     assert _solve(s) == "unsat"
 
 
+@pytest.mark.parametrize("bound, verdict", [(5, "sat"), (2, "unsat")])
+def test_horn_ite_in_a_predicate_argument(bound, verdict):
+    """An argument holding an ite is named by a fresh variable: resolution
+    would otherwise substitute the ite into `x + 1`, a linear term."""
+    s = f"""(set-logic HORN)
+(declare-fun p (Int) Bool)
+(assert (forall ((b Bool)) (=> true (p (ite b 1 2)))))
+(assert (forall ((x Int)) (=> (and (p x) (> (+ x 1) {bound})) false)))
+(check-sat)"""
+    assert _solve(s) == verdict
+
+
+def test_smtparse_names_ite_arguments_in_head_and_body():
+    ctx = SmtContext()
+    ctx.declare_datatypes([["Lst", "0"]], [[["nil"], ["cons", ["hd", "Int"],
+                                                     ["tl", "Lst"]]]])
+    ctx.declare_fun("q", ["Int", "Lst"], "Bool")
+    clause = ctx.to_clause(parse_sexps(
+        "(forall ((b Bool) (x Int) (l Lst))"
+        " (=> (and (q (ite b x 0) l) (> x 0)) (q x (cons (ite b 1 x) l))))")[0])
+    assert all(isinstance(a, Var) for a in clause.body[0].args)
+    assert isinstance(clause.head.args[1], Var)
+    assert clause.head.args[0] == Var("x", INT)
+    assert "ite" in str(clause.constraint)
+    with pytest.raises(UnsupportedSmt, match="arity"):
+        ctx.to_clause(parse_sexps("(q 1)")[0])
+
+
 def test_horn_false_from_true_unsat():
     assert _solve("(set-logic HORN)\n(assert false)\n(check-sat)") == "unsat"
 
