@@ -6,11 +6,14 @@ transformed_problem, emit_smtlib, solve, check_equisat, run_bench.
 These names load on first use (PEP 562), so importing a submodule imports
 only what that submodule needs. The bundled oracle and CHC-solver children
 (`catafuse.refsolver.oracle` / `catafuse.refsolver.horn`, started without
-`site`: see `engine.bundled_cmd`) import only `catafuse.syntax` and
-`catafuse.refsolver`, and one of them starts per transform or per solve, so
-their start-up is paid every time. For the same reason they import no
-`dataclasses`, `inspect` or `typing`: the value classes in `catafuse.syntax`
-are generated without `dataclasses`.
+`site` and with cached bytecode: see `engine.bundled_cmd`) import only
+`catafuse.syntax` and `catafuse.refsolver`. A lone `transform`, `solve` or
+`verify` still waits for one child's start-up; a process that transforms or
+solves many problems mostly does not, as the next oracle child starts while
+the current one works, and one solver child serves consecutive solves at
+one limit. Since start-up still counts, the children import no
+`dataclasses`, `inspect` or `typing`: the value classes in
+`catafuse.syntax` are generated without `dataclasses`.
 """
 
 from importlib import import_module

@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from .catas import AnalysisError, check_schema
-from .engine import ConstraintEngine, Oracle, default_oracle_cmd
+from .engine import ConstraintEngine, Oracle, OracleError, default_oracle_cmd
 from .parser import ParseError, parse_problem
 from .smtlib import emit_smtlib, functionality_obligation, totality_obligation
 from .solver import (SolverConfig, check_equisat, default_solver_cmd,
@@ -88,8 +88,9 @@ def _config(args) -> SolverConfig:
 def _load(path: str):
     try:
         return parse_problem(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as e:  # missing, a directory, not text
+        print(f"error: cannot read {path}: "
+              f"{getattr(e, 'strerror', None) or e}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
     except (ParseError, AnalysisError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -108,6 +109,9 @@ def _transform(problem, args):
     except TransformError as e:
         print(f"transformation failed: {e}", file=sys.stderr)
         raise SystemExit(EXIT_TRANSFORM)
+    except OracleError as e:  # a missing or crashed oracle
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_SOLVER)
     finally:
         engine.close()
     if getattr(args, "verbose", False):
@@ -123,7 +127,11 @@ def cmd_transform(args) -> int:
     result = _transform(problem, args)
     stem = Path(args.input)
     outdir = Path(args.out) if args.out else stem.parent
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file by that name, say
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
     tp = transformed_problem(problem, result)
 
     surface = outdir / (stem.stem + ".transformed.chc")

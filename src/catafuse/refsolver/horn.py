@@ -513,8 +513,13 @@ def main(argv: list[str]) -> int:
     if args[0] == "-":
         session(sys.stdin, timeout)
         return 0
-    with open(args[0], encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args[0], encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"horn: cannot read {args[0]}: "
+              f"{getattr(e, 'strerror', None) or e}", file=sys.stderr)
+        return 2
     print(solve_script(text, timeout), flush=True)
     return 0
 

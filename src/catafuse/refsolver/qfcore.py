@@ -23,14 +23,16 @@ root is true:
     integer tightening); an inexact elimination makes a feasible result
     'unknown', and each integer disequality t != 0 branches on t <= -1 and
     -t <= -1;
-  * constructor terms: congruence closure with injectivity, clash, and
-    acyclicity; derived equalities on integer arguments feed the LIA check.
-    A disequality between constructor terms holds when some position
-    clashes or holds an ADT variable (an infinite datatype has another
-    value for it), and otherwise reduces to its differing integer and
-    boolean positions: some integer pair must differ, unless a boolean
-    pair already does. A boolean in such a position, or in a derived
-    boolean equality, that no atom assigns is tried both ways.
+  * constructor terms: the equalities are unified by `syntax.unify`
+    (injectivity, clash and occurs check); the unifier's integer bindings
+    and residue feed the LIA check, its boolean ones are checked against
+    the assignment. A disequality, with the unifier applied to both sides,
+    holds when some position clashes or holds an ADT variable (an infinite
+    datatype has another value for it), and otherwise reduces to its
+    differing integer and boolean positions: some integer pair must
+    differ, unless a boolean pair already does. A boolean in such a
+    position, or in a derived boolean equality, that no atom assigns is
+    tried both ways.
 
 Everything answers sat/unsat/unknown and never lies: 'unknown' is returned
 whenever a budget or an unsupported corner is hit.
@@ -43,7 +45,7 @@ from itertools import islice
 from ..syntax import (
     BOOL, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue, FVar,
     Formula, IntConst, BoolConst, Ctor, Term, TermIte, Var, as_lin, conjuncts,
-    lin_sub, term_sort,
+    lin_sub, term_sort, unify,
 )
 from .lia import Budget, Infeasible, Overflow, canon_atom, eliminate
 
@@ -419,68 +421,11 @@ def _search(root: _Node, lits: dict[Formula, bool], budget: Budget) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Theory: congruence closure over constructor terms
+# Theory: constructor equalities by unification, integers by elimination
 # ---------------------------------------------------------------------------
 
-class _CC:
-    def __init__(self) -> None:
-        self.parent: dict[Term, Term] = {}
-        self.int_eqs: list[tuple[Term, Term]] = []
-        self.bool_eqs: list[tuple[Term, Term]] = []
-
-    def find(self, t: Term) -> Term:
-        while self.parent.get(t, t) != t:
-            self.parent[t] = self.parent.get(self.parent[t], self.parent[t])
-            t = self.parent[t]
-        return t
-
-    def union(self, a: Term, b: Term) -> bool:
-        """False on conflict (clash or cycle)."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return True
-        if isinstance(a, Ctor) and isinstance(b, Ctor):
-            if a.sort != b.sort or a.ctor != b.ctor:
-                return False
-            for x, y in zip(a.args, b.args):
-                s = term_sort(x)
-                if s.is_adt:
-                    if not self.union(x, y):
-                        return False
-                elif s == BOOL:
-                    self.bool_eqs.append((x, y))
-                else:
-                    self.int_eqs.append((x, y))
-            return True
-        # orient: variables point at terms
-        if isinstance(b, Var):
-            a, b = b, a
-        if isinstance(a, Var):
-            if self._occurs(a, b):
-                return False
-            self.parent[a] = b
-            return True
-        return False
-
-    def _occurs(self, v: Var, t: Term) -> bool:
-        t = self.find(t)
-        if t == v:
-            return True
-        if isinstance(t, Ctor):
-            return any(term_sort(a).is_adt and self._occurs(v, a) for a in t.args)
-        return False
-
-    def canon(self, t: Term) -> Term:
-        t = self.find(t)
-        if isinstance(t, Ctor):
-            return Ctor(t.sort, t.ctor,
-                        tuple(self.canon(a) if term_sort(a).is_adt else a
-                              for a in t.args))
-        return t
-
-
 def _theory_check(lits: dict[Formula, bool], budget: Budget) -> str:
-    cc = _CC()
+    eqs: list[tuple[Term, Term]] = []
     diseqs: list[tuple[Term, Term]] = []
     lia_le: list[tuple[dict[Var, int], int]] = []   # sum c·v + k <= 0
     lia_eq: list[tuple[dict[Var, int], int]] = []
@@ -488,11 +433,7 @@ def _theory_check(lits: dict[Formula, bool], budget: Budget) -> str:
         if isinstance(atom, FVar):
             continue
         if isinstance(atom, FEq):
-            if val:
-                if not cc.union(atom.lhs, atom.rhs):
-                    return UNSAT
-            else:
-                diseqs.append((atom.lhs, atom.rhs))
+            (eqs if val else diseqs).append((atom.lhs, atom.rhs))
         elif isinstance(atom, FComp):
             coeffs, k = as_lin(atom.lhs)
             if atom.rel == "=<":
@@ -505,10 +446,22 @@ def _theory_check(lits: dict[Formula, bool], budget: Budget) -> str:
                     lia_eq.append((coeffs, k))
                 else:
                     diseqs.append((atom.lhs, atom.rhs))
-    # equalities derived from constructor decomposition
-    for x, y in cc.int_eqs:
-        lia_eq.append(as_lin(lin_sub(x, y)))
-    for x, y in cc.bool_eqs:
+    u = unify(eqs)
+    if u is None:
+        return UNSAT  # a constructor clash, or a term inside itself
+    s, residue = u
+    if any(term_sort(x).is_adt for x, _ in residue):
+        return UNKNOWN  # only an ADT ite is left there, and _compile lifts it
+    # the unifier's integer and boolean bindings, and its residue, are the
+    # equalities the constructor equalities leave to the other theories
+    bool_eqs: list[tuple[Term, Term]] = []
+    for x, y in (*s.mapping.items(), *residue):
+        sort = term_sort(x)
+        if sort == BOOL:
+            bool_eqs.append((x, y))
+        elif not sort.is_adt:
+            lia_eq.append(as_lin(lin_sub(x, y)))
+    for x, y in bool_eqs:
         r = _bool_eq_status(x, y, lits)
         if r is False:
             return UNSAT
@@ -521,7 +474,7 @@ def _theory_check(lits: dict[Formula, bool], budget: Budget) -> str:
         if not (isinstance(a, (Var, Ctor)) and term_sort(a).is_adt):
             int_diseqs.append([as_lin(lin_sub(a, b))])
             continue
-        ca, cb = cc.canon(a), cc.canon(b)
+        ca, cb = s.term(a), s.term(b)
         if ca == cb:
             return UNSAT
         diffs = _basic_diffs(ca, cb)

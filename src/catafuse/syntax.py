@@ -7,18 +7,19 @@ clauses read like hand-written ones.
 
 The value classes behave like frozen dataclasses (`Problem` like a plain
 one) but are built by `value_class`, not `dataclasses`: this module is on
-the import path of the bundled oracle and CHC-solver children, which start
-once per transform and once per solve, and `dataclasses` (with `inspect`,
-`re`, `enum` and `ast`) plus its per-class code generation took about half
-of a child's import time. Nor does the module import `typing`; its
-annotations are never evaluated.
+the import path of the bundled oracle and CHC-solver children, and
+`dataclasses` (with `inspect`, `re`, `enum` and `ast`) plus its per-class
+code generation took about half of a child's import time. Nor does the
+module import `typing`; its annotations are never evaluated.
 
 Two term operations are written here once, for every other module:
 `vars_in_order` (the walk of `free_vars`, in first-occurrence order, which
 display names, SMT-LIB binders and definition heads follow) and `lin_sum`
-(every sum of scaled linear terms, made canonical by `lin`). Resolution is
-written here once too: `resolve` is both the transformer's unfolding step
-and the bundled CHC solver's refutation join.
+(every sum of scaled linear terms, made canonical by `lin`). Unification
+and resolution are written here once too: `unify` decides the constructor
+equalities of the bundled oracle's decision core and unifies the atoms of
+`resolve`, which is both the transformer's unfolding step and the bundled
+CHC solver's refutation join.
 """
 
 from __future__ import annotations
@@ -791,7 +792,7 @@ class _Triangular(Subst):
 
 
 def _unify(lhs: Term, rhs: Term, b: _Triangular,
-           residue: list[Formula]) -> bool:
+           residue: list[tuple[Term, Term]]) -> bool:
     m = b.mapping
     while isinstance(lhs, Var) and lhs in m:
         lhs = m[lhs]
@@ -816,29 +817,41 @@ def _unify(lhs: Term, rhs: Term, b: _Triangular,
             return False  # no finite term equals a constructor term inside it
     # LIA / ite / constant subterms, and a basic variable that occurs on the
     # other side: semantic equality is the constraint's job
-    residue.append(eq_of(lhs, rhs, term_sort(lhs)))
+    residue.append((lhs, rhs))
     return True
 
 
-def mgu(a1: Atom, a2: Atom) -> tuple[Subst, tuple[Formula, ...]] | None:
-    """Most general unifier of two atoms, as (unifier, residue).
+def unify(pairs: Iterable[tuple[Term, Term]]
+          ) -> tuple[Subst, tuple[tuple[Term, Term], ...]] | None:
+    """Most general unifier of the term pairs, as (unifier, residue).
 
     Constructor terms unify structurally. Where two subterms meet that are
     not both constructors and neither is a variable that can be bound (linear
-    terms, constants, ite, a basic variable occurring on the other side), their
-    equality is left in the residue, with the unifier applied: the atoms'
-    common instances are the unifier's instances that satisfy the residue.
-    None only for a constructor clash, or for an ADT variable that would have
-    to equal a constructor term containing it. Bindings stay triangular
-    (Baader and Snyder 2001); the unifier is built at the end, in their order."""
-    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
-        return None
+    terms, constants, ite, a basic variable occurring on the other side),
+    the pair is left in the residue, with the unifier applied: the pairs'
+    common instances are the unifier's instances that equate every residue
+    pair. None only for a constructor clash, or for an ADT variable that
+    would have to equal a constructor term containing it. Bindings stay
+    triangular (Baader and Snyder 2001); the idempotent unifier is built at
+    the end, in their order."""
     b = _Triangular()
-    residue: list[Formula] = []
-    if not all(_unify(x, y, b, residue) for x, y in zip(a1.args, a2.args)):
+    residue: list[tuple[Term, Term]] = []
+    if not all(_unify(x, y, b, residue) for x, y in pairs):
         return None
     s = Subst({v: b.term(t) for v, t in b.mapping.items()})
-    return s, tuple(s.formula(e) for e in residue)
+    return s, tuple((s.term(x), s.term(y)) for x, y in residue)
+
+
+def mgu(a1: Atom, a2: Atom) -> tuple[Subst, tuple[Formula, ...]] | None:
+    """`unify` on the arguments of two atoms of one predicate, its residue
+    as equalities for the constraint."""
+    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
+        return None
+    u = unify(zip(a1.args, a2.args))
+    if u is None:
+        return None
+    s, residue = u
+    return s, tuple(eq_of(x, y, term_sort(x)) for x, y in residue)
 
 
 def resolve(c: Clause, i: int, k: Clause, ren: dict[Var, Var]) -> Clause | None:

@@ -62,6 +62,45 @@ def test_transform_missing_file_exit_1():
     assert e.value.code == 1
 
 
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_transform_unreadable_input_exit_1(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not utf-8":
+        path = tmp_path / "bin.chc"
+        path.write_bytes(b"\xff\xfe pred")
+    with pytest.raises(SystemExit) as e:
+        run_cli("transform", str(path))
+    assert e.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_transform_out_naming_a_file_exit_1(tmp_path, corpus_dir, capsys):
+    src = tmp_path / "m.chc"
+    src.write_text((corpus_dir / "member_sat.chc").read_text())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli("transform", str(src), "--out", str(taken)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "taken" in err
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [["transform"], ["solve", "--transformed"],
+                                  ["verify"]])
+def test_dead_oracle_is_an_error_line_and_exit_4(tmp_path, corpus_dir, capsys,
+                                                 monkeypatch, argv):
+    monkeypatch.setenv("CHC_ORACLE", "sh -c 'echo boom >&2; exit 3'")
+    src = tmp_path / "m.chc"
+    src.write_text((corpus_dir / "member_sat.chc").read_text())
+    with pytest.raises(SystemExit) as e:
+        run_cli(*argv, str(src))
+    assert e.value.code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "exit status 3" in err and "boom" in err
+
+
 def test_emit_obligations_flag(tmp_path, corpus_dir):
     src = tmp_path / "s.chc"
     src.write_text((corpus_dir / "reverse_sum_sat.chc").read_text())

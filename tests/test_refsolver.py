@@ -18,8 +18,9 @@ from catafuse.smtlib import emit_smtlib
 from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Sort, Subst, TermIte, Var,
-    conjuncts, eq_of, free_vars, lin, list_sort, mgu, mk_and, mk_not, mk_or,
-    pretty_clause, term_sort, tree_sort, variant_of, TRUE, FALSE,
+    as_lin, conjuncts, eq_of, free_vars, lin, lin_sub, list_sort, mk_and,
+    mk_not, mk_or, pretty_clause, term_sort, tree_sort, unify, variant_of,
+    TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
 
@@ -39,6 +40,19 @@ M1 = Var("M1", LB)
 # QF core: differential against a bounded brute-force evaluator
 # ---------------------------------------------------------------------------
 
+def _value(t, env):
+    """A term's value; a constructor term's is (constructor, *arguments)."""
+    if isinstance(t, Var):
+        return env[t]
+    if isinstance(t, (IntConst, BoolConst)):
+        return t.value
+    if isinstance(t, TermIte):
+        return _value(t.then if _eval(t.cond, env) else t.els, env)
+    if isinstance(t, Ctor):
+        return (t.ctor, *(_value(a, env) for a in t.args))
+    return sum(a * env[v] for v, a in t.coeffs) + t.const
+
+
 def _eval(f, env):
     if isinstance(f, FVar):
         return env[f.var]
@@ -54,16 +68,10 @@ def _eval(f, env):
         return _eval(f.lhs, env) == _eval(f.rhs, env)
     if isinstance(f, FIte):
         return _eval(f.then, env) if _eval(f.cond, env) else _eval(f.els, env)
+    if isinstance(f, FEq):
+        return _value(f.lhs, env) == _value(f.rhs, env)
     if isinstance(f, FComp):
-        def term(t):
-            if isinstance(t, Var):
-                return env[t]
-            if isinstance(t, IntConst):
-                return t.value
-            if isinstance(t, TermIte):
-                return term(t.then) if _eval(t.cond, env) else term(t.els)
-            return sum(a * env[v] for v, a in t.coeffs) + t.const
-        l, r = term(f.lhs), term(f.rhs)
+        l, r = _value(f.lhs, env), _value(f.rhs, env)
         return {"=": l == r, "<": l < r, "=<": l <= r,
                 ">=": l >= r, ">": l > r}[f.rel]
     return {"FTrue": True, "FFalse": False}[type(f).__name__]
@@ -133,6 +141,38 @@ def test_qfcore_never_contradicts_bruteforce():
         if model_found:
             assert got != qfcore.UNSAT, f
         # bounded search cannot refute a 'sat' verdict
+
+
+def _lists(elems):
+    """The list values of length at most 2 over elems."""
+    nil = ("[]",)
+    return [nil, *(("cons", a, nil) for a in elems),
+            *(("cons", a, ("cons", b, nil)) for a in elems for b in elems)]
+
+
+# a bounded domain for each sort of the ADT generator's variables
+_DOMAIN = {INT: range(-2, 3), BOOL: (False, True),
+           LI: _lists((-1, 0, 1)), LB: _lists((False, True))}
+
+
+def test_qfcore_adt_never_contradicts_bruteforce():
+    """No formula with list equalities that has a model over the bounded
+    domains is found unsat."""
+    nil = Ctor(LI, "[]", ())
+    one = {X: 1, L1: ("cons", 1, ("[]",))}
+    assert _eval(FEq(L1, Ctor(LI, "cons", (X, nil)), LI), one)
+    assert not _eval(FEq(L1, Ctor(LI, "cons", (lin({X: 1}, 1), nil)), LI), one)
+    rng = random.Random(43)
+    refuted = 0
+    for _ in range(600):
+        f = _rand_formula(rng, 3, adt=True)
+        if qfcore.check_sat(f) != qfcore.UNSAT:
+            continue  # bounded search cannot refute a 'sat' verdict
+        vs = sorted(free_vars(f), key=lambda v: v.name)
+        for vals in itertools.product(*(_DOMAIN[v.sort] for v in vs)):
+            assert not _eval(f, dict(zip(vs, vals))), (f, vals)
+        refuted += 1
+    assert refuted > 30
 
 
 # The rewriting DPLL that the assignment-based search replaced: after every
@@ -583,6 +623,156 @@ def test_qfcore_adt_disequality_over_several_positions():
         FEq(M1, Ctor(LB, "cons", (B1, bnil)), LB),
         FEq(m2, Ctor(LB, "cons", (B2, bnil)), LB),
         FVar(B1), mk_not(FVar(B2)), mk_not(FEq(M1, m2, LB)))) == qfcore.SAT
+
+
+# The theory check before constructor equalities moved onto syntax.unify:
+# a congruence closure of its own, with clash, occurs check and canonical
+# form; its decomposition's integer and boolean pairs went to the other
+# theories.
+
+class _RefCC:
+    def __init__(self):
+        self.parent = {}
+        self.int_eqs = []
+        self.bool_eqs = []
+
+    def find(self, t):
+        while self.parent.get(t, t) != t:
+            self.parent[t] = self.parent.get(self.parent[t], self.parent[t])
+            t = self.parent[t]
+        return t
+
+    def union(self, a, b):
+        """False on conflict (clash or cycle)."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return True
+        if isinstance(a, Ctor) and isinstance(b, Ctor):
+            if a.sort != b.sort or a.ctor != b.ctor:
+                return False
+            for x, y in zip(a.args, b.args):
+                s = term_sort(x)
+                if s.is_adt:
+                    if not self.union(x, y):
+                        return False
+                elif s == BOOL:
+                    self.bool_eqs.append((x, y))
+                else:
+                    self.int_eqs.append((x, y))
+            return True
+        # orient: variables point at terms
+        if isinstance(b, Var):
+            a, b = b, a
+        if isinstance(a, Var):
+            if self._occurs(a, b):
+                return False
+            self.parent[a] = b
+            return True
+        return False
+
+    def _occurs(self, v, t):
+        t = self.find(t)
+        if t == v:
+            return True
+        if isinstance(t, Ctor):
+            return any(term_sort(a).is_adt and self._occurs(v, a) for a in t.args)
+        return False
+
+    def canon(self, t):
+        t = self.find(t)
+        if isinstance(t, Ctor):
+            return Ctor(t.sort, t.ctor,
+                        tuple(self.canon(a) if term_sort(a).is_adt else a
+                              for a in t.args))
+        return t
+
+
+def _ref_theory_check(lits, budget):
+    cc = _RefCC()
+    diseqs = []
+    lia_le = []
+    lia_eq = []
+    for atom, val in lits.items():
+        if isinstance(atom, FVar):
+            continue
+        if isinstance(atom, FEq):
+            if val:
+                if not cc.union(atom.lhs, atom.rhs):
+                    return qfcore.UNSAT
+            else:
+                diseqs.append((atom.lhs, atom.rhs))
+        elif isinstance(atom, FComp):
+            coeffs, k = as_lin(atom.lhs)
+            if atom.rel == "=<":
+                if val:
+                    lia_le.append((coeffs, k))
+                else:
+                    lia_le.append(({v: -a for v, a in coeffs.items()}, 1 - k))
+            else:
+                if val:
+                    lia_eq.append((coeffs, k))
+                else:
+                    diseqs.append((atom.lhs, atom.rhs))
+    for x, y in cc.int_eqs:
+        lia_eq.append(as_lin(lin_sub(x, y)))
+    for x, y in cc.bool_eqs:
+        r = qfcore._bool_eq_status(x, y, lits)
+        if r is False:
+            return qfcore.UNSAT
+        if r is None:
+            return qfcore._split_bool(lits, x, y, budget)
+    int_diseqs = []
+    for a, b in diseqs:
+        if not (isinstance(a, (Var, Ctor)) and term_sort(a).is_adt):
+            int_diseqs.append([as_lin(lin_sub(a, b))])
+            continue
+        ca, cb = cc.canon(a), cc.canon(b)
+        if ca == cb:
+            return qfcore.UNSAT
+        diffs = qfcore._basic_diffs(ca, cb)
+        if diffs is None:
+            continue
+        alts = []
+        for x, y in diffs:
+            if term_sort(x) != BOOL:
+                alts.append(as_lin(lin_sub(x, y)))
+                continue
+            r = qfcore._bool_eq_status(x, y, lits)
+            if r is None:
+                return qfcore._split_bool(lits, x, y, budget)
+            if r is False:
+                break
+        else:
+            if not alts:
+                return qfcore.UNSAT
+            int_diseqs.append(alts)
+    return qfcore._lia_with_diseqs(lia_eq, lia_le, int_diseqs, budget)
+
+
+def _has_adt_atom(f):
+    atoms = {}
+    qfcore._compile(f, atoms)
+    return any(isinstance(a, FEq) for a in atoms)
+
+
+def test_theory_check_matches_congruence_closure(monkeypatch):
+    """On seeded formulas with constructor equalities, deciding them by
+    syntax.unify gives the verdicts the congruence closure gave."""
+    rng = random.Random(23)
+    formulas = []
+    while len(formulas) < 3000:
+        # conjuncts: several constraints on the same lists, often unsat
+        f = mk_and(*(_rand_formula(rng, 1 + (len(formulas) + i) % 2, adt=True)
+                     for i in range(3)))
+        if _has_adt_atom(f):
+            formulas.append(f)
+    got = [qfcore.check_sat(f) for f in formulas]
+    # _split_bool calls back into the patched check
+    monkeypatch.setattr(qfcore, "_theory_check", _ref_theory_check)
+    want = [qfcore.check_sat(f) for f in formulas]
+    for f, g, w in zip(formulas, got, want):
+        assert g == w, f
+    assert min(got.count(qfcore.SAT), got.count(qfcore.UNSAT)) > 600
 
 
 # The integer feasibility check before it moved onto lia.eliminate.
@@ -1144,13 +1334,6 @@ class _RefFacts:
         return True
 
 
-def unify_terms(lhs, rhs):
-    """A unifier of two terms by syntax alone: None also where `mgu` would
-    leave a residue."""
-    u = mgu(Atom("_", (lhs,)), Atom("_", (rhs,)))
-    return None if u is None or u[1] else u[0]
-
-
 def _ref_join(clause, facts, gen, limit):
     out = []
     state = [(Subst(), clause.constraint)]
@@ -1169,16 +1352,17 @@ def _ref_join(clause, facts, gen, limit):
                 extra = []
                 ok = True
                 for pa, fa in zip(atom.args, fargs2):
-                    u = unify_terms(s2.term(pa), s2.term(fa))
-                    if u is None:
-                        pa_s, fa_s = s2.term(pa), s2.term(fa)
+                    pa_s, fa_s = s2.term(pa), s2.term(fa)
+                    # a unifier by syntax alone: none where unify leaves a residue
+                    u = unify([(pa_s, fa_s)])
+                    if u is None or u[1]:
                         st = term_sort(pa_s)
                         if st.is_adt:
                             ok = False
                             break
                         extra.append(eq_of(pa_s, fa_s, st))
                     else:
-                        s2 = s2.compose(u)
+                        s2 = s2.compose(u[0])
                 if not ok:
                     continue
                 cns = mk_and(s2.formula(c), s2.formula(fc2),
@@ -1474,6 +1658,19 @@ def test_horn_cli_rejects_a_bad_limit(argv):
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert out.stderr.startswith("usage: horn") and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe(check-sat)\n"])
+def test_horn_cli_reports_an_unreadable_file(tmp_path, content):
+    path = tmp_path / "in.smt2"
+    if content is not None:
+        path.write_bytes(content)
+    out = subprocess.run(
+        [sys.executable, "-m", "catafuse.refsolver.horn", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.count("\n") == 1 and "in.smt2" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 _SMT_ENV = {"x": X, "y": Y, "z": Var("Z", INT), "b": B1}
