@@ -124,7 +124,6 @@ def _transform(problem, args):
 
 def cmd_transform(args) -> int:
     problem = _load(args.input)
-    result = _transform(problem, args)
     stem = Path(args.input)
     outdir = Path(args.out) if args.out else stem.parent
     try:
@@ -132,6 +131,7 @@ def cmd_transform(args) -> int:
     except OSError as e:  # a file by that name, say
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    result = _transform(problem, args)
     tp = transformed_problem(problem, result)
 
     surface = outdir / (stem.stem + ".transformed.chc")
@@ -202,6 +202,9 @@ def cmd_bench(args) -> int:
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         print(f"error: {corpus} is not a directory", file=sys.stderr)
+        return EXIT_INPUT
+    if not any(corpus.glob("*.chc")):
+        print(f"error: no .chc problems in {corpus}", file=sys.stderr)
         return EXIT_INPUT
     report = run_bench(corpus, _config(args), jobs=args.jobs)
     txt, csvp = write_reports(report, corpus)

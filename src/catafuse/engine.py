@@ -8,14 +8,14 @@ command is configurable; the default resolution order is
   2. a z3 binary on PATH (`z3 -in`),
   3. the bundled reference oracle (`catafuse.refsolver.oracle`).
 
-Each Oracle owns one child, ended by `close`. Once a process has started
-a command's child twice, every start also launches the next Oracle's child,
-so that child's start-up runs while this one works; it is sent nothing until
-it is taken. `take_child` is that policy, the oracle's only. The bundled CHC
-solver instead keeps its children as sessions: `solver` lends an idle one
-(`lend_child`) for each solve and gives it back (`give_back`) once it has
-answered and been sent `(reset)`. Spares and idle children still waiting at
-exit are killed. Both bundled children start without `site` (`python -S`),
+Children that carry no problem's state wait on one list per command:
+`lend_child` takes a live one or starts one, `give_back` puts one back, and
+those still waiting at exit are killed. Each Oracle owns the child it is
+lent, ended by `close`; once a process has started a command's child twice,
+every start also gives back one child started ahead, sent nothing, so the
+next start's start-up runs while this one works (`Oracle._start`). The
+bundled CHC solver's sessions go back once they have answered and been sent
+`(reset)`. Both bundled children start without `site` (`python -S`),
 which they need nothing from, and get this package's root on their path
 from their command (`bundled_cmd`), not from the caller's environment. Their
 command also names this user's private bytecode cache (`bytecode_cache`), so
@@ -254,60 +254,26 @@ def stderr_tail(stderr) -> list[str]:
 
 
 # Children waiting to be used, per command; none carries a problem's state.
-# A spare is an oracle child started, and sent nothing, once its command has
-# started twice in this process; it runs in the environment of the start
-# that launched it. An idle child is a CHC solver session that has answered
-# its last script and been sent `(reset)`.
-_spares: dict[tuple[str, ...], Child] = {}
-_started: set[tuple[str, ...]] = set()
+# Each is an oracle child started ahead and sent nothing, which runs in the
+# environment of the start that launched it, or a CHC solver session that
+# has answered its last script and been sent `(reset)`. `_started` holds the
+# oracle commands already started in this process.
 _idle: dict[tuple[str, ...], list[Child]] = {}
+_started: set[tuple[str, ...]] = set()
 _waiting_lock = threading.Lock()
 
 
 @atexit.register
 def _discard_waiting() -> None:
     with _waiting_lock:
-        waiting = list(_spares.values())
-        waiting += (c for cs in _idle.values() for c in cs)
-        _spares.clear()
+        waiting = [c for cs in _idle.values() for c in cs]
         _idle.clear()
     for child in waiting:
         child.discard()
 
 
-def take_child(cmd: list[str]) -> Child:
-    """A started oracle child of `cmd`: the waiting spare if it is alive,
-    else a new child. From the command's second start in this process on,
-    the next start's child is launched now, so that its start-up runs while
-    this one works. Only for a command whose children all get the same
-    input: a spare is started before anyone knows what it will be sent."""
-    key = tuple(cmd)
-    with _waiting_lock:
-        spare = _spares.pop(key, None)
-        again = key in _started
-        _started.add(key)
-    if spare is not None and spare.proc.poll() is None:
-        child = spare
-    else:
-        if spare is not None:
-            spare.discard()
-        child = _spawn(cmd)
-    if again:
-        try:
-            fresh = _spawn(cmd)
-        except OracleError:
-            child.discard()
-            raise
-        with _waiting_lock:
-            old = _spares.get(key)
-            _spares[key] = fresh
-        if old is not None:
-            old.discard()
-    return child
-
-
 def lend_child(cmd: list[str]) -> Child:
-    """An idle session child of `cmd` that is still alive, else a new one."""
+    """A waiting child of `cmd` that is still alive, else a new one."""
     key = tuple(cmd)
     while True:
         with _waiting_lock:
@@ -321,8 +287,8 @@ def lend_child(cmd: list[str]) -> Child:
 
 
 def give_back(cmd: list[str], child: Child) -> None:
-    """Put a child from `lend_child` that has been sent `(reset)` back on
-    the idle list."""
+    """Put a child of `cmd` that carries no problem's state on its waiting
+    list."""
     with _waiting_lock:
         _idle.setdefault(tuple(cmd), []).append(child)
 
@@ -343,7 +309,22 @@ class Oracle:
         return None if self.child is None else self.child.proc
 
     def _start(self) -> None:
-        self.child = take_child(self.cmd)
+        """Lend this Oracle a child. From the command's second start in this
+        process on, also start one child ahead, unless one is waiting, so
+        that the next start's start-up runs while this one works. Only for
+        a command whose children all get the same input: that child is
+        started before anyone knows what it will be sent."""
+        key = tuple(self.cmd)
+        self.child = lend_child(self.cmd)
+        with _waiting_lock:
+            ahead = key in _started and not _idle.get(key)
+            _started.add(key)
+        if ahead:
+            try:
+                give_back(self.cmd, _spawn(self.cmd))
+            except OracleError:
+                self._kill()
+                raise
         self._preamble()
 
     def _preamble(self) -> None:

@@ -173,6 +173,16 @@ def emit_smtlib(problem: Problem, logic: str = "HORN") -> str:
 # Proof obligations for catamorphism schemas
 # ---------------------------------------------------------------------------
 
+def _cata_args(pred: PredDecl, adt, ins: list, outs: list) -> list:
+    """`pred`'s arguments: `adt` at its ADT position, `ins[k]` at
+    `pred.in_idx[k]`, and `outs` at the other positions, in order."""
+    at = dict(zip(pred.in_idx, ins))
+    at[pred.adt_idx] = adt
+    rest = iter(outs)
+    return [at[i] if i in at else next(rest)
+            for i in range(len(pred.arg_sorts))]
+
+
 def functionality_obligation(pred: PredDecl, clauses: list[Clause],
                              preds: dict[str, PredDecl], sorts: SortTable) -> str:
     """CHC script that is satisfiable iff the catamorphism is functional.
@@ -186,17 +196,7 @@ def functionality_obligation(pred: PredDecl, clauses: list[Clause],
     zs = [Var(f"Z{i}", pred.arg_sorts[i]) for i in pred.out_idx]
 
     def call(outs: list[Var]) -> Atom:
-        args: list[Term] = []
-        oi = 0
-        for i, _ in enumerate(pred.arg_sorts):
-            if i == pred.adt_idx:
-                args.append(t)
-            elif i in pred.in_idx:
-                args.append(ins[pred.in_idx.index(i)])
-            else:
-                args.append(outs[oi])
-                oi += 1
-        return Atom(pred.name, tuple(args))
+        return Atom(pred.name, tuple(_cata_args(pred, t, ins, outs)))
 
     same = mk_and(*(eq_of(y, z, y.sort) for y, z in zip(ys, zs)))
     query = Clause(None, mk_not(same), (call(ys), call(zs)), origin="obligation")
@@ -213,16 +213,7 @@ def totality_obligation(pred: PredDecl, clauses: list[Clause],
     ins = [(f"X{i}", mangle_sort(pred.arg_sorts[i])) for i in pred.in_idx]
     t = ("T", mangle_sort(pred.arg_sorts[pred.adt_idx]))
     outs = [(f"Y{i}", mangle_sort(pred.arg_sorts[i])) for i in pred.out_idx]
-    args = []
-    oi = 0
-    for i, _ in enumerate(pred.arg_sorts):
-        if i == pred.adt_idx:
-            args.append(t[0])
-        elif i in pred.in_idx:
-            args.append(f"X{i}")
-        else:
-            args.append(outs[oi][0])
-            oi += 1
+    args = _cata_args(pred, t[0], [n for n, _ in ins], [n for n, _ in outs])
     uni = " ".join(f"({n} {s})" for n, s in ins + [t])
     exi = " ".join(f"({n} {s})" for n, s in outs)
     atom = f"({pred.name} {' '.join(args)})"

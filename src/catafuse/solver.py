@@ -5,11 +5,12 @@ The solver is configuration-driven: binary path plus arguments, invoked as
 Resolution order for the default: the CHC_SOLVER environment variable, a z3
 binary on PATH (driven with its Horn engine), then the bundled reference
 solver. The bundled solver is an SMT-LIB session on stdin (`-t <limit> -`,
-see `refsolver.horn`): a solve lends an idle session child of that command
-from `engine.lend_child`, or starts one, sends it the script and `(reset)`,
-and gives it back once it has answered, so consecutive solves at one limit
-share one child. It gets no spare: `engine.take_child` is the oracle's
-policy only. A command that names its file is started for each solve.
+see `refsolver.horn`): a solve lends a waiting session child of that
+command from `engine.lend_child`, or starts one, sends it the script and
+`(reset)`, and gives it back (`engine.give_back`) once it has answered, so
+consecutive solves at one limit share one child. Nothing starts a session
+ahead: that is the oracle's rule. A command that names its file is started
+for each solve.
 Equisatisfiability checking and the benchmark harness sit on top.
 """
 

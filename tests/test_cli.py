@@ -86,6 +86,19 @@ def test_transform_out_naming_a_file_exit_1(tmp_path, corpus_dir, capsys):
     assert taken.read_text() == ""
 
 
+def test_transform_out_naming_a_file_is_refused_before_the_oracle_starts(
+        tmp_path, corpus_dir, capsys, monkeypatch):
+    monkeypatch.setenv("CHC_ORACLE", "sh -c 'exit 3'")
+    src = tmp_path / "m.chc"
+    src.write_text((corpus_dir / "member_sat.chc").read_text())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli("transform", str(src), "--out", str(taken)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "taken" in err
+    assert "exit status 3" not in err
+
+
 @pytest.mark.parametrize("argv", [["transform"], ["solve", "--transformed"],
                                   ["verify"]])
 def test_dead_oracle_is_an_error_line_and_exit_4(tmp_path, corpus_dir, capsys,
@@ -151,6 +164,14 @@ def test_bench_subcommand(tmp_path, corpus_dir, capsys):
     out = capsys.readouterr().out
     assert "one" in out
     assert (tmp_path / "bench_report.csv").exists()
+
+
+def test_bench_on_a_directory_without_problems_exit_1(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no problems here\n")
+    assert run_cli("bench", str(tmp_path), "--jobs", "1") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: no .chc problems in {tmp_path}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
 
 
 def test_cli_as_module(tmp_path, corpus_dir):

@@ -432,6 +432,10 @@ for line in sys.stdin:
         oracle.close()
 
 
+def _waiting_pids(key: tuple[str, ...]) -> list[int]:
+    return [child.proc.pid for child in engine_mod._idle.get(key, [])]
+
+
 def test_oracle_spare_serves_the_next_start(request):
     cmd = _fake_cmd(request.node.name)
     key = tuple(cmd)
@@ -441,14 +445,14 @@ def test_oracle_spare_serves_the_next_start(request):
             oracles.append(Oracle(cmd))
             assert oracles[-1].check(TRUE) == SAT
             if len(oracles) == 1:
-                # a single start in a process keeps no spare
-                assert key not in engine_mod._spares
-        spare = engine_mod._spares[key][0]
+                # a single start in a process starts no child ahead
+                assert _waiting_pids(key) == []
+        [spare] = _waiting_pids(key)
         oracles.append(Oracle(cmd))
         assert oracles[-1].check(TRUE) == SAT
-        assert oracles[-1].proc.pid == spare.pid
-        pids = [o.proc.pid for o in oracles] + [engine_mod._spares[key][0].pid]
-        assert len(set(pids)) == len(pids)
+        assert oracles[-1].proc.pid == spare
+        pids = [o.proc.pid for o in oracles] + _waiting_pids(key)
+        assert len(pids) == 4 and len(set(pids)) == 4
     finally:
         for o in oracles:
             proc = o.proc
@@ -465,13 +469,14 @@ def test_oracle_dead_spare_is_replaced(request):
     try:
         first.check(TRUE)
         second.check(TRUE)
-        dead, dead_stderr = engine_mod._spares[key]
-        dead.kill()
-        dead.wait()
+        [dead] = engine_mod._idle[key]
+        dead.proc.kill()
+        dead.proc.wait()
         assert third.check(TRUE) == SAT
-        assert third.proc.pid != dead.pid
-        assert dead_stderr.closed
-        assert engine_mod._spares[key][0].poll() is None
+        assert third.proc.pid != dead.proc.pid
+        assert dead.stderr.closed
+        [fresh] = engine_mod._idle[key]
+        assert fresh.proc.poll() is None
     finally:
         for o in (first, second, third):
             o.close()
@@ -493,7 +498,8 @@ from catafuse import engine
 cmd = [sys.executable, "-S", "-c", "import time; time.sleep(60)"]
 for _ in range(3):
     engine.Oracle(cmd)._start()
-print(engine._spares[tuple(cmd)][0].pid, flush=True)
+[spare] = engine._idle[tuple(cmd)]
+print(spare.proc.pid, flush=True)
 """
     src = Path(engine_mod.__file__).resolve().parents[1]
     path = os.environ.get("PYTHONPATH")

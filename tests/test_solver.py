@@ -188,9 +188,9 @@ def test_consecutive_solves_share_one_session_child(tmp_path, lent, spawned):
     for _ in range(3):
         assert solve_file(script, config).verdict == "unsat"
     assert len(lent) == 3 and len(set(lent)) == 1
-    # one start, and no spare beside it
+    # one start, and no child started ahead beside it
     assert spawned == [key]
-    assert key not in engine_mod._spares
+    assert key not in engine_mod._started
     assert _idle_pids(key) == lent[:1]
 
 
@@ -442,6 +442,42 @@ os.kill(os.getpid(), signal.SIGKILL)
             os.kill(int(pid), signal.SIGKILL)
 
 
+def test_one_child_of_each_command_waits_and_ends_with_its_parent(tmp_path):
+    # three oracle starts leave the child started ahead for a fourth, two
+    # solves at one limit the session that answered them
+    (tmp_path / "q.smt2").write_text(TRIVIAL_HORN)
+    code = f"""
+from catafuse import engine
+from catafuse.solver import SolverConfig, solve_file
+from catafuse.syntax import TRUE
+oracle_cmd = engine.bundled_cmd("catafuse.refsolver.oracle")
+for _ in range(3):
+    oracle = engine.Oracle(oracle_cmd)
+    assert oracle.check(TRUE) == "sat"
+    oracle.close()
+config = SolverConfig(engine.bundled_cmd("catafuse.refsolver.horn"), 30.0)
+for _ in range(2):
+    assert solve_file({str(tmp_path / "q.smt2")!r}, config).verdict == "unsat"
+waiting = engine._idle
+assert sorted(waiting) == sorted([tuple(oracle_cmd),
+                                  tuple(config.cmd + ["-t", "30.0", "-"])])
+for children in waiting.values():
+    [child] = children
+    assert child.proc.poll() is None
+    print(child.proc.pid, flush=True)
+"""
+    proc = _run_parent(code)
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    try:
+        assert all(_gone_within(pid, 5) for pid in pids)
+    finally:
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 def test_solver_naming_its_file_gets_no_spare(tmp_path):
     code = "import sys; print(open(sys.argv[1]).read().split()[0])"
     config = SolverConfig(cmd=[sys.executable, "-S", "-c", code], timeout=30)
@@ -449,8 +485,7 @@ def test_solver_naming_its_file_gets_no_spare(tmp_path):
     for verdict in ("sat", "unsat", "unknown"):
         script.write_text(verdict + "\n")
         assert solve_file(script, config).verdict == verdict
-    started = set(engine_mod._spares) | engine_mod._started \
-        | set(engine_mod._idle)
+    started = engine_mod._started | set(engine_mod._idle)
     assert not any(k[:len(config.cmd)] == tuple(config.cmd) for k in started)
 
 
