@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-solve timeout in seconds (default 300)")
     common.add_argument("--max-iters", type=positive(int), default=50,
                         help="definition fixpoint iteration cap (default 50)")
-    common.add_argument("--out", help="output directory (default: input's)")
     common.add_argument("-v", "--verbose", action="store_true",
                         help="progress chatter on stderr")
 
@@ -58,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("transform", parents=[common],
                        help="rewrite a problem file")
     t.add_argument("input")
+    t.add_argument("--out", help="output directory (default: input's)")
     t.add_argument("--emit-obligations", action="store_true",
                    help="also write functionality/totality obligation scripts")
 

@@ -19,7 +19,13 @@ prints sat, unsat, or unknown:
     an empty body, and a clause joins facts by resolution (`syntax.resolve`)
     on its body atoms in order, each fact renamed apart within that step;
     the equalities that unification cannot solve by syntax go to the QF
-    core with the constraints. A fact that is a variant of a stored one
+    core with the constraints. Each join state, partial or finished, is
+    checked and kept with its defined locals substituted away: a local is
+    in neither the head nor a remaining body atom, and one that a
+    conjunct defines (an integer with a unit coefficient in a linear
+    equality, or a boolean literal) is replaced by its definition, which
+    is exact; locals under a disequality, `<=>`, an `ite` or a datatype
+    equality stay. A fact that is a variant of a stored one
     (equal once display-renamed) is dropped. Once a cap has truncated
     something, a clause whose head predicate is full is no longer joined
     (every head it derived would be rejected), and a join state whose
@@ -49,9 +55,9 @@ import sys
 import time
 
 from ..syntax import (
-    BOOL, FALSE, TRUE, Clause, FComp, FImp, FNot, FVar, Formula, IntConst,
-    NameGen, Subst, Term, Var, conjuncts, display_renaming, eq_of, free_vars,
-    mk_and, mk_not, resolve,
+    BOOL, FALSE, TRUE, BoolConst, Clause, FComp, FImp, FNot, FVar, Formula,
+    IntConst, NameGen, Subst, Term, TermIte, Var, as_lin, conjuncts,
+    display_renaming, eq_of, free_vars, lin, lin_sub, mk_and, mk_not, resolve,
 )
 from . import qfcore
 from .smtparse import SmtContext, UnsupportedSmt, commands, parse_sexps
@@ -141,6 +147,42 @@ class _FreshNames(NameGen):
         return f"{self.prefix}#{len(digits)}{digits}"
 
 
+def _definition(f: Formula, keep: set[Var]) -> tuple[Var, Term] | None:
+    """The first variable outside keep, in name order, that the conjunct f
+    defines, and its definition: f is a literal of a boolean, or a linear
+    equality with an integer of unit coefficient."""
+    lit = f.arg if isinstance(f, FNot) else f
+    if isinstance(lit, FVar):
+        return None if lit.var in keep else (
+            lit.var, BoolConst(not isinstance(f, FNot)))
+    if not (isinstance(f, FComp) and f.rel == "=") or TermIte in (
+            type(f.lhs), type(f.rhs)):
+        return None
+    coeffs, const = as_lin(lin_sub(f.lhs, f.rhs))
+    for v, a in coeffs.items():  # in name order, as lin sorts them
+        if a in (1, -1) and v not in keep:  # a*v + rest = 0: v = -a*rest
+            return v, lin({u: -a * b for u, b in coeffs.items() if u != v},
+                          -a * const)
+    return None
+
+
+def _project(r: Clause) -> tuple[Clause, list[tuple[Var, Term]]]:
+    """r with the locals of its constraint, the variables in neither its
+    head nor its body, that a conjunct defines substituted away, the first
+    in name order first, until none is left; and the substitutions in the
+    order made. Each is exact (ex. v: v = t & phi is phi[t/v])."""
+    keep = free_vars(r.body if r.head is None else (r.head, *r.body))
+    parts, made = conjuncts(r.constraint), []
+    while defs := [(d, i) for i, g in enumerate(parts)
+                   if (d := _definition(g, keep))]:
+        (v, t), i = min(defs, key=lambda e: e[0][0].name)
+        made.append((v, t))
+        s = Subst({v: t})
+        parts = conjuncts(mk_and(*(s.formula(g) for j, g in enumerate(parts)
+                                   if j != i)))
+    return Clause(r.head, mk_and(*parts), r.body, r.origin), made
+
+
 def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
           limit: int) -> list[Clause]:
     """The resolvents of clause with current facts on all its body atoms:
@@ -156,6 +198,8 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
                 facts.saturated = False
                 return []
             r = resolve(s, 0, f, {v: gen.fresh_var(v.sort) for v in fvars})
+            if r is not None:
+                r = _project(r)[0]
             # prune dead partial joins early; unknown survives
             verdict = qfcore.UNSAT if r is None else qfcore.check_sat(
                 r.constraint, qfcore.Budget(20_000, budget.deadline))

@@ -248,3 +248,14 @@ def test_bench_refuses_a_job_count_below_one(jobs, tmp_path, capsys):
         run_cli("bench", str(tmp_path), "--jobs", jobs)
     assert e.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "solve", "verify"])
+def test_out_belongs_to_transform(command, tmp_path, capsys):
+    """Only transform writes files: another subcommand refuses --out with a
+    usage error rather than ignoring it."""
+    with pytest.raises(SystemExit) as e:
+        run_cli(command, str(tmp_path), "--out", str(tmp_path / "o"))
+    assert e.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

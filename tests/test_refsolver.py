@@ -15,12 +15,13 @@ from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
 from catafuse.refsolver.smtparse import SmtContext, UnsupportedSmt, parse_sexps
 from catafuse.smtlib import emit_smtlib
+from catafuse.solver import expected_tag
 from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Sort, Subst, TermIte, Var,
-    as_lin, conjuncts, eq_of, free_vars, lin, lin_sub, list_sort, mk_and,
-    mk_not, mk_or, pretty_clause, term_sort, tree_sort, unify, variant_of,
-    TRUE, FALSE,
+    as_lin, conjuncts, eq_of, free_vars, lin, lin_sub, lin_sum, list_sort,
+    mk_and, mk_not, mk_or, pretty_clause, term_sort, tree_sort, unify,
+    variant_of, TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
 
@@ -1294,6 +1295,62 @@ def test_horn_never_contradicts_least_model():
     assert decided > 350
 
 
+def test_substituting_locals_is_exact():
+    """On the clauses of random systems, with a scaled equality and boolean
+    conjuncts added to each constraint, substituting away the locals (the
+    variables in neither head nor body) that a conjunct defines keeps the
+    constraint's meaning over the other variables: the input implies the
+    result, and the result implies the input with each eliminated local
+    replaced by its definition."""
+    rng = random.Random(23)
+    ints = {n: Var(n, INT) for n in ("V0", "V1", "V2")}
+    bools = [Var(f"B{i}", BOOL) for i in range(3)]
+    rel = {"=": lambda a, b: FComp("=", a, b),
+           "<=": lambda a, b: FComp("=<", a, b),
+           "!=": lambda a, b: mk_not(FComp("=", a, b)),
+           "+1": lambda a, b: FComp("=", a, lin_sum(((1, b),), 1))}
+
+    def term(a):
+        return ints[a] if isinstance(a, str) else IntConst(a)
+
+    eliminated = {INT: 0, BOOL: 0}
+    for _ in range(120):
+        clauses, _ = _random_system(rng)
+        for clause in clauses:
+            head, body, extra = clause
+            vs = [ints[n] for n in _clause_vars(clause)]
+            if not vs:
+                continue
+            parts = [FComp("=<", IntConst(0), v) for v in vs]
+            parts += [FComp("=<", v, IntConst(2)) for v in vs]
+            parts += [rel[op](term(a), term(b)) for op, a, b in extra]
+            x, y = rng.choice(vs), rng.choice(vs)
+            parts.append(FComp("=", lin({x: rng.choice((2, -2, 3))}),
+                               lin_sum(((1, y),), rng.randint(-2, 2))))
+            b0, b1 = rng.sample(bools, 2)
+            parts.append(rng.choice((FVar(b0), mk_not(FVar(b0)))))
+            parts.append(FIff(FVar(b1), FComp("=<", x, IntConst(1))))
+            c = mk_and(*parts)
+            # some booleans are kept, as the arguments of one more body atom
+            atoms = [Atom(pred, tuple(map(term, args))) for pred, args in body]
+            atoms.append(Atom("k", tuple(rng.sample(bools, rng.randint(0, 2)))))
+            r = Clause(None if head is None else
+                       Atom(head[0], tuple(map(term, head[1]))), c, tuple(atoms))
+            keep = free_vars(list(r.body) + ([r.head] if r.head else []))
+            got, made = horn._project(r)
+            assert (got.head, got.body) == (r.head, r.body)
+            p = got.constraint
+            assert free_vars(p) <= free_vars(c)
+            assert qfcore.check_sat(mk_and(c, mk_not(p))) == qfcore.UNSAT
+            back = c
+            for v, t in made:
+                if v not in keep:
+                    back = Subst({v: t}).formula(back)
+                    eliminated[v.sort] += 1
+            assert qfcore.check_sat(mk_and(p, mk_not(back))) == qfcore.UNSAT
+    assert min(eliminated.values()) > 50, eliminated
+
+
 def test_horn_honours_deadline(corpus_dir):
     """The transformed bst_insert_sat is beyond the bundled solver; every
     phase must stop at the limit instead of finishing its round or sweep."""
@@ -1415,11 +1472,26 @@ def _ref_refute(clauses, rounds, cap, joins):
     return horn.UNKNOWN, facts.by_pred, made
 
 
-def _canonical(facts):
-    # refute keeps each fact as a clause, the reference as (args, constraint)
-    return {pred: [pretty_clause(f if isinstance(f, Clause)
-                                 else Clause(Atom(pred, f[0]), f[1], ()))
-                   for f in rows] for pred, rows in facts.items()}
+def _ground(sort, sorts, rng, depth=2):
+    """A random ground term of sort: an int in -2..3, a bool, or a datatype
+    value with at most depth recursive constructors on a path (a list of
+    length at most 2)."""
+    if sort == INT:
+        return IntConst(rng.randint(-2, 3))
+    if sort == BOOL:
+        return BoolConst(rng.random() < 0.5)
+    ctors = [c for c in sorts.resolve(sort).ctors
+             if depth > 0 or sort not in c.arg_sorts]
+    c = rng.choice(ctors)
+    return Ctor(sort, c.name, tuple(_ground(s, sorts, rng, depth - (s == sort))
+                                    for s in c.arg_sorts))
+
+
+def _verdict_at(args, constraint, sorts, ground):
+    """Does the fact with head args and constraint hold at the ground head?"""
+    return qfcore.check_sat(mk_and(constraint, *(
+        eq_of(a, g, s) for a, g, s in zip(args, ground, sorts))),
+        qfcore.Budget(60_000))
 
 
 REFUTE_PROBLEMS = ("bst_size_sat", "append_ordered_sat", "snoc_ordered_sat",
@@ -1437,24 +1509,40 @@ COUNT_TO_SEVEN = """(set-logic HORN)
 
 
 @pytest.fixture(scope="module")
-def corpus_scripts(corpus_dir):
-    """The original and transformed SMT-LIB scripts of corpus problems."""
+def tagged_scripts(corpus_dir):
+    """The original and transformed SMT-LIB scripts of every corpus problem
+    with an expected verdict, and that verdict."""
     out = {}
-    for name in REFUTE_PROBLEMS + ("insertion_sort",):
-        pb = parse_problem((corpus_dir / f"{name}.chc").read_text())
+    for path in sorted(corpus_dir.glob("*.chc")):
+        text = path.read_text()
+        tag = expected_tag(text)
+        if not tag:
+            continue
+        pb = parse_problem(text)
         eng = ConstraintEngine()
         try:
             res = transform_problem(pb, eng)
         finally:
             eng.close()
-        out[name] = (emit_smtlib(pb), emit_smtlib(transformed_problem(pb, res)))
+        out[path.stem] = (emit_smtlib(pb),
+                          emit_smtlib(transformed_problem(pb, res)), tag)
     return out
+
+
+@pytest.fixture(scope="module")
+def corpus_scripts(tagged_scripts):
+    """The original and transformed SMT-LIB scripts of corpus problems."""
+    return {name: tagged_scripts[name][:2]
+            for name in REFUTE_PROBLEMS + ("insertion_sort",)}
 
 
 def test_refute_matches_reference_refutation(corpus_scripts, monkeypatch):
     """On the original and transformed scripts of corpus problems, refute
-    gives the reference's verdict and, once variables are renamed for
-    display, the same facts in the same order, while joining less."""
+    gives the reference's verdict and as many facts of each predicate,
+    while joining less. Its facts have their defined locals substituted
+    away and the reference's do not, so they are compared by meaning: at
+    each position, the fact and the reference fact hold at the same ground
+    heads, wherever the QF core decides both."""
     cases = [(script, 3, 6, 40) for name in REFUTE_PROBLEMS
              for script in corpus_scripts[name]]
     cases.append((COUNT_TO_SEVEN, 8, 6, 40))
@@ -1466,15 +1554,62 @@ def test_refute_matches_reference_refutation(corpus_scripts, monkeypatch):
         return join(*args)
 
     monkeypatch.setattr(horn, "_join", counted)
+    rng = random.Random(5)
     ref_joins = 0
+    agreed = {qfcore.SAT: 0, qfcore.UNSAT: 0}
     for script, rounds, cap, limit in cases:
-        clauses, _ = horn.read_script(script)
+        clauses, ctx = horn.read_script(script)
         got, facts = horn.refute(clauses, None, rounds, cap, limit)
         want, ref_facts, made = _ref_refute(clauses, rounds, cap, limit)
         assert got == want
-        assert _canonical(facts) == _canonical(ref_facts)
+        assert {p: len(rows) for p, rows in facts.items()} == \
+            {p: len(rows) for p, rows in ref_facts.items()}
         ref_joins += made
+        for pred, rows in facts.items():
+            sorts = ctx.preds[pred]
+            grounds = [tuple(_ground(s, ctx.sorts, rng) for s in sorts)
+                       for _ in range(8)]
+            for f, (ref_args, ref_c) in zip(rows, ref_facts[pred]):
+                for g in grounds:
+                    a = _verdict_at(f.head.args, f.constraint, sorts, g)
+                    b = _verdict_at(ref_args, ref_c, sorts, g)
+                    if qfcore.UNKNOWN not in (a, b):
+                        assert a == b, (pred, pretty_clause(f), g)
+                        agreed[a] += 1
     assert joins[0] < ref_joins  # the skip fired
+    assert min(agreed.values()) > 20, agreed
+
+
+def test_projection_leaves_the_solver_path_unchanged(tagged_scripts,
+                                                     monkeypatch):
+    """On every tagged transformed script the solver gives the expected
+    verdict, the same QF-core verdicts in the same order and the same
+    pre-pruned Houdini candidates as with join states left unprojected."""
+    check_sat, preprune = qfcore.check_sat, horn._preprune
+
+    def run():
+        checks, pruned = [], []
+
+        def recorded_check(*args):
+            checks.append(check_sat(*args))
+            return checks[-1]
+
+        def recorded_preprune(inv, *args):
+            preprune(inv, *args)
+            pruned.append({p: list(cands) for p, cands in inv.items()})
+
+        monkeypatch.setattr(qfcore, "check_sat", recorded_check)
+        monkeypatch.setattr(horn, "_preprune", recorded_preprune)
+        verdicts = {name: horn.solve_script(transformed)
+                    for name, (_, transformed, _) in tagged_scripts.items()}
+        return verdicts, checks, pruned
+
+    verdicts, checks, pruned = run()
+    assert verdicts == {name: tag for name, (_, _, tag)
+                        in tagged_scripts.items()}
+    assert len(verdicts) == 21 and len(pruned) == 10
+    monkeypatch.setattr(horn, "_project", lambda r: (r, []))
+    assert run() == (verdicts, checks, pruned)
 
 
 def test_facts_index_keeps_variants_together():
