@@ -29,11 +29,22 @@ prints sat, unsat, or unknown:
     (equal once display-renamed) is dropped. Once a cap has truncated
     something, a clause whose head predicate is full is no longer joined
     (every head it derived would be rejected), and a join state whose
-    partial check already came back sat is not checked again;
+    partial check already came back sat is not checked again. Rounds are
+    semi-naive: at its last body atom a join skips each pair whose facts
+    were all there at the start of the clause's last complete join (one
+    that neither the join limit nor the deadline cut), which made that
+    pair already, so a body-less clause is joined once; a query's join
+    stops at its first derivation;
   * sat by Houdini-style invariant inference: candidate atoms are mined from
     clause constraints, query contracts, and head patterns, then pruned to
     the largest inductive conjunction; if the surviving assignment falsifies
-    every query premise it is a genuine model, so the verdict is exact;
+    every query premise it is a genuine model, so the verdict is exact.
+    Candidates that a derived fact falsifies are dropped first, the plain
+    ones checked before the implications: an implication is kept on a fact
+    without a check of its own when that fact was just proved to imply its
+    conclusion or its guard's negation. Then each clause checks its head's
+    candidates together, and one by one only when it does not imply them
+    all;
   * unknown otherwise.
 
 A time limit (-t) bounds every phase: derivation checks the clock for each
@@ -136,7 +147,7 @@ class _Facts:
 class _FreshNames(NameGen):
     """Fresh variable names that sort in the order they are made ("r#19" <
     "r#210"). lin orders coefficients, and the LIA core eliminates
-    variables, by name, so facts depend on how fresh names compare; a join
+    variables, by name, so facts depend on how fresh names compare; a pair
     that is skipped makes no names, and with these names it leaves the
     order of every later one, and so every later fact, as it would have
     been."""
@@ -184,16 +195,31 @@ def _project(r: Clause) -> tuple[Clause, list[tuple[Var, Term]]]:
 
 
 def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
-          limit: int) -> list[Clause]:
+          limit: int, joined: dict[Clause, dict[str, int]]) -> list[Clause]:
     """The resolvents of clause with current facts on all its body atoms:
-    its derivable head instances."""
-    # (resolvent so far, verdict of its partial check): sat is exact, so
-    # only a state whose partial check was not sat is checked again
-    state = [(clause, qfcore.UNKNOWN)]
-    for atom in clause.body:
+    its derivable head instances, or for a query the first one found.
+
+    joined maps a clause to each predicate's fact count at the start of its
+    last complete join, one that neither the limit nor the deadline cut.
+    Facts are only appended, so a resolvent built from facts below those
+    counts alone was made then, and its head was stored, rejected as a
+    variant, or cut by a cap that is still full: it is not made again."""
+    counts = {p: len(rows) for p, rows in facts.by_pred.items()}
+    old = joined.get(clause)
+    # (resolvent so far, verdict of its partial check, whether a fact new
+    # since the last complete join built it): sat is exact, so only a state
+    # whose partial check was not sat is checked again
+    state = [(clause, qfcore.UNKNOWN, old is None)]
+    complete, last = True, len(clause.body) - 1
+    for k, atom in enumerate(clause.body):
         nxt = []
-        rows = zip(facts.by_pred.get(atom.pred, ()), facts.vars.get(atom.pred, ()))
-        for (s, _), (f, fvars) in itertools.product(state, rows):
+        seen = old.get(atom.pred, 0) if old else 0
+        rows = enumerate(zip(facts.by_pred.get(atom.pred, ()),
+                             facts.vars.get(atom.pred, ())))
+        for (s, _, new), (i, (f, fvars)) in itertools.product(state, rows):
+            new = new or i >= seen
+            if k == last and not new:
+                continue
             if _expired(budget.deadline):
                 facts.saturated = False
                 return []
@@ -204,20 +230,26 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
             verdict = qfcore.UNSAT if r is None else qfcore.check_sat(
                 r.constraint, qfcore.Budget(20_000, budget.deadline))
             if verdict != qfcore.UNSAT:
-                nxt.append((r, verdict))
+                nxt.append((r, verdict, new))
             if len(nxt) > limit:
-                facts.saturated = False
+                facts.saturated = complete = False
                 break
         state = nxt
     out = []
-    for r, verdict in state:
+    for r, verdict, new in state:
+        if not new:  # a body-less clause, joined before
+            continue
         if verdict != qfcore.SAT:
             verdict = qfcore.check_sat(r.constraint,
                                        qfcore.Budget(60_000, budget.deadline))
         if verdict == qfcore.SAT:
             out.append(r)
+            if clause.head is None:  # one derivation refutes
+                break
         elif verdict == qfcore.UNKNOWN:
             facts.saturated = False
+    if complete and not _expired(budget.deadline):
+        joined[clause] = counts
     return out
 
 
@@ -230,6 +262,8 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
     queries = [c for c in clauses if c.head is None]
     definite = [c for c in clauses if c.head is not None]
     budget = qfcore.Budget(deadline=deadline)
+    # equal clauses make equal joins, so they may share their entry
+    joined: dict[Clause, dict[str, int]] = {}
     for _ in range(rounds):
         if _expired(deadline):
             return UNKNOWN, facts.by_pred
@@ -238,11 +272,11 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
             # facts.add would reject every head: a variant, or over the cap
             if not facts.saturated and len(facts.by_pred.get(c.head.pred, ())) >= cap:
                 continue
-            for f in _join(c, facts, gen, budget, joins):
+            for f in _join(c, facts, gen, budget, joins, joined):
                 if facts.add(f):
                     grew = True
         for q in queries:
-            if _join(q, facts, gen, budget, joins):
+            if _join(q, facts, gen, budget, joins, joined):
                 return UNSAT, facts.by_pred
         if not grew:
             verdict = SAT if facts.saturated else UNKNOWN
@@ -386,30 +420,97 @@ def _relevant(conjs: list[Formula], seed: set[Var]) -> list[Formula]:
 def _preprune(inv: dict[str, list[Formula]], samples: dict, pv: dict,
               preds: dict, deadline: float | None) -> None:
     """Drop candidates falsified by a derived reachable fact: much cheaper
-    than discovering the same thing through a full inductiveness check."""
+    than discovering the same thing through a full inductiveness check.
+
+    The facts are taken one at a time, and on each the live plain
+    candidates are checked before the implications. An implication g => f
+    is kept on a fact without a check of its own when that fact was just
+    proved to imply f or ~g: the check could only have answered unsat or
+    unknown, and both keep a candidate. So the candidates kept are those
+    that checking every candidate on every fact, until one falsifies it,
+    keeps, and each check made is one of that loop's."""
     for pred, cands in inv.items():
         rows = samples.get(pred, [])[:24]
         if not rows:
             continue
-        keep: list[Formula] = []
         vs = _pos_vars(pred, preds[pred], pv)
-        substs = [(Subst(dict(zip(vs, f.head.args))), f.constraint)
-                  for f in rows]
         enc = qfcore.Encoding()
-        for i, cand in enumerate(cands):
+        order = sorted(cands, key=lambda f: isinstance(f, FImp))
+        dead: set[Formula] = set()
+        for row in rows:
+            s = Subst(dict(zip(vs, row.head.args)))
+            implied: set[Formula] = set()
+            for cand in order:
+                if cand in dead or isinstance(cand, FImp) and (
+                        cand.rhs in implied or mk_not(cand.lhs) in implied):
+                    continue
+                if _expired(deadline):
+                    break  # out of time: the live candidates stay untested
+                verdict = qfcore.check_sat(
+                    mk_and(row.constraint, mk_not(s.formula(cand))),
+                    qfcore.Budget(30_000, deadline), enc)
+                if verdict == qfcore.SAT:
+                    dead.add(cand)
+                elif verdict == qfcore.UNSAT:
+                    implied.add(cand)
+        inv[pred] = [c for c in cands if c not in dead]
+
+
+def _body(c: Clause, inv: dict[str, list[Formula]], pv: dict,
+          preds: dict) -> list[Formula]:
+    """The conjuncts of the candidates of c's body atoms, instantiated."""
+    inst: list[Formula] = []
+    for a in c.body:
+        inst.extend(conjuncts(_inst(a.pred, a.args, inv, pv, preds)))
+    return inst
+
+
+def _check(c: Clause, inst: list[Formula], goal: Formula,
+           deadline: float | None, enc: qfcore.Encoding | None = None) -> str:
+    """unsat if c's constraint and the body conjuncts that bear on it imply
+    goal."""
+    seed = free_vars(c.constraint) | free_vars(goal)
+    picked = _relevant(inst, seed)
+    q = mk_and(*conjuncts(c.constraint), *picked, mk_not(goal))
+    return qfcore.check_sat(q, qfcore.Budget(deadline=deadline), enc)
+
+
+def _sweep(clauses: list[Clause], inv: dict[str, list[Formula]], pv: dict,
+           preds: dict, deadline: float | None
+           ) -> dict[str, list[Formula]] | None:
+    """inv pruned, in place, to the candidates that every definite clause
+    preserves, or None once out of time. Each clause's head candidates are
+    first checked together: when the clause implies their conjunction, it
+    implies each one, and all are kept without a check of their own."""
+    definite = [c for c in clauses if c.head is not None]
+    changed = True
+    while changed:
+        changed = False
+        for c in definite:
+            cands = inv[c.head.pred]
+            if not cands:
+                continue
             if _expired(deadline):
-                keep.extend(cands[i:])  # out of time: the rest stay untested
-                break
-            ok = True
-            for s, cns in substs:
-                q = mk_and(cns, mk_not(s.formula(cand)))
-                if qfcore.check_sat(q, qfcore.Budget(30_000, deadline),
-                                    enc) == qfcore.SAT:
-                    ok = False
-                    break
-            if ok:
-                keep.append(cand)
-        inv[pred] = keep
+                return None
+            vs = _pos_vars(c.head.pred, preds[c.head.pred], pv)
+            s = Subst({v: t for v, t in zip(vs, c.head.args)})
+            goals = [s.formula(cand) for cand in cands]
+            # inv is fixed until the loop ends, so the body and its
+            # compiled conjuncts serve every check
+            inst = _body(c, inv, pv, preds)
+            enc = qfcore.Encoding()
+            if _check(c, inst, mk_and(*goals), deadline, enc) == qfcore.UNSAT:
+                continue
+            keep: list[Formula] = []
+            for cand, goal in zip(cands, goals):
+                if _expired(deadline):
+                    return None
+                if _check(c, inst, goal, deadline, enc) == qfcore.UNSAT:
+                    keep.append(cand)
+                else:
+                    changed = True
+            inv[c.head.pred] = keep
+    return inv
 
 
 def houdini(clauses: list[Clause], preds: dict[str, tuple],
@@ -419,45 +520,11 @@ def houdini(clauses: list[Clause], preds: dict[str, tuple],
     inv = _mine(clauses, preds, pv)
     if samples:
         _preprune(inv, samples, pv, preds, deadline)
-    definite = [c for c in clauses if c.head is not None]
-    queries = [c for c in clauses if c.head is None]
-
-    def body(c: Clause) -> list[Formula]:
-        inst: list[Formula] = []
-        for a in c.body:
-            inst.extend(conjuncts(_inst(a.pred, a.args, inv, pv, preds)))
-        return inst
-
-    def check(c: Clause, inst: list[Formula], goal: Formula,
-              enc: qfcore.Encoding | None = None) -> str:
-        seed = free_vars(c.constraint) | free_vars(goal)
-        picked = _relevant(inst, seed)
-        q = mk_and(*conjuncts(c.constraint), *picked, mk_not(goal))
-        return qfcore.check_sat(q, qfcore.Budget(deadline=deadline), enc)
-
-    changed = True
-    while changed:
-        changed = False
-        for c in definite:
-            if not inv[c.head.pred]:
-                continue
-            vs = _pos_vars(c.head.pred, preds[c.head.pred], pv)
-            s = Subst({v: t for v, t in zip(vs, c.head.args)})
-            # inv is fixed until the loop ends, so the body and its
-            # compiled conjuncts serve every candidate
-            inst = body(c)
-            enc = qfcore.Encoding()
-            keep: list[Formula] = []
-            for cand in inv[c.head.pred]:
-                if _expired(deadline):
-                    return UNKNOWN
-                if check(c, inst, s.formula(cand), enc) == qfcore.UNSAT:
-                    keep.append(cand)
-                else:
-                    changed = True
-            inv[c.head.pred] = keep
-    for q in queries:
-        if check(q, body(q), FALSE) != qfcore.UNSAT:
+    if _sweep(clauses, inv, pv, preds, deadline) is None:
+        return UNKNOWN
+    for q in clauses:
+        if q.head is None and _check(q, _body(q, inv, pv, preds), FALSE,
+                                     deadline) != qfcore.UNSAT:
             return UNKNOWN
     return SAT
 

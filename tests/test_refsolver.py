@@ -19,9 +19,9 @@ from catafuse.solver import expected_tag
 from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Sort, Subst, TermIte, Var,
-    as_lin, conjuncts, eq_of, free_vars, lin, lin_sub, lin_sum, list_sort,
-    mk_and, mk_not, mk_or, pretty_clause, term_sort, tree_sort, unify,
-    variant_of, TRUE, FALSE,
+    as_lin, conjuncts, display_renaming, eq_of, free_vars, lin, lin_sub,
+    lin_sum, list_sort, mk_and, mk_not, mk_or, pretty_clause, term_sort,
+    tree_sort, unify, variant_of, TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
 
@@ -1580,6 +1580,120 @@ def test_refute_matches_reference_refutation(corpus_scripts, monkeypatch):
     assert min(agreed.values()) > 20, agreed
 
 
+# The bounded refutation before its rounds became semi-naive: every clause
+# is joined on all its facts in every round, and a query's join makes every
+# derivation. Otherwise it is refute's own join loop (fresh names,
+# projection, caps and the reuse of sat partial checks); it also tells
+# whether its join limit cut a join.
+
+def _ref_naive_join(clause, facts, gen, limit, cuts):
+    state = [(clause, qfcore.UNKNOWN)]
+    for atom in clause.body:
+        nxt = []
+        rows = zip(facts.by_pred.get(atom.pred, ()),
+                   facts.vars.get(atom.pred, ()))
+        for (s, _), (f, fvars) in itertools.product(state, rows):
+            r = horn.resolve(s, 0, f,
+                             {v: gen.fresh_var(v.sort) for v in fvars})
+            if r is not None:
+                r = horn._project(r)[0]
+            verdict = qfcore.UNSAT if r is None else qfcore.check_sat(
+                r.constraint, qfcore.Budget(20_000))
+            if verdict != qfcore.UNSAT:
+                nxt.append((r, verdict))
+            if len(nxt) > limit:
+                facts.saturated = False
+                cuts.append(clause)
+                break
+        state = nxt
+    out = []
+    for r, verdict in state:
+        if verdict != qfcore.SAT:
+            verdict = qfcore.check_sat(r.constraint, qfcore.Budget(60_000))
+        if verdict == qfcore.SAT:
+            out.append(r)
+        elif verdict == qfcore.UNKNOWN:
+            facts.saturated = False
+    return out
+
+
+def _ref_naive_refute(clauses, rounds, cap, joins):
+    """(verdict, the _Facts, whether the join limit cut a join)."""
+    gen = horn._FreshNames("r")
+    facts = horn._Facts(cap)
+    queries = [c for c in clauses if c.head is None]
+    definite = [c for c in clauses if c.head is not None]
+    cuts = []
+    for _ in range(rounds):
+        grew = False
+        for c in definite:
+            if not facts.saturated and \
+                    len(facts.by_pred.get(c.head.pred, ())) >= cap:
+                continue
+            for f in _ref_naive_join(c, facts, gen, joins, cuts):
+                if facts.add(f):
+                    grew = True
+        for q in queries:
+            if _ref_naive_join(q, facts, gen, joins, cuts):
+                return horn.UNSAT, facts, bool(cuts)
+        if not grew:
+            return (horn.SAT if facts.saturated else horn.UNKNOWN), facts, \
+                bool(cuts)
+    return horn.UNKNOWN, facts, bool(cuts)
+
+
+def _fact_texts(by_pred):
+    return {p: [pretty_clause(display_renaming(f).clause(f)) for f in rows]
+            for p, rows in by_pred.items()}
+
+
+def test_semi_naive_refute_matches_naive_rounds(corpus_scripts, monkeypatch):
+    """refute gives the verdict of joining every clause on all its facts in
+    every round, stores the same facts (display-renamed) wherever the join
+    limit cut no join, and never calls resolve more often, in all strictly
+    less: on the corpus scripts at the first refutation's bounds, on
+    COUNT_TO_SEVEN and on seeded random systems. With a limit small enough
+    to cut, the verdict is the same too, and saturation is lost."""
+    resolved = [0]
+    resolve, facts_cls = horn.resolve, horn._Facts
+
+    def counted(*args):
+        resolved[0] += 1
+        return resolve(*args)
+
+    made = []
+    monkeypatch.setattr(horn, "resolve", counted)
+    monkeypatch.setattr(horn, "_Facts",
+                        lambda cap: made.append(facts_cls(cap)) or made[-1])
+    cases = [(script, 4, 40, 250) for name in REFUTE_PROBLEMS
+             for script in corpus_scripts[name]]
+    cases.append((COUNT_TO_SEVEN, 8, 6, 40))
+    rng = random.Random(31)
+    cases += [(_smt_system(*_random_system(rng)), 5, 4, 40)
+              for _ in range(150)]
+    # a limit of 2 cuts a join of bst_size_sat's transformed set
+    cut_case = (corpus_scripts["bst_size_sat"][1], 4, 40, 2)
+    totals = [0, 0]
+    compared = 0
+    for script, rounds, cap, limit in cases + [cut_case]:
+        clauses, _ = horn.read_script(script)
+        resolved[0] = 0
+        got, facts = horn.refute(clauses, None, rounds, cap, limit)
+        saturated, calls = made[-1].saturated, resolved[0]
+        resolved[0] = 0
+        want, ref, cut = _ref_naive_refute(clauses, rounds, cap, limit)
+        assert got == want, script
+        assert calls <= resolved[0], script
+        totals[0] += calls
+        totals[1] += resolved[0]
+        if not cut:
+            assert _fact_texts(facts) == _fact_texts(ref.by_pred), script
+            compared += 1
+    assert cut and not saturated and not ref.saturated
+    assert totals[0] < totals[1], totals
+    assert compared > 150
+
+
 def test_projection_leaves_the_solver_path_unchanged(tagged_scripts,
                                                      monkeypatch):
     """On every tagged transformed script the solver gives the expected
@@ -1728,6 +1842,98 @@ def test_mine_matches_list_scan_reference(corpus_scripts):
             assert got == _ref_mine(clauses, ctx.preds, {})
             mined += sum(map(len, got.values()))
     assert mined > 1000
+
+
+# Houdini's pre-prune and sweep before they reused a verdict: the pre-prune
+# checks each candidate on each sample fact until one falsifies it, and the
+# sweep checks each head candidate of each clause on its own.
+
+def _ref_preprune(inv, samples, pv, preds):
+    for pred, cands in inv.items():
+        rows = samples.get(pred, [])[:24]
+        if not rows:
+            continue
+        vs = horn._pos_vars(pred, preds[pred], pv)
+        substs = [(Subst(dict(zip(vs, f.head.args))), f.constraint)
+                  for f in rows]
+        enc = qfcore.Encoding()
+        inv[pred] = [cand for cand in cands if all(
+            qfcore.check_sat(mk_and(cns, mk_not(s.formula(cand))),
+                             qfcore.Budget(30_000), enc) != qfcore.SAT
+            for s, cns in substs)]
+
+
+def _ref_sweep(clauses, inv, pv, preds):
+    changed = True
+    while changed:
+        changed = False
+        for c in clauses:
+            if c.head is None or not inv[c.head.pred]:
+                continue
+            vs = horn._pos_vars(c.head.pred, preds[c.head.pred], pv)
+            s = Subst(dict(zip(vs, c.head.args)))
+            inst = horn._body(c, inv, pv, preds)
+            enc = qfcore.Encoding()
+            keep = [cand for cand in inv[c.head.pred] if horn._check(
+                c, inst, s.formula(cand), None, enc) == qfcore.UNSAT]
+            changed = changed or len(keep) < len(inv[c.head.pred])
+            inv[c.head.pred] = keep
+    return inv
+
+
+@pytest.fixture(scope="module")
+def houdini_cases(tagged_scripts, corpus_dir):
+    """The 22 original and 21 tagged transformed scripts of the corpus, each
+    with its clauses, predicates and sample facts: those of three rounds of
+    derivation from its definite clauses (the solver's first refutation
+    has four, which on the original bst_insert_sat take most of a minute,
+    and stops at a query that fires)."""
+    pb = parse_problem((corpus_dir / "bst_insert_sat.chc").read_text())
+    scripts = [s for orig, trans, _ in tagged_scripts.values()
+               for s in (orig, trans)] + [emit_smtlib(pb)]
+    out = []
+    for script in scripts:
+        clauses, ctx = horn.read_script(script)
+        definite = [c for c in clauses if c.head is not None]
+        out.append((clauses, ctx.preds,
+                    horn.refute(definite, None, 3, 40, 250)[1]))
+    return out
+
+
+def test_houdini_matches_per_candidate_reference(houdini_cases,
+                                                 monkeypatch):
+    """Given the same samples, the pre-prune keeps the candidates that
+    checking each one on each sample keeps, and makes only checks (query
+    and budget) that this reference makes, fewer in all; the sweep then
+    keeps the reference sweep's final invariant."""
+    check_sat = qfcore.check_sat
+    asked = []
+
+    def recorded(f, budget=None, enc=None):
+        asked.append((f, budget.steps))
+        return check_sat(f, budget, enc)
+
+    monkeypatch.setattr(qfcore, "check_sat", recorded)
+    made = ref_made = kept = 0
+    for clauses, preds, samples in houdini_cases:
+        pv = {}
+        inv = horn._mine(clauses, preds, pv)
+        ref = {p: list(cands) for p, cands in inv.items()}
+        asked.clear()
+        horn._preprune(inv, samples, pv, preds, None)
+        ours = set(asked)
+        made += len(asked)
+        asked.clear()
+        _ref_preprune(ref, samples, pv, preds)
+        ref_made += len(asked)
+        assert ours <= set(asked)
+        assert inv == ref
+        assert horn._sweep(clauses, inv, pv, preds, None) == \
+            _ref_sweep(clauses, ref, pv, preds)
+        kept += sum(map(len, inv.values()))
+    assert len(houdini_cases) == 43
+    assert made < ref_made, (made, ref_made)
+    assert kept > 100
 
 
 def test_horn_cli_entry(tmp_path):
