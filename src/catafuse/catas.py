@@ -16,10 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .syntax import (
-    BOOL, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
-    FImp, FIte, FNot, FOr, FTrue, FVar, Formula, IntConst, LinExpr,
-    PRED_CATA, PRED_PROGRAM, PredDecl, Problem, Sort, Term, TermIte, Var,
-    free_vars,
+    BOOL, Atom, Clause, Ctor, Formula, PRED_CATA, PRED_PROGRAM, PredDecl,
+    Problem, Sort, Term, Var, eval_formula, free_vars,
 )
 
 
@@ -280,51 +278,6 @@ def validate_problem(problem: Problem) -> dict[str, QuerySpec]:
 # ---------------------------------------------------------------------------
 # Desk-scale brute-force evaluation (functionality/totality spot checks)
 # ---------------------------------------------------------------------------
-
-def eval_term(t: Term, env: dict[Var, object]) -> object:
-    if isinstance(t, Var):
-        return env[t]
-    if isinstance(t, IntConst):
-        return t.value
-    if isinstance(t, BoolConst):
-        return t.value
-    if isinstance(t, LinExpr):
-        return sum(a * env[v] for v, a in t.coeffs) + t.const  # type: ignore
-    if isinstance(t, TermIte):
-        return eval_term(t.then, env) if eval_formula(t.cond, env) \
-            else eval_term(t.els, env)
-    raise TypeError(f"cannot evaluate {t!r}")
-
-
-def eval_formula(f: Formula, env: dict[Var, object]) -> bool:
-    if isinstance(f, FTrue):
-        return True
-    if isinstance(f, FFalse):
-        return False
-    if isinstance(f, FVar):
-        return bool(env[f.var])
-    if isinstance(f, FNot):
-        return not eval_formula(f.arg, env)
-    if isinstance(f, FAnd):
-        return all(eval_formula(a, env) for a in f.args)
-    if isinstance(f, FOr):
-        return any(eval_formula(a, env) for a in f.args)
-    if isinstance(f, FImp):
-        return (not eval_formula(f.lhs, env)) or eval_formula(f.rhs, env)
-    if isinstance(f, FIff):
-        return eval_formula(f.lhs, env) == eval_formula(f.rhs, env)
-    if isinstance(f, FIte):
-        return eval_formula(f.then, env) if eval_formula(f.cond, env) \
-            else eval_formula(f.els, env)
-    if isinstance(f, FComp):
-        l = eval_term(f.lhs, env)
-        r = eval_term(f.rhs, env)
-        return {"=": l == r, "<": l < r, "=<": l <= r,
-                ">=": l >= r, ">": l > r}[f.rel]  # type: ignore[operator]
-    if isinstance(f, FEq):
-        return eval_term(f.lhs, env) == eval_term(f.rhs, env)
-    raise TypeError(f"cannot evaluate {f!r}")
-
 
 def eval_cata(problem: Problem, pred: str, structure,
               inputs: tuple = (), int_grid: range = range(-8, 9)):

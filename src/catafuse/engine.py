@@ -60,7 +60,7 @@ from .smtlib import datatype_block, mangle_sort, smt_formula
 from .syntax import (
     FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue,
     FVar, Formula, IntConst, SortTable, TRUE, FALSE, Var, as_lin, conjuncts,
-    display_renaming, free_vars, lin, mk_and, mk_not, mk_or,
+    display_renaming, eval_formula, free_vars, lin, mk_and, mk_not, mk_or,
 )
 
 SAT = "sat"
@@ -514,12 +514,7 @@ def simplify(f: Formula) -> Formula:
     if isinstance(f, (FTrue, FFalse, FVar, FComp, FEq)):
         if isinstance(f, FComp) and isinstance(f.lhs, IntConst) \
                 and isinstance(f.rhs, IntConst):
-            ok = {"=": f.lhs.value == f.rhs.value,
-                  "<": f.lhs.value < f.rhs.value,
-                  "=<": f.lhs.value <= f.rhs.value,
-                  ">=": f.lhs.value >= f.rhs.value,
-                  ">": f.lhs.value > f.rhs.value}[f.rel]
-            return TRUE if ok else FALSE
+            return TRUE if eval_formula(f, {}) else FALSE
         if isinstance(f, FEq) and f.lhs == f.rhs:
             return TRUE
         return f

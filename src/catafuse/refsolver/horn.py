@@ -87,16 +87,10 @@ class Script:
         self.clauses: list[Clause] = []
 
     def take(self, cmd) -> None:
-        if not isinstance(cmd, list) or not cmd:
+        if not isinstance(cmd, list) or not cmd or self.ctx.declare(cmd):
             return
         op = cmd[0]
-        if op == "declare-datatypes":
-            self.ctx.declare_datatypes(cmd[1], cmd[2])
-        elif op == "declare-fun":
-            self.ctx.declare_fun(cmd[1], cmd[2], cmd[3])
-        elif op == "declare-const":
-            self.ctx.declare_fun(cmd[1], [], cmd[2])
-        elif op == "assert":
+        if op == "assert":
             self.clauses.append(self.ctx.to_clause(cmd[1]))
         elif op not in ("set-logic", "set-option", "set-info", "check-sat",
                         "exit"):

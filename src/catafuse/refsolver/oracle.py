@@ -41,14 +41,7 @@ class OracleSession:
             if len(cmd) == 3 and cmd[1] == ":timeout":
                 self.timeout_ms = int(cmd[2])
             return None
-        if op == "declare-datatypes":
-            self.ctx.declare_datatypes(cmd[1], cmd[2])
-            return None
-        if op == "declare-const":
-            self.ctx.declare_fun(cmd[1], [], cmd[2])
-            return None
-        if op == "declare-fun":
-            self.ctx.declare_fun(cmd[1], cmd[2], cmd[3])
+        if self.ctx.declare(cmd):
             return None
         if op == "assert":
             try:

@@ -44,8 +44,8 @@ from itertools import islice
 
 from ..syntax import (
     BOOL, FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue, FVar,
-    Formula, IntConst, BoolConst, Ctor, Term, TermIte, Var, as_lin, conjuncts,
-    lin_sub, term_sort, unify,
+    Formula, IntConst, BoolConst, Ctor, Term, Var, as_lin, conjuncts,
+    find_term_ite, lin_sub, term_sort, unify,
 )
 from .lia import Budget, Infeasible, Overflow, canon_atom, eliminate
 
@@ -130,7 +130,7 @@ def _compile(f: Formula, atoms: dict[Formula, int]):
         return _not(_compile(f.arg, atoms))
     if t is FComp or t is FEq:
         for side in (f.lhs, f.rhs):
-            ite = _find_term_ite(side)
+            ite = find_term_ite(side)
             if ite is not None:
                 c = _compile(ite.cond, atoms)
                 return _or((
@@ -160,18 +160,9 @@ def _compile(f: Formula, atoms: dict[Formula, int]):
     raise TypeError(f"unknown formula {f!r}")
 
 
-def _find_term_ite(t: Term) -> TermIte | None:
-    if isinstance(t, TermIte):
-        return t
-    if isinstance(t, Ctor):
-        for a in t.args:
-            found = _find_term_ite(a)
-            if found is not None:
-                return found
-    return None
-
-
 def _replace_term(t: Term, old: Term, new: Term) -> Term:
+    """t with `old` replaced by `new`, searched where `find_term_ite`
+    searches: in constructor arguments only."""
     if t == old:
         return new
     if isinstance(t, Ctor):
@@ -187,11 +178,6 @@ def _atom_replace(f: Formula, old: Term, new: Term) -> Formula:
         return FEq(_replace_term(f.lhs, old, new),
                    _replace_term(f.rhs, old, new), f.sort)
     raise TypeError
-
-
-# _find_term_ite and _replace_term look inside Ctor arguments only: a LinExpr
-# cannot contain an ite, and smtparse refuses one inside SMT-LIB arithmetic,
-# such as (+ x (ite c a b)), with UnsupportedSmt("ite inside arithmetic").
 
 
 def _const_holds(g: FComp) -> bool:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from ..syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, CtorDecl, FComp, FIff,
     FImp, FIte, FVar, FALSE, Formula, IntConst, Sort, SortDef, SortTable,
-    Term, TermIte, TRUE, Var, eq_of, lin_sum, mk_and, mk_not, mk_or,
+    Term, TermIte, TRUE, Var, eq_of, find_term_ite, lin_sum, mk_and, mk_not,
+    mk_or,
 )
 
 
@@ -139,6 +140,20 @@ class SmtContext:
         if s is None:
             raise UnsupportedSmt(f"unknown sort {name}")
         return s
+
+    def declare(self, cmd: list) -> bool:
+        """Take the command `cmd` if it is a declare-datatypes, declare-fun
+        or declare-const, and say whether it was."""
+        op = cmd[0]
+        if op == "declare-datatypes":
+            self.declare_datatypes(cmd[1], cmd[2])
+        elif op == "declare-fun":
+            self.declare_fun(cmd[1], cmd[2], cmd[3])
+        elif op == "declare-const":
+            self.declare_fun(cmd[1], [], cmd[2])
+        else:
+            return False
+        return True
 
     def declare_datatypes(self, names, bodies) -> None:
         decls = []
@@ -349,17 +364,13 @@ class SmtContext:
         args = []
         for a, sort in zip(e[1:], sorts):
             t = self.to_term(a, env)
-            if _has_ite(t):  # numbered by its equation: unique in the clause
+            if find_term_ite(t) is not None:
+                # numbered by its equation: unique in the clause
                 v = Var(f"ite#{len(constraints)}", sort)
                 constraints.append(eq_of(v, t, sort))
                 t = v
             args.append(t)
         return Atom(e[0], tuple(args))
-
-
-def _has_ite(t: Term) -> bool:
-    return isinstance(t, TermIte) or \
-        isinstance(t, Ctor) and any(_has_ite(a) for a in t.args)
 
 
 def _lin_sum(parts: list[tuple[int, Term]]) -> Term:

@@ -31,6 +31,7 @@ from pathlib import Path
 from .engine import (ConstraintEngine, OracleError, Overrun, bundled_cmd,
                      command_name, give_back, lend_child)
 from .parser import parse_problem
+from .refsolver.smtparse import UnsupportedSmt, parse_sexps
 from .smtlib import emit_smtlib
 from .syntax import Problem
 from .transform import transform_problem, transformed_problem
@@ -94,8 +95,13 @@ def _run(cmd: list[str], path: str | Path,
         cmd = cmd + ["-t", str(timeout)]
         script = Path(path).read_text(encoding="utf-8")
         # a session answers every check-sat: a script that asks none, or
-        # more than one, is solved by a child of its own, as a file
-        if script.count("(check-sat)") == 1:
+        # more than one, or that does not parse, is solved by a child of
+        # its own, as a file (a check-sat in a comment or string asks none)
+        try:
+            asks = parse_sexps(script).count(["check-sat"])
+        except (UnsupportedSmt, ValueError):  # ValueError: an open | or "
+            asks = 0
+        if asks == 1:
             return 0, _session_verdict(cmd + ["-"], script, wait), ""
     try:
         run = subprocess.run(cmd + [str(path)], capture_output=True,

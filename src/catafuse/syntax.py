@@ -12,14 +12,20 @@ the import path of the bundled oracle and CHC-solver children, and
 code generation took about half of a child's import time. Nor does the
 module import `typing`; its annotations are never evaluated.
 
-Two term operations are written here once, for every other module:
+Three term operations are written here once, for every other module:
 `vars_in_order` (the walk of `free_vars`, in first-occurrence order, which
-display names, SMT-LIB binders and definition heads follow) and `lin_sum`
-(every sum of scaled linear terms, made canonical by `lin`). Unification
+display names, SMT-LIB binders and definition heads follow), `lin_sum`
+(every sum of scaled linear terms, made canonical by `lin`) and
+`find_term_ite` (the term-level ite that the QF core lifts out of an atom
+and that the SMT-LIB reader names in a predicate argument). Unification
 and resolution are written here once too: `unify` decides the constructor
 equalities of the bundled oracle's decision core and unifies the atoms of
 `resolve`, which is both the transformer's unfolding step and the bundled
-CHC solver's refutation join.
+CHC solver's refutation join. So is evaluation: `eval_term` and
+`eval_formula` give a term's value and a formula's truth under an
+assignment, for the brute-force catamorphism check (`catas.eval_cata`),
+the constant folding of `engine.simplify` and the tests that check the QF
+core.
 """
 
 from __future__ import annotations
@@ -357,6 +363,20 @@ def term_sort(t: Term) -> Sort:
     if isinstance(t, TermIte):
         return term_sort(t.then)
     raise TypeError(f"unknown term {t!r}")
+
+
+def find_term_ite(t: Term) -> TermIte | None:
+    """The first term-level ite in t, or None. Only constructor arguments are
+    searched: a LinExpr cannot hold an ite (`lin_sum` refuses one, and
+    smtparse reports `(+ x (ite c a b))` as "ite inside arithmetic")."""
+    if isinstance(t, TermIte):
+        return t
+    if isinstance(t, Ctor):
+        for a in t.args:
+            found = find_term_ite(a)
+            if found is not None:
+                return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -756,17 +776,55 @@ class Subst:
         return Clause(head, self.formula(c.constraint),
                       tuple(self.atom(a) for a in c.body), c.origin)
 
-    def compose(self, other: "Subst") -> "Subst":
-        """self then other: x -> other(self(x))."""
-        out: dict[Var, Term] = {}
-        for v, t in self.mapping.items():
-            img = other.term(t)
-            if img != v:
-                out[v] = img
-        for v, t in other.mapping.items():
-            if v not in self.mapping:
-                out[v] = t
-        return Subst(out)
+
+# ---------------------------------------------------------------------------
+# Evaluation under an assignment
+# ---------------------------------------------------------------------------
+
+def eval_term(t: Term, env: dict[Var, object]) -> object:
+    """The value of t when each variable takes its value in env: an int, a
+    bool, or for a constructor term (constructor, *argument values)."""
+    if isinstance(t, Var):
+        return env[t]
+    if isinstance(t, (IntConst, BoolConst)):
+        return t.value
+    if isinstance(t, LinExpr):
+        return sum(a * env[v] for v, a in t.coeffs) + t.const  # type: ignore
+    if isinstance(t, Ctor):
+        return (t.ctor, *(eval_term(a, env) for a in t.args))
+    if isinstance(t, TermIte):
+        return eval_term(t.then if eval_formula(t.cond, env) else t.els, env)
+    raise TypeError(f"cannot evaluate {t!r}")
+
+
+def eval_formula(f: Formula, env: dict[Var, object]) -> bool:
+    """Whether f holds when each variable takes its value in env."""
+    if isinstance(f, FTrue):
+        return True
+    if isinstance(f, FFalse):
+        return False
+    if isinstance(f, FVar):
+        return bool(env[f.var])
+    if isinstance(f, FNot):
+        return not eval_formula(f.arg, env)
+    if isinstance(f, FAnd):
+        return all(eval_formula(a, env) for a in f.args)
+    if isinstance(f, FOr):
+        return any(eval_formula(a, env) for a in f.args)
+    if isinstance(f, FImp):
+        return (not eval_formula(f.lhs, env)) or eval_formula(f.rhs, env)
+    if isinstance(f, FIff):
+        return eval_formula(f.lhs, env) == eval_formula(f.rhs, env)
+    if isinstance(f, FIte):
+        return eval_formula(f.then if eval_formula(f.cond, env) else f.els, env)
+    if isinstance(f, FComp):
+        l = eval_term(f.lhs, env)
+        r = eval_term(f.rhs, env)
+        return {"=": l == r, "<": l < r, "=<": l <= r,
+                ">=": l >= r, ">": l > r}[f.rel]  # type: ignore[operator]
+    if isinstance(f, FEq):
+        return eval_term(f.lhs, env) == eval_term(f.rhs, env)
+    raise TypeError(f"cannot evaluate {f!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ query-based strengthening, folding, and the fixpoint that drives them.
 The pipeline rewrites a validated problem into an equisatisfiable clause set
 in which every emitted predicate fuses one program predicate with the
 catamorphism atoms its query (and the queries of everything it calls) needs.
-Each rule application is recorded in a replayable derivation log.
+Each rule application is recorded in a derivation log.
 
 Conventions that matter for reading this module:
 

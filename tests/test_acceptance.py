@@ -153,6 +153,7 @@ def test_criterion_2_fixpoint_content(engine):
         assert time.monotonic() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_3_transformed_satisfiable(bench):
     """The transformed sorting fixture is proved sat within 300 s."""
     with criterion(3, "transformed-sat"):
@@ -162,6 +163,7 @@ def test_criterion_3_transformed_satisfiable(bench):
         assert row.transformed_secs < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_4_unsat_mutants(bench):
     """Three bug-injected sorting mutants (dropped insertion, flipped
     comparison, extra head element) are proved unsat within 300 s each."""
@@ -175,6 +177,7 @@ def test_criterion_4_unsat_mutants(bench):
             assert row.transformed_secs < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_5_equisat_suite(bench):
     """Across the whole corpus (>= 20 problems), whenever both the original
     and the transformed verdicts are definitive they agree; no disagreement."""
@@ -269,6 +272,7 @@ def test_criterion_8_catamorphism_sanity():
                     assert len(outs) == 1, (pred, xs, outs)
 
 
+@pytest.mark.slow
 def test_criterion_9_desk_benchmark(bench):
     """>= 10 problems spanning >= 4 categories, sat and unsat variants per
     category, every expected verdict met end-to-end, under 30 minutes."""

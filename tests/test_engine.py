@@ -17,8 +17,8 @@ from catafuse.engine import (
 )
 from catafuse.refsolver import qfcore
 from catafuse.syntax import (
-    BOOL, INT, FAnd, FComp, FEq, FIff, FImp, FNot, FOr, FVar, Formula,
-    IntConst, TRUE, Var, as_lin, conjuncts, display_renaming, free_vars, lin,
+    BOOL, INT, FComp, FEq, FIff, FImp, FNot, FVar, Formula, IntConst, TRUE,
+    Var, as_lin, conjuncts, display_renaming, eval_formula, free_vars, lin,
     lin_sub, list_sort, mk_and, mk_not, mk_or, tree_sort,
 )
 from catafuse.transform import transform_problem
@@ -58,22 +58,6 @@ def test_entails_examples(engine):
     assert engine.entails(geq(X, IntConst(0)), geq(X, IntConst(1))) == FAILS
 
 
-def _bool_eval(f: Formula, env) -> bool:
-    if isinstance(f, FVar):
-        return env[f.var]
-    if isinstance(f, FNot):
-        return not _bool_eval(f.arg, env)
-    if isinstance(f, FAnd):
-        return all(_bool_eval(a, env) for a in f.args)
-    if isinstance(f, FOr):
-        return any(_bool_eval(a, env) for a in f.args)
-    if isinstance(f, FImp):
-        return (not _bool_eval(f.lhs, env)) or _bool_eval(f.rhs, env)
-    if isinstance(f, FIff):
-        return _bool_eval(f.lhs, env) == _bool_eval(f.rhs, env)
-    return {"FTrue": True, "FFalse": False}[type(f).__name__]
-
-
 def _random_bool_formula(rng, depth):
     if depth == 0:
         return FVar(rng.choice([B1, B2, B3]))
@@ -98,8 +82,8 @@ def test_entails_matches_truth_tables(engine):
         c = _random_bool_formula(rng, 3)
         d = _random_bool_formula(rng, 3)
         want = all(
-            (not _bool_eval(c, dict(zip(vs, bits)))) or
-            _bool_eval(d, dict(zip(vs, bits)))
+            (not eval_formula(c, dict(zip(vs, bits)))) or
+            eval_formula(d, dict(zip(vs, bits)))
             for bits in itertools.product([False, True], repeat=3))
         got = engine.entails(c, d)
         assert got == (HOLDS if want else FAILS), (c, d)

@@ -19,9 +19,9 @@ from catafuse.solver import expected_tag
 from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Sort, Subst, TermIte, Var,
-    as_lin, conjuncts, display_renaming, eq_of, free_vars, lin, lin_sub,
-    lin_sum, list_sort, mk_and, mk_not, mk_or, pretty_clause, term_sort,
-    tree_sort, unify, variant_of, TRUE, FALSE,
+    as_lin, conjuncts, display_renaming, eq_of, eval_formula, find_term_ite,
+    free_vars, lin, lin_sub, lin_sum, list_sort, mk_and, mk_not, mk_or,
+    pretty_clause, term_sort, tree_sort, unify, variant_of, TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
 
@@ -38,45 +38,8 @@ M1 = Var("M1", LB)
 
 
 # ---------------------------------------------------------------------------
-# QF core: differential against a bounded brute-force evaluator
+# QF core: differential against brute-force evaluation (syntax.eval_formula)
 # ---------------------------------------------------------------------------
-
-def _value(t, env):
-    """A term's value; a constructor term's is (constructor, *arguments)."""
-    if isinstance(t, Var):
-        return env[t]
-    if isinstance(t, (IntConst, BoolConst)):
-        return t.value
-    if isinstance(t, TermIte):
-        return _value(t.then if _eval(t.cond, env) else t.els, env)
-    if isinstance(t, Ctor):
-        return (t.ctor, *(_value(a, env) for a in t.args))
-    return sum(a * env[v] for v, a in t.coeffs) + t.const
-
-
-def _eval(f, env):
-    if isinstance(f, FVar):
-        return env[f.var]
-    if isinstance(f, FNot):
-        return not _eval(f.arg, env)
-    if isinstance(f, FAnd):
-        return all(_eval(a, env) for a in f.args)
-    if isinstance(f, FOr):
-        return any(_eval(a, env) for a in f.args)
-    if isinstance(f, FImp):
-        return (not _eval(f.lhs, env)) or _eval(f.rhs, env)
-    if isinstance(f, FIff):
-        return _eval(f.lhs, env) == _eval(f.rhs, env)
-    if isinstance(f, FIte):
-        return _eval(f.then, env) if _eval(f.cond, env) else _eval(f.els, env)
-    if isinstance(f, FEq):
-        return _value(f.lhs, env) == _value(f.rhs, env)
-    if isinstance(f, FComp):
-        l, r = _value(f.lhs, env), _value(f.rhs, env)
-        return {"=": l == r, "<": l < r, "=<": l <= r,
-                ">=": l >= r, ">": l > r}[f.rel]
-    return {"FTrue": True, "FFalse": False}[type(f).__name__]
-
 
 def _rand_formula(rng, depth, adt=False):
     if depth == 0:
@@ -136,7 +99,7 @@ def test_qfcore_never_contradicts_bruteforce():
         f = _rand_formula(rng, 3)
         got = qfcore.check_sat(f)
         model_found = any(
-            _eval(f, {X: x, Y: y, B1: b1, B2: b2})
+            eval_formula(f, {X: x, Y: y, B1: b1, B2: b2})
             for x in range(-4, 5) for y in range(-4, 5)
             for b1 in (False, True) for b2 in (False, True))
         if model_found:
@@ -161,8 +124,9 @@ def test_qfcore_adt_never_contradicts_bruteforce():
     domains is found unsat."""
     nil = Ctor(LI, "[]", ())
     one = {X: 1, L1: ("cons", 1, ("[]",))}
-    assert _eval(FEq(L1, Ctor(LI, "cons", (X, nil)), LI), one)
-    assert not _eval(FEq(L1, Ctor(LI, "cons", (lin({X: 1}, 1), nil)), LI), one)
+    assert eval_formula(FEq(L1, Ctor(LI, "cons", (X, nil)), LI), one)
+    assert not eval_formula(
+        FEq(L1, Ctor(LI, "cons", (lin({X: 1}, 1), nil)), LI), one)
     rng = random.Random(43)
     refuted = 0
     for _ in range(600):
@@ -171,9 +135,45 @@ def test_qfcore_adt_never_contradicts_bruteforce():
             continue  # bounded search cannot refute a 'sat' verdict
         vs = sorted(free_vars(f), key=lambda v: v.name)
         for vals in itertools.product(*(_DOMAIN[v.sort] for v in vs)):
-            assert not _eval(f, dict(zip(vs, vals))), (f, vals)
+            assert not eval_formula(f, dict(zip(vs, vals))), (f, vals)
         refuted += 1
     assert refuted > 30
+
+
+def _term_of(value, sort):
+    """The constant or constructor term whose value is `value`."""
+    if sort == INT:
+        return IntConst(value)
+    if sort == BOOL:
+        return BoolConst(value)
+    if value[0] == "[]":
+        return Ctor(sort, "[]", ())
+    elem = INT if sort == LI else BOOL
+    return Ctor(sort, "cons",
+                (_term_of(value[1], elem), _term_of(value[2], sort)))
+
+
+def test_eval_formula_agrees_with_qfcore_on_ground_formulas():
+    """With every variable of a random formula replaced by a constant or a
+    constructor value, the QF core, where it is definitive, answers sat
+    exactly when the evaluator finds the ground formula true; and the
+    evaluator finds it true exactly when the formula holds under the values."""
+    rng = random.Random(44)
+    decided = {True: 0, False: 0}
+    for _ in range(600):
+        f = _rand_formula(rng, 3, adt=True)
+        env = {v: rng.choice(_DOMAIN[v.sort])
+               for v in sorted(free_vars(f), key=lambda v: v.name)}
+        ground = Subst({v: _term_of(x, v.sort)
+                        for v, x in env.items()}).formula(f)
+        assert not free_vars(ground), ground
+        holds = eval_formula(ground, {})
+        assert holds == eval_formula(f, env), (f, env)
+        got = qfcore.check_sat(ground)
+        if got != qfcore.UNKNOWN:
+            assert got == (qfcore.SAT if holds else qfcore.UNSAT), ground
+            decided[holds] += 1
+    assert min(decided.values()) > 150, decided
 
 
 # The rewriting DPLL that the assignment-based search replaced: after every
@@ -257,7 +257,7 @@ def _ref_elim_ite(f):
         return mk_or(mk_and(c, _ref_elim_ite(f.then)),
                      mk_and(mk_not(c), _ref_elim_ite(f.els)))
     for side in (f.lhs, f.rhs):  # FComp / FEq
-        ite = qfcore._find_term_ite(side)
+        ite = find_term_ite(side)
         if ite is not None:
             then_f = qfcore._atom_replace(f, ite, ite.then)
             else_f = qfcore._atom_replace(f, ite, ite.els)
@@ -1391,6 +1391,19 @@ class _RefFacts:
         return True
 
 
+def _compose(s, other):
+    """s then other: x -> other(s(x))."""
+    out = {}
+    for v, t in s.mapping.items():
+        img = other.term(t)
+        if img != v:
+            out[v] = img
+    for v, t in other.mapping.items():
+        if v not in s.mapping:
+            out[v] = t
+    return Subst(out)
+
+
 def _ref_join(clause, facts, gen, limit):
     out = []
     state = [(Subst(), clause.constraint)]
@@ -1419,7 +1432,7 @@ def _ref_join(clause, facts, gen, limit):
                             break
                         extra.append(eq_of(pa_s, fa_s, st))
                     else:
-                        s2 = s2.compose(u[0])
+                        s2 = _compose(s2, u[0])
                 if not ok:
                     continue
                 cns = mk_and(s2.formula(c), s2.formula(fc2),
@@ -1900,6 +1913,7 @@ def houdini_cases(tagged_scripts, corpus_dir):
     return out
 
 
+@pytest.mark.slow
 def test_houdini_matches_per_candidate_reference(houdini_cases,
                                                  monkeypatch):
     """Given the same samples, the pre-prune keeps the candidates that

@@ -353,7 +353,13 @@ def test_script_without_one_check_sat_is_solved_alone(tmp_path, lent):
     config, _ = _bundled(94.0)
     script = tmp_path / "q.smt2"
     for text in (TRIVIAL_HORN.replace("(check-sat)", ""),
-                 TRIVIAL_HORN + "(check-sat)\n"):
+                 TRIVIAL_HORN + "(check-sat)\n",
+                 # a check-sat in a comment or a string is no command
+                 TRIVIAL_HORN.replace("(check-sat)",
+                                      "; solved by (check-sat) below"),
+                 TRIVIAL_HORN.replace(
+                     "(check-sat)",
+                     '(set-info :source "asks (check-sat) once")')):
         script.write_text(text)
         assert solve_file(script, config).verdict == "unsat"
     assert lent == []
