@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 from .catas import AnalysisError, check_schema
-from .engine import ConstraintEngine, Oracle, OracleError, default_oracle_cmd
+from .engine import ConstraintEngine, OracleError
 from .parser import ParseError, parse_problem
 from .smtlib import emit_smtlib, functionality_obligation, totality_obligation
 from .solver import (SolverConfig, check_equisat, default_solver_cmd,
@@ -98,7 +98,7 @@ def _load(path: str):
 
 
 def _transform(problem, args):
-    engine = ConstraintEngine(Oracle(default_oracle_cmd()))
+    engine = ConstraintEngine()
     t0 = time.monotonic()
     try:
         result = transform_problem(problem, engine,

@@ -37,7 +37,8 @@ Verdicts are three-valued and the transformer treats unknown conservatively
 
 Projection eliminates integer variables in-process with refsolver.lia, the
 one integer eliminator that the bundled QF core uses too; importing it does
-not load the rest of that core.
+not load the rest of that core. Every row it derives is implied by the rows
+it came from, so a projection is implied by its input without a check.
 """
 
 from __future__ import annotations
@@ -498,15 +499,7 @@ class ConstraintEngine:
             return FALSE
         parts = conjuncts(c)
         atomic = [p for p in parts if is_atomic_conjunct(p)]
-        result = _fm_project(atomic, keep)
-        if self.entails(c, result) == HOLDS:
-            return result
-        # fall back: drop every conjunct that mentions an eliminated variable
-        kept = [p for p in atomic if free_vars(p) <= keep]
-        result = mk_and(*kept)
-        if self.entails(c, result) == HOLDS:
-            return result
-        return TRUE
+        return _fm_project(atomic, keep)
 
 
 def simplify(f: Formula) -> Formula:
@@ -559,7 +552,8 @@ def simplify(f: Formula) -> Formula:
 
 def _fm_project(atomic: list[Formula], keep: set[Var]) -> Formula:
     """lia.eliminate over the integer conjuncts; other conjuncts survive
-    only when they already live inside `keep`. Always an over-approximation."""
+    only when they already live inside `keep`. Always an over-approximation
+    of the conjunction of `atomic`."""
     eqs, les, others = [], [], []
     for p in atomic:
         if isinstance(p, FComp):
@@ -578,7 +572,7 @@ def _fm_project(atomic: list[Formula], keep: set[Var]) -> Formula:
     except lia.Infeasible:
         return FALSE
     except lia.Overflow:
-        return mk_and(*others)  # caller re-checks and falls back
+        return mk_and(*others)
     rows = [FComp("=", lin(c, k), IntConst(0)) for c, k in eqs]
     rows += [FComp("=<", lin(c, k), IntConst(0)) for c, k in les]
     return simplify(mk_and(*others, *rows))

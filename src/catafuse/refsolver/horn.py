@@ -6,8 +6,10 @@ SMT-LIB session on stdin. The session answers each `(check-sat)` for the
 commands since the last `(reset)` (or since the start) and exits on `(exit)`
 or at the end of its input. Piping one script into it therefore prints that
 script's verdict; input that never asks `(check-sat)` is answered once at
-its end, as a file is. A command outside the emitted dialect makes every
-`(check-sat)` up to the next `(reset)` unknown, with the error on stderr.
+its end, as a file is. Both read their commands, push and pop included,
+through `smtparse.Session`. A command that is malformed, does not parse or
+is outside the emitted dialect makes a file unknown, and in the session
+every `(check-sat)` up to the next `(reset)`, with the error on stderr.
 The limit, a finite positive number of seconds, is each solve's own.
 
 Decides satisfiability of Horn clause scripts in the emitted dialect and
@@ -71,37 +73,20 @@ from ..syntax import (
     display_renaming, eq_of, free_vars, lin, lin_sub, mk_and, mk_not, resolve,
 )
 from . import qfcore
-from .smtparse import SmtContext, UnsupportedSmt, commands, parse_sexps
+from .smtparse import (
+    Session, SmtContext, UnsupportedSmt, commands, parse_sexps,
+)
 
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
 
-class Script:
-    """The declarations and clauses of an SMT-LIB script, taken one command
-    at a time; `read_script` and the session on stdin both feed it."""
-
-    def __init__(self) -> None:
-        self.ctx = SmtContext()
-        self.clauses: list[Clause] = []
-
-    def take(self, cmd) -> None:
-        if not isinstance(cmd, list) or not cmd or self.ctx.declare(cmd):
-            return
-        op = cmd[0]
-        if op == "assert":
-            self.clauses.append(self.ctx.to_clause(cmd[1]))
-        elif op not in ("set-logic", "set-option", "set-info", "check-sat",
-                        "exit"):
-            raise UnsupportedSmt(f"unsupported command {op}")
-
-
 def read_script(text: str) -> tuple[list[Clause], SmtContext]:
-    script = Script()
+    script = Session(SmtContext.to_clause)
     for cmd in parse_sexps(text):
         script.take(cmd)
-    return script.clauses, script.ctx
+    return script.asserted(), script.ctx
 
 
 def _expired(deadline: float | None) -> bool:
@@ -188,8 +173,9 @@ def _project(r: Clause) -> tuple[Clause, list[tuple[Var, Term]]]:
     return Clause(r.head, mk_and(*parts), r.body, r.origin), made
 
 
-def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
-          limit: int, joined: dict[Clause, dict[str, int]]) -> list[Clause]:
+def _join(clause: Clause, facts: _Facts, gen: NameGen,
+          deadline: float | None, limit: int,
+          joined: dict[Clause, dict[str, int]]) -> list[Clause]:
     """The resolvents of clause with current facts on all its body atoms:
     its derivable head instances, or for a query the first one found.
 
@@ -214,7 +200,7 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
             new = new or i >= seen
             if k == last and not new:
                 continue
-            if _expired(budget.deadline):
+            if _expired(deadline):
                 facts.saturated = False
                 return []
             r = resolve(s, 0, f, {v: gen.fresh_var(v.sort) for v in fvars})
@@ -222,7 +208,7 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
                 r = _project(r)[0]
             # prune dead partial joins early; unknown survives
             verdict = qfcore.UNSAT if r is None else qfcore.check_sat(
-                r.constraint, qfcore.Budget(20_000, budget.deadline))
+                r.constraint, qfcore.Budget(20_000, deadline))
             if verdict != qfcore.UNSAT:
                 nxt.append((r, verdict, new))
             if len(nxt) > limit:
@@ -235,14 +221,14 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen, budget: qfcore.Budget,
             continue
         if verdict != qfcore.SAT:
             verdict = qfcore.check_sat(r.constraint,
-                                       qfcore.Budget(60_000, budget.deadline))
+                                       qfcore.Budget(60_000, deadline))
         if verdict == qfcore.SAT:
             out.append(r)
             if clause.head is None:  # one derivation refutes
                 break
         elif verdict == qfcore.UNKNOWN:
             facts.saturated = False
-    if complete and not _expired(budget.deadline):
+    if complete and not _expired(deadline):
         joined[clause] = counts
     return out
 
@@ -255,7 +241,6 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
     facts = _Facts(cap)
     queries = [c for c in clauses if c.head is None]
     definite = [c for c in clauses if c.head is not None]
-    budget = qfcore.Budget(deadline=deadline)
     # equal clauses make equal joins, so they may share their entry
     joined: dict[Clause, dict[str, int]] = {}
     for _ in range(rounds):
@@ -266,11 +251,11 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
             # facts.add would reject every head: a variant, or over the cap
             if not facts.saturated and len(facts.by_pred.get(c.head.pred, ())) >= cap:
                 continue
-            for f in _join(c, facts, gen, budget, joins, joined):
+            for f in _join(c, facts, gen, deadline, joins, joined):
                 if facts.add(f):
                     grew = True
         for q in queries:
-            if _join(q, facts, gen, budget, joins, joined):
+            if _join(q, facts, gen, deadline, joins, joined):
                 return UNSAT, facts.by_pred
         if not grew:
             verdict = SAT if facts.saturated else UNKNOWN
@@ -566,31 +551,29 @@ def session(lines, timeout: float | None) -> None:
     """Answer each `(check-sat)` on `lines` for the commands since the last
     `(reset)`, its limit starting at that `(check-sat)`; stop at `(exit)` or
     at the end. Lines that never ask are answered at their end, as a file
-    is."""
-    script, error, asked = Script(), None, False
+    is. The first command refused answers every `(check-sat)` unknown up to
+    the next `(reset)`."""
+    script, error, asked = Session(SmtContext.to_clause), None, False
 
     def answer() -> None:
         nonlocal asked
         asked = True
         print(_refused(error) if error else
-              solve_clauses(script.clauses, script.ctx.preds, timeout),
+              solve_clauses(script.asserted(), script.ctx.preds, timeout),
               flush=True)
 
     for cmd in commands(lines):
-        op = cmd[0] if isinstance(cmd, list) and cmd else None
+        try:
+            op = script.take(cmd)
+        except UnsupportedSmt as e:
+            error = error or e
+            continue
         if op == "exit":
             break
         if op == "reset":
-            script, error = Script(), None
+            error = None
         elif op == "check-sat":
             answer()
-        elif isinstance(cmd, UnsupportedSmt):
-            error = error or cmd
-        else:
-            try:
-                script.take(cmd)
-            except UnsupportedSmt as e:
-                error = error or e
     if not asked:
         answer()
 

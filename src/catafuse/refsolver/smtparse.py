@@ -4,6 +4,11 @@ Covers declare-datatypes / declare-fun / declare-const / assert with the
 boolean connectives, linear integer arithmetic, ite, datatype constructors,
 and (for Horn scripts) top-level forall. This is deliberately not a general
 SMT-LIB frontend; anything outside the emitted dialect raises UnsupportedSmt.
+
+`commands` splits a stream where the tokenizer says: text that ends inside
+a string, a `|symbol|` or an open parenthesis raises `Incomplete`, and
+waits for more. `Session` interprets the commands for both bundled
+children, the oracle and the CHC solver.
 """
 
 from __future__ import annotations
@@ -20,6 +25,11 @@ class UnsupportedSmt(Exception):
     pass
 
 
+class Incomplete(UnsupportedSmt):
+    """Text that ends inside a string, a `|symbol|` or an open parenthesis:
+    more input may complete it."""
+
+
 def tokenize_sexp(text: str) -> list[str]:
     toks: list[str] = []
     i, n = 0, len(text)
@@ -33,12 +43,11 @@ def tokenize_sexp(text: str) -> list[str]:
         elif ch in "()":
             toks.append(ch)
             i += 1
-        elif ch == "|":
-            j = text.index("|", i + 1)
-            toks.append(text[i:j + 1])
-            i = j + 1
-        elif ch == '"':
-            j = text.index('"', i + 1)
+        elif ch in '|"':
+            j = text.find(ch, i + 1)
+            if j < 0:
+                raise Incomplete("input ends inside a "
+                                 + ("string" if ch == '"' else "|symbol|"))
             toks.append(text[i:j + 1])
             i = j + 1
         else:
@@ -67,31 +76,8 @@ def parse_sexps(text: str):
         else:
             cur.append(t)
     if stack:
-        raise UnsupportedSmt("unbalanced '('")
+        raise Incomplete("input ends inside a command")
     return out
-
-
-def balanced(text: str) -> bool:
-    depth = 0
-    in_bar = in_str = in_comment = False
-    for ch in text:
-        if in_bar:
-            in_bar = ch != "|"
-        elif in_str:
-            in_str = ch != '"'
-        elif in_comment:
-            in_comment = ch != "\n"
-        elif ch == ";":
-            in_comment = True
-        elif ch == "|":
-            in_bar = True
-        elif ch == '"':
-            in_str = True
-        elif ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-    return depth <= 0 and not in_bar and not in_str
 
 
 def commands(lines):
@@ -100,14 +86,17 @@ def commands(lines):
     buf = ""
     for line in lines:
         buf += line
-        if balanced(buf):
-            try:
-                yield from parse_sexps(buf)
-            except UnsupportedSmt as e:
-                yield e
-            buf = ""
+        try:
+            cmds = parse_sexps(buf)
+        except Incomplete as e:
+            unfinished = e
+            continue
+        except UnsupportedSmt as e:
+            cmds = [e]
+        buf = ""
+        yield from cmds
     if buf:
-        yield UnsupportedSmt("input ends inside a command")
+        yield unfinished
 
 
 def _finite(sort: Sort, new: dict[Sort, SortDef], known: SortTable,
@@ -141,20 +130,6 @@ class SmtContext:
             raise UnsupportedSmt(f"unknown sort {name}")
         return s
 
-    def declare(self, cmd: list) -> bool:
-        """Take the command `cmd` if it is a declare-datatypes, declare-fun
-        or declare-const, and say whether it was."""
-        op = cmd[0]
-        if op == "declare-datatypes":
-            self.declare_datatypes(cmd[1], cmd[2])
-        elif op == "declare-fun":
-            self.declare_fun(cmd[1], cmd[2], cmd[3])
-        elif op == "declare-const":
-            self.declare_fun(cmd[1], [], cmd[2])
-        else:
-            return False
-        return True
-
     def declare_datatypes(self, names, bodies) -> None:
         decls = []
         for spec in names:
@@ -174,7 +149,7 @@ class SmtContext:
                     # the QF core takes every datatype position as able to
                     # differ, which a finite sort's values cannot always do
                     raise UnsupportedSmt(f"finite datatype {sort}")
-        except UnsupportedSmt:
+        except Exception:  # a refused or malformed declaration adds nothing
             self.sort_names = saved
             raise
         for sd in defs.values():
@@ -371,6 +346,65 @@ class SmtContext:
                 t = v
             args.append(t)
         return Atom(e[0], tuple(args))
+
+
+class Session:
+    """An SMT-LIB session's state since its last `(reset)`: the declarations
+    in `ctx`, and push/pop frames of assertions, each as `read(ctx, expr)`
+    reads it; the oracle and the CHC solver differ only in `read`. A frame
+    is marked, with None, by an assertion that was not read or that `read`
+    returns as None (read but not decided), and by lines that may have held
+    one; `asserted()` is None while a mark is in scope."""
+
+    def __init__(self, read) -> None:
+        self.read = read
+        self.reset()
+
+    def reset(self) -> None:
+        self.ctx = SmtContext()
+        self.frames: list[list] = [[]]
+
+    def take(self, cmd) -> str:
+        """Apply the command `cmd`, as `commands` yields it, and return its
+        operator. Raises UnsupportedSmt for lines that did not parse, a bare
+        token or `()`, a malformed command, or one outside the dialect."""
+        if not isinstance(cmd, list) or not cmd:
+            self.frames[-1].append(None)
+            raise cmd if isinstance(cmd, UnsupportedSmt) else \
+                UnsupportedSmt(f"bad command {cmd}")
+        op, ctx = cmd[0], self.ctx
+        try:
+            if op == "assert":
+                # marked until read: check-sat must not answer sat without it
+                frame = self.frames[-1]
+                frame.append(None)
+                (e,) = cmd[1:]
+                frame[-1] = self.read(ctx, e)
+            elif op == "declare-datatypes":
+                ctx.declare_datatypes(cmd[1], cmd[2])
+            elif op == "declare-fun":
+                ctx.declare_fun(cmd[1], cmd[2], cmd[3])
+            elif op == "declare-const":
+                ctx.declare_fun(cmd[1], [], cmd[2])
+            elif op in ("push", "pop"):
+                n = int(cmd[1]) if len(cmd) > 1 else 1
+                if op == "push":
+                    self.frames += [[] for _ in range(n)]
+                else:
+                    del self.frames[max(1, len(self.frames) - n):]
+            elif op == "reset":
+                self.reset()
+            elif op not in ("set-logic", "set-info", "set-option",
+                            "check-sat", "exit"):
+                raise UnsupportedSmt(f"unsupported command {op}")
+        except (IndexError, TypeError, ValueError) as e:  # a malformed command
+            raise UnsupportedSmt(f"malformed {op}: {e}") from None
+        return op
+
+    def asserted(self) -> list | None:
+        """The assertions in scope, or None while a mark is in scope."""
+        out = [a for frame in self.frames for a in frame]
+        return None if any(a is None for a in out) else out
 
 
 def _lin_sum(parts: list[tuple[int, Term]]) -> Term:

@@ -99,7 +99,7 @@ def _run(cmd: list[str], path: str | Path,
         # its own, as a file (a check-sat in a comment or string asks none)
         try:
             asks = parse_sexps(script).count(["check-sat"])
-        except (UnsupportedSmt, ValueError):  # ValueError: an open | or "
+        except UnsupportedSmt:
             asks = 0
         if asks == 1:
             return 0, _session_verdict(cmd + ["-"], script, wait), ""

@@ -13,7 +13,9 @@ from catafuse import engine as engine_mod
 from catafuse.engine import UNKNOWN, ConstraintEngine, Oracle
 from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
-from catafuse.refsolver.smtparse import SmtContext, UnsupportedSmt, parse_sexps
+from catafuse.refsolver.smtparse import (
+    Incomplete, SmtContext, UnsupportedSmt, commands, parse_sexps,
+)
 from catafuse.smtlib import emit_smtlib
 from catafuse.solver import expected_tag
 from catafuse.syntax import (
@@ -2001,6 +2003,103 @@ def test_horn_session_answers_before_its_input_ends():
         assert child.proc.wait(timeout=30) == 0
     finally:
         child.discard()
+
+
+def _horn_session(text: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "catafuse.refsolver.horn", "-t", "30", "-"],
+        input=text, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("text, verdicts", [
+    ("(push 1)(assert false)(pop 1)(check-sat)\n", ["sat"]),
+    # push and pop take a count, and pop never drops the outermost frame
+    (_P_OF_0 + "(push 1)\n" + _NOT_P + "(check-sat)\n(pop 1)\n(check-sat)\n"
+     "(push 1)\n(assert false)\n(push 2)\n(pop 2)\n(check-sat)\n(pop 5)\n"
+     "(check-sat)\n", ["unsat", "sat", "unsat", "sat"]),
+], ids=["one-frame", "counts"])
+def test_horn_reads_push_and_pop(text, verdicts):
+    out = _horn_session(text)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == verdicts
+
+
+_DECLARE_X = "(declare-const x Int)\n(assert (> x 0))\n(check-sat)\n"
+_THEN_RESET = "(reset)\n(assert false)\n(check-sat)\n"
+
+
+@pytest.mark.parametrize("bad, oracle_verdicts", [
+    # a declaration or push that is refused leaves no assertion out
+    ("(declare-fun f)", ["sat", "unsat"]),
+    ("(declare-const y)", ["sat", "unsat"]),
+    ("(declare-datatypes ((L 0)))", ["sat", "unsat"]),
+    ("(push x)", ["sat", "unsat"]),
+    # an assertion that is refused leaves its frame unknown
+    ("(assert)", ["unknown", "unsat"]),
+    ("(assert (not))", ["unknown", "unsat"]),
+    # a string that never ends takes in the rest of the input
+    ('(assert (= 1 "a))', []),
+], ids=["declare-fun", "declare-const", "declare-datatypes", "push", "assert",
+        "assert-not", "string"])
+def test_malformed_commands_are_refused(tmp_path, bad, oracle_verdicts):
+    out = subprocess.run(
+        [sys.executable, "-m", "catafuse.refsolver.oracle"],
+        input=bad + "\n" + _DECLARE_X + _THEN_RESET,
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("(error") and "internal" not in lines[0]
+    assert lines[1:] == oracle_verdicts
+
+    out = _horn_session(bad + "\n" + _P_OF_0 + "(check-sat)\n" + _THEN_RESET)
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    assert out.stdout.split() == (["unknown"] if '"' in bad
+                                  else ["unknown", "unsat"])
+
+    path = tmp_path / "bad.smt2"
+    path.write_text(bad + "\n" + _P_OF_0 + _NOT_P + "(check-sat)\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "catafuse.refsolver.horn", "-t", "30",
+         str(path)], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and "Traceback" not in out.stderr
+    assert out.stdout.split() == ["unknown"]
+
+
+@pytest.mark.parametrize("lines, want", [
+    # a parenthesis in a comment, a string or a |symbol| opens nothing
+    (["; (a comment\n", "(assert false)\n"], [(2, ["assert", "false"])]),
+    (['(set-info :source "a (")\n', "(check-sat)\n"],
+     [(1, ["set-info", ":source", '"a ("']), (2, ["check-sat"])]),
+    (["(declare-const |a(| Int)(check-sat)\n"],
+     [(1, ["declare-const", "|a(|", "Int"]), (1, ["check-sat"])]),
+    # a command spread over three lines is taken once its last line is read
+    (["(assert\n", "(> x\n", "0))\n", "(check-sat)\n"],
+     [(3, ["assert", [">", "x", "0"]]), (4, ["check-sat"])]),
+    # a stray ')' refuses its line, and the next line starts afresh
+    (["(assert (> x 0)))\n", "(check-sat)\n"],
+     [(1, UnsupportedSmt), (2, ["check-sat"])]),
+    # input that ends inside a string is refused at its end
+    (['(assert (= 1 "a))\n', "(check-sat)\n"], [(2, Incomplete)]),
+], ids=["comment", "string", "symbol", "three-lines", "stray-paren",
+        "ends-in-a-string"])
+def test_commands_end_where_the_tokenizer_says(lines, want):
+    read = []
+
+    def feed():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    got = [(len(read), type(c) if isinstance(c, Exception) else c)
+           for c in commands(feed())]
+    assert got == want
+
+
+@pytest.mark.parametrize("text", ['(assert (= 1 "a))', "(declare-const |a Int)",
+                                  "(assert (> x 0)"])
+def test_parse_sexps_raises_incomplete_on_unfinished_text(text):
+    with pytest.raises(Incomplete):
+        parse_sexps(text)
 
 
 @pytest.mark.parametrize("argv", [
