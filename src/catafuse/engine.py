@@ -27,10 +27,11 @@ A child that refuses the problem's datatype declarations is dropped too,
 and every query over those declarations is unknown without another start.
 Messages name a bundled child by its module (`command_name`).
 
-Each engine keeps one verdict memo, keyed up to renaming: the oracle sees a
-query with its variables display-renamed, so that renamed query is the key,
-and an entailment c |= d shares the entry of its query c & ~d. An unknown
-verdict is never memoised.
+Each engine keeps one verdict memo, keyed by the SMT-LIB text the oracle is
+sent (`query_text`): a query printed under its display names, so queries
+equal up to renaming share a key, and equal text gets the child's same
+verdict. An entailment c |= d shares the entry of its query c & ~d. An
+unknown verdict is never memoised.
 
 Verdicts are three-valued and the transformer treats unknown conservatively
 (see the callers): never drop a clause or merge definitions without proof.
@@ -61,7 +62,7 @@ from .smtlib import datatype_block, mangle_sort, smt_formula
 from .syntax import (
     FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue,
     FVar, Formula, IntConst, SortTable, TRUE, FALSE, Var, as_lin, conjuncts,
-    display_renaming, eval_formula, free_vars, lin, mk_and, mk_not, mk_or,
+    display_names, eval_formula, free_vars, lin, mk_and, mk_not, mk_or,
 )
 
 SAT = "sat"
@@ -294,6 +295,16 @@ def give_back(cmd: list[str], child: Child) -> None:
         _idle.setdefault(tuple(cmd), []).append(child)
 
 
+def query_text(q: Formula) -> str:
+    """The SMT-LIB lines that pose q to an oracle, under q's display names:
+    a `(declare-const ...)` per variable, then `(assert ...)`. Queries
+    equal up to renaming print alike."""
+    names = display_names(q)
+    decls = "".join(f"(declare-const {n} {mangle_sort(v.sort)})\n"
+                    for v, n in names.items())
+    return f"{decls}(assert {smt_formula(q, names)})"
+
+
 class Oracle:
     """One child solver process; push/pop per query; thread-safe via a lock."""
 
@@ -372,14 +383,9 @@ class Oracle:
 
     def _query(self, formula: Formula) -> str:
         assert self.child is not None
-        ren = display_renaming(formula)
-        send = self.child.send
-        send("(push 1)")
-        send(f"(set-option :timeout {TIMEOUT_MS})")
-        for v in ren.mapping.values():
-            send(f"(declare-const {v.name} {mangle_sort(v.sort)})")
-        send(f"(assert {smt_formula(ren.formula(formula))})")
-        send("(check-sat)")
+        # one write: the child reads the whole query at once
+        self.child.send(f"(push 1)\n(set-option :timeout {TIMEOUT_MS})\n"
+                        f"{query_text(formula)}\n(check-sat)")
         verdict = self.child.read_verdict(
             time.monotonic() + TIMEOUT_MS / 1000 + 10)
         if verdict is None:
@@ -387,7 +393,7 @@ class Oracle:
             # that answer would be read as the next query's: drop the child
             self._kill()
             return UNKNOWN
-        send("(pop 1)")
+        self.child.send("(pop 1)")
         return verdict
 
     def _kill(self) -> None:
@@ -432,8 +438,8 @@ def is_atomic_conjunct(f: Formula) -> bool:
 class ConstraintEngine:
     def __init__(self, oracle: Oracle | None = None) -> None:
         self.oracle = oracle or Oracle()
-        # display-renamed query -> sat/unsat (see the module docstring)
-        self._sat_cache: dict[Formula, str] = {}
+        # query_text -> sat/unsat (see the module docstring)
+        self._sat_cache: dict[str, str] = {}
 
     def set_sorts(self, sorts: SortTable) -> None:
         self.oracle.set_datatypes(sorts)
@@ -452,16 +458,15 @@ class ConstraintEngine:
         return self._check(c)
 
     def _check(self, q: Formula) -> str:
-        """The oracle's verdict on q, memoised up to renaming. The oracle
-        answers q display-renamed, and renaming that again changes nothing,
-        so the renamed query is both the key and what the oracle is sent."""
-        q = display_renaming(q).formula(q)
-        hit = self._sat_cache.get(q)
+        """The oracle's verdict on q, memoised by `query_text(q)`: the text
+        the oracle sends its child, so equal keys get equal verdicts."""
+        key = query_text(q)
+        hit = self._sat_cache.get(key)
         if hit is not None:
             return hit
         v = self.oracle.check(q)
         if v != UNKNOWN:
-            self._sat_cache[q] = v
+            self._sat_cache[key] = v
         return v
 
     def entails(self, c: Formula, d: Formula) -> str:

@@ -3,11 +3,12 @@
 Name mangling (see README): list(s) -> Lst_<s>, tree(s) -> Tr_<s>, the list
 constructors become nil_<Sort> / cons_<Sort> with selectors <ctor>_<i>; user
 ADT and predicate names pass through unchanged. Variables are emitted under
-the per-clause display renaming (A, B, C, ...), which keeps the output
-deterministic: emitting the same clause set twice is byte-identical. A
-clause's forall binders list its variables in order of first occurrence
-(head, constraint, body). A script declares only the datatypes that its
-predicates and variables use.
+their per-clause display names (A, B, C, ..., `syntax.display_names`),
+which keeps the output deterministic: emitting the same clause set twice is
+byte-identical. The printers take that name map; nothing is renamed by
+building a copy. A clause's forall binders list its variables in order of
+first occurrence (head, constraint, body). A script declares only the
+datatypes that its predicates and variables use.
 
 Ground clauses are emitted without a forall wrapper (SMT-LIB 2 has no empty
 binder lists).
@@ -19,7 +20,7 @@ from .syntax import (
     BOOL, INT, Atom, BoolConst, Clause, FAnd, FComp, FEq, FFalse, FIff,
     FImp, FIte, FNot, FOr, FTrue, FVar, Formula, IntConst, LinExpr, Ctor,
     PredDecl, Problem, Sort, SortTable, Term, TermIte, Var,
-    display_renaming, eq_of, mk_and, mk_not,
+    display_names, eq_of, mk_and, mk_not, named_summands,
 )
 
 
@@ -43,22 +44,22 @@ def mangle_ctor(sort: Sort, ctor: str) -> str:
     return f"{base}_{mangle_sort(sort)}"
 
 
-def smt_term(t: Term) -> str:
+def _smt_int(k: int) -> str:
+    return str(k) if k >= 0 else f"(- {-k})"
+
+
+def smt_term(t: Term, names: dict[Var, str] | None = None) -> str:
+    """t in SMT-LIB, each variable by its name in `names` if given, else by
+    its own."""
     if isinstance(t, Var):
-        return t.name
+        return t.name if names is None else names[t]
     if isinstance(t, IntConst):
-        return str(t.value) if t.value >= 0 else f"(- {-t.value})"
-    if isinstance(t, BoolConst):
-        return "true" if t.value else "false"
+        return _smt_int(t.value)
     if isinstance(t, LinExpr):
-        parts = []
-        for v, a in t.coeffs:
-            if a == 1:
-                parts.append(v.name)
-            else:
-                parts.append(f"(* {smt_term(IntConst(a))} {v.name})")
+        parts = [n if a == 1 else f"(* {_smt_int(a)} {n})"
+                 for n, a in named_summands(t, names)]
         if t.const != 0 or not parts:
-            parts.append(smt_term(IntConst(t.const)))
+            parts.append(_smt_int(t.const))
         if len(parts) == 1:
             return parts[0]
         return "(+ " + " ".join(parts) + ")"
@@ -66,38 +67,43 @@ def smt_term(t: Term) -> str:
         name = mangle_ctor(t.sort, t.ctor)
         if not t.args:
             return name
-        return f"({name} " + " ".join(smt_term(a) for a in t.args) + ")"
+        return f"({name} " + " ".join(smt_term(a, names) for a in t.args) + ")"
     if isinstance(t, TermIte):
-        return f"(ite {smt_formula(t.cond)} {smt_term(t.then)} {smt_term(t.els)})"
+        return (f"(ite {smt_formula(t.cond, names)} {smt_term(t.then, names)} "
+                f"{smt_term(t.els, names)})")
+    if isinstance(t, BoolConst):
+        return "true" if t.value else "false"
     raise TypeError(f"unknown term {t!r}")
 
 
 _REL = {"=": "=", "<": "<", "=<": "<=", ">=": ">=", ">": ">"}
 
 
-def smt_formula(f: Formula) -> str:
+def smt_formula(f: Formula, names: dict[Var, str] | None = None) -> str:
+    """f in SMT-LIB, each variable named as by `smt_term`."""
+    if isinstance(f, FComp):
+        return f"({_REL[f.rel]} {smt_term(f.lhs, names)} {smt_term(f.rhs, names)})"
+    if isinstance(f, FEq):
+        return f"(= {smt_term(f.lhs, names)} {smt_term(f.rhs, names)})"
+    if isinstance(f, FVar):
+        return f.var.name if names is None else names[f.var]
+    if isinstance(f, FNot):
+        return f"(not {smt_formula(f.arg, names)})"
+    if isinstance(f, FAnd):
+        return "(and " + " ".join(smt_formula(a, names) for a in f.args) + ")"
+    if isinstance(f, FOr):
+        return "(or " + " ".join(smt_formula(a, names) for a in f.args) + ")"
+    if isinstance(f, FImp):
+        return f"(=> {smt_formula(f.lhs, names)} {smt_formula(f.rhs, names)})"
+    if isinstance(f, FIff):
+        return f"(= {smt_formula(f.lhs, names)} {smt_formula(f.rhs, names)})"
+    if isinstance(f, FIte):
+        return (f"(ite {smt_formula(f.cond, names)} {smt_formula(f.then, names)} "
+                f"{smt_formula(f.els, names)})")
     if isinstance(f, FTrue):
         return "true"
     if isinstance(f, FFalse):
         return "false"
-    if isinstance(f, FVar):
-        return f.var.name
-    if isinstance(f, FNot):
-        return f"(not {smt_formula(f.arg)})"
-    if isinstance(f, FAnd):
-        return "(and " + " ".join(smt_formula(a) for a in f.args) + ")"
-    if isinstance(f, FOr):
-        return "(or " + " ".join(smt_formula(a) for a in f.args) + ")"
-    if isinstance(f, FImp):
-        return f"(=> {smt_formula(f.lhs)} {smt_formula(f.rhs)})"
-    if isinstance(f, FIff):
-        return f"(= {smt_formula(f.lhs)} {smt_formula(f.rhs)})"
-    if isinstance(f, FIte):
-        return f"(ite {smt_formula(f.cond)} {smt_formula(f.then)} {smt_formula(f.els)})"
-    if isinstance(f, FComp):
-        return f"({_REL[f.rel]} {smt_term(f.lhs)} {smt_term(f.rhs)})"
-    if isinstance(f, FEq):
-        return f"(= {smt_term(f.lhs)} {smt_term(f.rhs)})"
     raise TypeError(f"unknown formula {f!r}")
 
 
@@ -119,30 +125,29 @@ def datatype_block(sorts: SortTable) -> list[str]:
 
 
 def clause_assert(c: Clause) -> str:
-    ren = display_renaming(c)
-    c = ren.clause(c)
-    head = "false" if c.head is None else smt_atom(c.head)
+    names = display_names(c)
+    head = "false" if c.head is None else smt_atom(c.head, names)
     parts: list[str] = []
     if not isinstance(c.constraint, FTrue):
-        parts.append(smt_formula(c.constraint))
-    parts.extend(smt_atom(a) for a in c.body)
+        parts.append(smt_formula(c.constraint, names))
+    parts.extend(smt_atom(a, names) for a in c.body)
     if not parts:
         impl = head
     elif len(parts) == 1:
         impl = f"(=> {parts[0]} {head})"
     else:
         impl = f"(=> (and {' '.join(parts)}) {head})"
-    if not ren:
+    if not names:
         return f"(assert {impl})"
-    binders = " ".join(f"({v.name} {mangle_sort(v.sort)})"
-                       for v in ren.mapping.values())
+    binders = " ".join(f"({n} {mangle_sort(v.sort)})" for v, n in names.items())
     return f"(assert (forall ({binders}) {impl}))"
 
 
-def smt_atom(a: Atom) -> str:
+def smt_atom(a: Atom, names: dict[Var, str] | None = None) -> str:
+    """a in SMT-LIB, each variable named as by `smt_term`."""
     if not a.args:
         return a.pred
-    return f"({a.pred} " + " ".join(smt_term(t) for t in a.args) + ")"
+    return f"({a.pred} " + " ".join(smt_term(t, names) for t in a.args) + ")"
 
 
 def emit_script(clauses: list[Clause], preds: dict[str, PredDecl],

@@ -3,7 +3,10 @@
 Everything here is immutable and hashable; clause sets can be shared freely
 across threads. Pretty-printing produces the same surface syntax the parser
 accepts, with per-clause display names (A, B, ..., Z, A1, ...) so derived
-clauses read like hand-written ones.
+clauses read like hand-written ones. The printers (`pretty_term`,
+`pretty_formula`, `pretty_atom`, which every `__str__` calls with no map)
+take those names as a map (`display_names`) instead of printing a renamed
+copy; `display_renaming` builds that copy for the callers that keep it.
 
 The value classes behave like frozen dataclasses (`Problem` like a plain
 one) but are built by `value_class`, not `dataclasses`: this module is on
@@ -231,30 +234,24 @@ class SortTable:
 class Term:
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return pretty_term(self)
+
 
 @value_class(cache_hash=True)
 class Var(Term):
     name: str
     sort: Sort
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @value_class(cache_hash=True)
 class IntConst(Term):
     value: int
 
-    def __str__(self) -> str:
-        return str(self.value)
-
 
 @value_class(cache_hash=True)
 class BoolConst(Term):
     value: bool
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
 
 
 @value_class(cache_hash=True)
@@ -264,22 +261,6 @@ class LinExpr(Term):
     coeffs: tuple[tuple[Var, int], ...]
     const: int
 
-    def __str__(self) -> str:
-        parts: list[str] = []
-        for v, a in self.coeffs:
-            if a == 1:
-                parts.append(str(v))
-            elif a == -1:
-                parts.append(f"-{v}")
-            else:
-                parts.append(f"{a}*{v}")
-        if self.const != 0 or not parts:
-            parts.append(str(self.const))
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
-
 
 @value_class(cache_hash=True)
 class Ctor(Term):
@@ -287,18 +268,12 @@ class Ctor(Term):
     ctor: str
     args: tuple[Term, ...]
 
-    def __str__(self) -> str:
-        return str(pretty_term(self))
-
 
 @value_class(cache_hash=True)
 class TermIte(Term):
     cond: "Formula"
     then: Term
     els: Term
-
-    def __str__(self) -> str:
-        return f"ite({self.cond},{self.then},{self.els})"
 
 
 def lin(coeffs: dict[Var, int] | Iterable[tuple[Var, int]], const: int = 0) -> Term:
@@ -386,17 +361,18 @@ def find_term_ite(t: Term) -> TermIte | None:
 class Formula:
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return pretty_formula(self)
+
 
 @value_class(cache_hash=True)
 class FTrue(Formula):
-    def __str__(self) -> str:
-        return "true"
+    pass
 
 
 @value_class(cache_hash=True)
 class FFalse(Formula):
-    def __str__(self) -> str:
-        return "false"
+    pass
 
 
 TRUE = FTrue()
@@ -407,32 +383,20 @@ FALSE = FFalse()
 class FVar(Formula):
     var: Var
 
-    def __str__(self) -> str:
-        return self.var.name
-
 
 @value_class(cache_hash=True)
 class FNot(Formula):
     arg: Formula
-
-    def __str__(self) -> str:
-        return f"~{_paren(self.arg)}"
 
 
 @value_class(cache_hash=True)
 class FAnd(Formula):
     args: tuple[Formula, ...]
 
-    def __str__(self) -> str:
-        return " & ".join(_paren(a) for a in self.args)
-
 
 @value_class(cache_hash=True)
 class FOr(Formula):
     args: tuple[Formula, ...]
-
-    def __str__(self) -> str:
-        return " \\/ ".join(_paren(a) for a in self.args)
 
 
 @value_class(cache_hash=True)
@@ -440,17 +404,11 @@ class FImp(Formula):
     lhs: Formula
     rhs: Formula
 
-    def __str__(self) -> str:
-        return f"{_paren(self.lhs)} => {_paren(self.rhs)}"
-
 
 @value_class(cache_hash=True)
 class FIff(Formula):
     lhs: Formula
     rhs: Formula
-
-    def __str__(self) -> str:
-        return f"{_paren(self.lhs)} <=> {_paren(self.rhs)}"
 
 
 @value_class(cache_hash=True)
@@ -458,9 +416,6 @@ class FIte(Formula):
     cond: Formula
     then: Formula
     els: Formula
-
-    def __str__(self) -> str:
-        return f"ite({self.cond},{self.then},{self.els})"
 
 
 @value_class(cache_hash=True)
@@ -471,9 +426,6 @@ class FComp(Formula):
     lhs: Term
     rhs: Term
 
-    def __str__(self) -> str:
-        return f"{self.lhs}{self.rel}{self.rhs}"
-
 
 @value_class(cache_hash=True)
 class FEq(Formula):
@@ -482,18 +434,6 @@ class FEq(Formula):
     lhs: Term
     rhs: Term
     sort: Sort
-
-    def __str__(self) -> str:
-        return f"{pretty_term(self.lhs)}={pretty_term(self.rhs)}"
-
-
-_ATOMIC = (FTrue, FFalse, FVar, FComp, FEq)
-
-
-def _paren(f: Formula) -> str:
-    if isinstance(f, _ATOMIC) or isinstance(f, (FNot, FIte)):
-        return str(f)
-    return f"({f})"
 
 
 def mk_and(*fs: Formula) -> Formula:
@@ -577,9 +517,7 @@ class Atom:
     args: tuple[Term, ...]
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({','.join(pretty_term(a) for a in self.args)})"
+        return pretty_atom(self)
 
 
 @value_class
@@ -1053,15 +991,43 @@ def _display_names() -> Iterator[str]:
             yield f"{c}{n}"
 
 
-def display_renaming(x) -> Subst:
+def display_names(x) -> dict[Var, str]:
     """Display names A, B, ..., Z, A1, ... for the variables of x (a term,
-    formula, atom, clause or list), given in `vars_in_order`; the mapping
-    lists them in that order."""
-    names = _display_names()
-    return Subst({v: Var(next(names), v.sort) for v in vars_in_order(x)})
+    formula, atom, clause or list), given in `vars_in_order`; the dict lists
+    them in that order. The printers take it instead of a renamed copy."""
+    return dict(zip(vars_in_order(x), _display_names()))
 
 
-def pretty_term(t: Term) -> str:
+def display_renaming(x) -> Subst:
+    """`display_names` as a renaming, for a caller that needs the renamed
+    value itself."""
+    return Subst({v: Var(n, v.sort) for v, n in display_names(x).items()})
+
+
+def named_summands(t: LinExpr, names: dict[Var, str] | None
+                   ) -> list[tuple[str, int]]:
+    """t's summands as (variable name, coefficient), in printing order: t's
+    own, or under `names` the order of those names, which `lin` gives the
+    renamed term ("A1" before "B")."""
+    if names is None:
+        return [(v.name, a) for v, a in t.coeffs]
+    return sorted((names[v], a) for v, a in t.coeffs)
+
+
+def pretty_term(t: Term, names: dict[Var, str] | None = None) -> str:
+    """t in the surface syntax, each variable by its name in `names` if
+    given, else by its own."""
+    if isinstance(t, Var):
+        return t.name if names is None else names[t]
+    if isinstance(t, LinExpr):
+        parts = [n if a == 1 else f"-{n}" if a == -1 else f"{a}*{n}"
+                 for n, a in named_summands(t, names)]
+        if t.const != 0 or not parts:
+            parts.append(str(t.const))
+        return parts[0] + "".join(p if p.startswith("-") else "+" + p
+                                  for p in parts[1:])
+    if isinstance(t, IntConst):
+        return str(t.value)
     if isinstance(t, Ctor):
         if t.ctor == "[]":
             return "[]"
@@ -1069,24 +1035,72 @@ def pretty_term(t: Term) -> str:
             items: list[str] = []
             cur: Term = t
             while isinstance(cur, Ctor) and cur.ctor == "cons":
-                items.append(pretty_term(cur.args[0]))
+                items.append(pretty_term(cur.args[0], names))
                 cur = cur.args[1]
             if isinstance(cur, Ctor) and cur.ctor == "[]":
                 return "[" + ",".join(items) + "]"
-            return "[" + ",".join(items) + "|" + pretty_term(cur) + "]"
+            return "[" + ",".join(items) + "|" + pretty_term(cur, names) + "]"
         if not t.args:
             return t.ctor
-        return f"{t.ctor}({','.join(pretty_term(a) for a in t.args)})"
-    return str(t)
+        return f"{t.ctor}({','.join(pretty_term(a, names) for a in t.args)})"
+    if isinstance(t, TermIte):
+        return (f"ite({pretty_formula(t.cond, names)},"
+                f"{pretty_term(t.then, names)},{pretty_term(t.els, names)})")
+    if isinstance(t, BoolConst):
+        return "true" if t.value else "false"
+    raise TypeError(f"unknown term {t!r}")
+
+
+# the formulas that print without parentheses as an operand
+_UNPARENTHESIZED = (FTrue, FFalse, FVar, FComp, FEq, FNot, FIte)
+
+
+def _operand(f: Formula, names: dict[Var, str] | None) -> str:
+    text = pretty_formula(f, names)
+    return text if isinstance(f, _UNPARENTHESIZED) else f"({text})"
+
+
+def pretty_formula(f: Formula, names: dict[Var, str] | None = None) -> str:
+    """f in the surface syntax, each variable named as by `pretty_term`."""
+    if isinstance(f, FComp):
+        return f"{pretty_term(f.lhs, names)}{f.rel}{pretty_term(f.rhs, names)}"
+    if isinstance(f, FEq):
+        return f"{pretty_term(f.lhs, names)}={pretty_term(f.rhs, names)}"
+    if isinstance(f, FVar):
+        return f.var.name if names is None else names[f.var]
+    if isinstance(f, FNot):
+        return f"~{_operand(f.arg, names)}"
+    if isinstance(f, FAnd):
+        return " & ".join(_operand(a, names) for a in f.args)
+    if isinstance(f, FOr):
+        return " \\/ ".join(_operand(a, names) for a in f.args)
+    if isinstance(f, FImp):
+        return f"{_operand(f.lhs, names)} => {_operand(f.rhs, names)}"
+    if isinstance(f, FIff):
+        return f"{_operand(f.lhs, names)} <=> {_operand(f.rhs, names)}"
+    if isinstance(f, FIte):
+        return (f"ite({pretty_formula(f.cond, names)},"
+                f"{pretty_formula(f.then, names)},{pretty_formula(f.els, names)})")
+    if isinstance(f, FTrue):
+        return "true"
+    if isinstance(f, FFalse):
+        return "false"
+    raise TypeError(f"unknown formula {f!r}")
+
+
+def pretty_atom(a: Atom, names: dict[Var, str] | None = None) -> str:
+    """a in the surface syntax, each variable named as by `pretty_term`."""
+    if not a.args:
+        return a.pred
+    return f"{a.pred}({','.join(pretty_term(t, names) for t in a.args)})"
 
 
 def pretty_clause(c: Clause) -> str:
-    c = display_renaming(c).clause(c)
-    head = "false" if c.head is None else str(c.head)
-    parts: list[str] = []
-    if not isinstance(c.constraint, FTrue):
-        parts.extend(str(f) for f in conjuncts(c.constraint))
-    parts.extend(str(a) for a in c.body)
+    """c in the surface syntax, under its `display_names`."""
+    names = display_names(c)
+    head = "false" if c.head is None else pretty_atom(c.head, names)
+    parts = [pretty_formula(f, names) for f in conjuncts(c.constraint)]
+    parts += [pretty_atom(a, names) for a in c.body]
     if not parts:
         return f"{head}."
     return f"{head} :- {', '.join(parts)}."

@@ -583,12 +583,12 @@ def test_memo_answers_a_renamed_query_once():
     a, b = Var("A#7", INT), Var("Z", INT)
     assert eng.is_satisfiable(geq(X, Y)) == SAT
     assert eng.is_satisfiable(geq(a, b)) == SAT
-    assert len(oracle.sent) == 1
-    # the oracle is sent the query display-renamed, which renaming again
-    # leaves alone, so the text it writes to its child is unchanged
-    q = oracle.sent[0]
-    assert q == display_renaming(geq(X, Y)).formula(geq(X, Y))
-    assert display_renaming(q).formula(q) == q
+    assert oracle.sent == [geq(X, Y)]
+    # the memo key is the text the oracle writes to its child, in which both
+    # queries read alike under their display names
+    text = "(declare-const A Int)\n(declare-const B Int)\n(assert (>= A B))"
+    assert engine_mod.query_text(geq(X, Y)) == text
+    assert engine_mod.query_text(geq(a, b)) == text
 
 
 def test_memo_tells_sorts_apart():
