@@ -155,11 +155,11 @@ def cmd_transform(args) -> int:
         for name, decl in sorted(problem.preds.items()):
             if decl.kind != PRED_CATA:
                 continue
-            schema = check_schema(name, problem)
-            cls = [schema.base_clause, schema.rec_clause]
-            for inner in schema.inner_preds:
-                s2 = check_schema(inner, problem)
-                cls += [s2.base_clause, s2.rec_clause]
+            cls, called = [], [name]
+            for pred in called:  # grows by the inner catamorphisms, transitively
+                schema = check_schema(pred, problem)
+                cls += [schema.base_clause, schema.rec_clause]
+                called += [p for p in schema.inner_preds if p not in called]
             fn = outdir / (stem.stem + f".{name}.functionality.smt2")
             fn.write_text(functionality_obligation(
                 decl, cls, problem.preds, problem.sorts), encoding="utf-8")

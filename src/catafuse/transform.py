@@ -19,6 +19,7 @@ Conventions that matter for reading this module:
   * a one-step unfold resolves (syntax.resolve) the clause with each
     program clause and its renaming apart (syntax.rename_apart), and keeps
     the resolvents whose constraint the engine does not find unsat;
+  * driving ends (catas.check_schema); only unfolded clauses and queries fold;
   * matching a definition against a clause (for Skip/Extend/Fold/extension
     checks) renames the definition, never the clause: program atom first,
     then each clause catamorphism to a definition catamorphism with the same
@@ -36,7 +37,7 @@ from .syntax import (
     Atom, Clause, Ctor, FComp, FEq, FIff, FVar, Formula, NameGen, PRED_CATA,
     PRED_PROGRAM, PRED_TRUE, PredDecl, Problem, Sort, Subst, Term, TRUE, Var,
     conjuncts, eq_of, free_vars, mk_and, mk_not, pretty_clause, rename_apart,
-    resolve, term_sort, variant_of, vars_in_order,
+    resolve, term_sort, vars_in_order,
 )
 
 
@@ -335,10 +336,7 @@ class Transformer:
                      [dc], unf)
 
         # Step 2: drive catamorphism atoms whose ADT argument is a pattern
-        guard = sum(_ctor_depth(a.args[_adt_pos(a)])
-                    for c in unf for a in c.body if self.is_cata(a.pred)) + 8
         work = list(unf)
-        steps = 0
         i = 0
         while i < len(work):
             c = work[i]
@@ -351,11 +349,6 @@ class Transformer:
             if target is None:
                 i += 1
                 continue
-            steps += 1
-            if steps > guard:
-                raise TransformError(
-                    "catamorphism unfolding did not reduce the pattern depth "
-                    "(non-conformant property clauses?)")
             repl = self.one_step_unfold(c, target, p)
             self.log.add("unfold.drive", f"unfold {c.body[target].pred} on a pattern",
                          [c], repl)
@@ -509,8 +502,6 @@ class Transformer:
                 raise TransformError(
                     f"no definition available to fold {a.pred} "
                     f"(define phase bug)")
-            if variant_of(d.clause(), c):
-                raise TransformError("folding a clause using itself")
             try:
                 sigma, matched = match_definition(d, a, group, self.var_gen)
             except MatchError as e:
@@ -695,12 +686,6 @@ def _assert_monotone(before: list[Definition], after: DefinitionSet,
             continue
         raise TransformError(
             f"iteration broke the extension order at {d1.name}")
-
-
-def _ctor_depth(t: Term) -> int:
-    if isinstance(t, Ctor):
-        return 1 + max((_ctor_depth(a) for a in t.args), default=0)
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from catafuse import engine as engine_mod
 from catafuse.cli import build_parser, main
+from catafuse.refsolver import horn
 
 
 def run_cli(*args):
@@ -120,6 +121,93 @@ def test_emit_obligations_flag(tmp_path, corpus_dir):
     run_cli("transform", str(src), "--emit-obligations")
     assert (tmp_path / "s.sum.functionality.smt2").exists()
     assert (tmp_path / "s.sum.totality.smt2").exists()
+
+
+NESTED_CATAS = """
+pred p(list(int)).
+cata a(in:, adt: list(int), out: int).
+cata b(in:, adt: list(int), out: int).
+cata c(in:, adt: list(int), out: int).
+p([]).
+p([X|Xs]) :- p(Xs).
+a([], N) :- N = 0.
+a([H|T], N) :- N = M + K, a(T, M), b(T, K).
+b([], N) :- N = 0.
+b([H|T], N) :- N = M + K, b(T, M), c(T, K).
+c([], N) :- N = 0.
+c([H|T], N) :- N = M + 1, c(T, M).
+false :- N < 0, a(Xs, N), p(Xs).
+"""
+
+
+def test_obligations_hold_every_catamorphism_called_transitively(tmp_path):
+    """`a` calls `b`, which calls `c`: without `c`'s clauses, `c` would be
+    empty in `a`'s obligation, which would then hold whatever `c` is."""
+    src = tmp_path / "nest.chc"
+    src.write_text(NESTED_CATAS)
+    assert run_cli("transform", str(src), "--emit-obligations") == 0
+    clauses, _ = horn.read_script(
+        (tmp_path / "nest.a.functionality.smt2").read_text())
+    assert sorted(c.head.pred for c in clauses if c.head) == \
+        ["a", "a", "b", "b", "c", "c"]
+
+
+LEN = """
+cata len(in:, adt: list(int), out: int).
+len([], N) :- N = 0.
+len([H|T], N) :- N = N1 + 1, len(T, N1).
+"""
+ORDERED = """
+cata ordered(in:, adt: list(int), out: bool).
+cata first(in:, adt: list(int), out: bool, int).
+ordered([], B) :- B.
+ordered([H|T], B) :-
+    B <=> (B1 => (H =< F & B2)),
+    first(T, B1, F), ordered(T, B2).
+first([], B, F) :- ~B & F = 0.
+first([H|T], B, F) :- B & F = H.
+"""
+ISBST = """
+cata isbst(in:, adt: tree(int), out: bool).
+cata bounds(in:, adt: tree(int), out: bool, int, int).
+isbst(leaf, B) :- B.
+isbst(node(L, N, R), B) :-
+    B <=> (BL & BR & (HL => XL < N) & (HR => N =< NR)),
+    bounds(L, HL, NL, XL), bounds(R, HR, NR, XR),
+    isbst(L, BL), isbst(R, BR).
+bounds(leaf, H, Mn, Mx) :- ~H & Mn = 0 & Mx = 0.
+bounds(node(L, N, R), H, Mn, Mx) :-
+    H & Mn = ite(HL, ite(MnL =< MnR0, MnL, MnR0), MnR0)
+      & MnR0 = ite(HR, ite(MnR =< N, MnR, N), N)
+      & Mx = ite(HR, ite(MxR >= MxL0, MxR, MxL0), MxL0)
+      & MxL0 = ite(HL, ite(MxL >= N, MxL, N), N),
+    bounds(L, HL, MnL, MxL), bounds(R, HR, MnR, MxR).
+"""
+
+
+@pytest.mark.parametrize("text", [
+    # a redundant self-loop: unfolding the definition made for `p` through
+    # it gives back a variant of that definition, which folds with it
+    "pred p(list(int)).\npred q(list(int)).\n" + LEN +
+    "p([]).\np(Xs) :- p(Xs).\nq(Xs) :- p(Xs).\n"
+    "false :- N < 0, len(Xs, N), q(Xs).\n",
+    # constants whose catamorphisms take many drive steps to unfold
+    "pred mk(list(int)).\n" + ORDERED + "mk([1,2,3,4,5,6,7,8,9,10]).\n"
+    "false :- ~B, ordered(Xs, B), mk(Xs).\n",
+    "pred mk(tree(int)).\n" + ISBST +
+    "mk(node(node(leaf, 1, leaf), 2, node(leaf, 3, leaf))).\n"
+    "false :- ~B, isbst(T, B), mk(T).\n",
+], ids=["self-loop", "sorted-list-of-10", "search-tree-of-3"])
+def test_valid_problems_transform_and_solve(tmp_path, capsys, text):
+    src = tmp_path / "p.chc"
+    src.write_text(text)
+    assert run_cli("transform", str(src)) == 0
+    capsys.readouterr()
+    assert run_cli("solve", "--transformed", str(src), "--timeout", "60") == 0
+    assert capsys.readouterr().out.strip() == "sat"
+    # the original search tree runs to the limit
+    assert run_cli("verify", str(src), "--timeout", "3") == 0
+    assert "disagree" not in capsys.readouterr().out
 
 
 def test_solve_prints_verdict(tmp_path, corpus_dir, capsys):

@@ -1,3 +1,5 @@
+import ast
+import collections
 import importlib.util
 import os
 import shutil
@@ -271,3 +273,54 @@ def test_bytecode_cache_is_made_once_across_threads(tmp_path, monkeypatch):
     want = str(tmp_path / f"catafuse-{os.getuid()}-bytecode")
     assert made == [want]
     assert len(results) == 8 and all(cmd[5] == want for cmd in results)
+
+
+# only the tests call it: the brute-force catamorphism check, which moves to
+# the tests once catamorphisms are proved functional and total (ROADMAP item 1)
+USED_BY_TESTS_ONLY = ["catas.py: eval_cata"]
+
+
+def _unreferenced_definitions(package: Path) -> list[str]:
+    """Each module-level function or class, and each method of such a class,
+    that no code under `package` names outside its own definition: as a
+    name, an attribute, an imported name or a string constant. Dunders and
+    decorated functions are exempt, since a protocol or a decorator
+    reaches them."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.rglob("*.py"))}
+
+    def names(node: ast.AST) -> collections.Counter:
+        found = collections.Counter()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                found[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                found[n.attr] += 1
+            elif isinstance(n, ast.alias):
+                found[n.name.rsplit(".", 1)[-1]] += 1
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                found[n.value] += 1
+        return found
+
+    everywhere = sum((names(tree) for tree in trees.values()),
+                     collections.Counter())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = []
+    for path, tree in trees.items():
+        named = [(n, "") for n in tree.body if isinstance(n, defs)]
+        named += [(m, f"{c.name}.") for c in tree.body
+                  if isinstance(c, ast.ClassDef)
+                  for m in c.body if isinstance(m, defs)]
+        for node, owner in named:
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) \
+                    or node.decorator_list:
+                continue
+            if everywhere[name] - names(node)[name] <= 0:
+                dead.append(f"{path.relative_to(package)}: {owner}{name}")
+    return dead
+
+
+def test_every_definition_in_the_package_is_used():
+    package = Path(catafuse.__file__).resolve().parent
+    assert _unreferenced_definitions(package) == USED_BY_TESTS_ONLY

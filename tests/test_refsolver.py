@@ -23,9 +23,10 @@ from catafuse.syntax import (
     FImp, FIte, FNot, FOr, FTrue, FVar, IntConst, Sort, Subst, TermIte, Var,
     as_lin, conjuncts, display_renaming, eq_of, eval_formula, find_term_ite,
     free_vars, lin, lin_sub, lin_sum, list_sort, mk_and, mk_not, mk_or,
-    pretty_clause, term_sort, tree_sort, unify, variant_of, TRUE, FALSE,
+    pretty_clause, term_sort, tree_sort, unify, TRUE, FALSE,
 )
 from catafuse.transform import transform_problem, transformed_problem
+from variants import variant_of
 
 X = Var("X", INT)
 Y = Var("Y", INT)

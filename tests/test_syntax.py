@@ -11,8 +11,9 @@ from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, CtorDecl, IntConst, NameGen,
     PredDecl, Subst, TRUE, Var, conjuncts, eq_of, free_vars, lin, list_sort,
     mgu, mk_and, pretty_clause, rename_apart, term_sort, tree_sort,
-    variant_of, FComp, FEq, FFalse, FVar,
+    FComp, FEq, FFalse, FVar,
 )
+from variants import variant_of
 
 LI = list_sort(INT)
 NIL = Ctor(LI, "[]", ())

@@ -6,9 +6,9 @@ import pytest
 
 from catafuse.engine import ConstraintEngine
 from catafuse.parser import parse_problem
-from catafuse.syntax import variant_of
 from catafuse.transform import (DefinitionSet, Transformer, cata_sig,
                                 transform_problem)
+from variants import variant_of
 
 GOLD = """
 pred d_sort(list(int), bool, list(int), bool, list(int)).

@@ -149,11 +149,22 @@ def test_strengthen_rejects_queries(tr):
         tr.strengthen_clause(tr.problem.queries[0])
 
 
-def test_fold_never_self_folds(tr):
-    defs, _ = _iterate(tr)
-    d = defs.by_pred["ins_sort"]
-    with pytest.raises(TransformError, match="itself"):
-        tr.fold_clause(d.clause(), defs)
+def test_fold_applies_to_queries_and_unfolded_clauses_only(tr, monkeypatch):
+    """What fold/unfold correctness asks, so fold_clause itself does not
+    refuse a clause that folds with the definition it was unfolded from."""
+    folded = []
+    fold = tr.fold_clause
+
+    def recorded(c, defs):
+        folded.append(c)
+        return fold(c, defs)
+
+    monkeypatch.setattr(tr, "fold_clause", recorded)
+    tr.transform_all()
+    n = len(tr.problem.queries)
+    assert folded[:n] == tr.problem.queries
+    assert len(folded) > n
+    assert all(c.origin in ("unfold", "strengthen") for c in folded[n:])
 
 
 def test_fold_empty_clause_unchanged(tr):
