@@ -13,10 +13,10 @@ solves many problems mostly does not, as the next oracle child starts while
 the current one works, and one solver child serves consecutive solves at
 one limit. Since start-up still counts, the children import no
 `dataclasses`, `inspect` or `typing`: the value classes in
-`catafuse.syntax` are generated without `dataclasses`.
+`catafuse.syntax` are generated without `dataclasses`. Nor do they import
+`importlib`: their launcher calls the module's `main(argv)` itself, and
+this module imports `importlib` only when a name is first looked up.
 """
-
-from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,7 @@ _SUBMODULE = {
 
 
 def __getattr__(name: str):
+    from importlib import import_module
     try:
         submodule = _SUBMODULE[name]
     except KeyError:

@@ -43,6 +43,8 @@ class ParseError(Exception):
 
 _PUNCT = [":-", "<=>", "=>", "=<", ">=", "\\/", "(", ")", "[", "]", "|",
           ",", ".", "~", "&", "=", "<", ">", "+", "-", "*"]
+# the punctuation each character can start, longest first as in _PUNCT
+_PUNCT_AT = {p[0]: [q for q in _PUNCT if q[0] == p[0]] for p in _PUNCT}
 
 
 @value_class
@@ -72,8 +74,9 @@ def tokenize(text: str) -> list[Tok]:
             col += 1
             continue
         if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
             continue
         if ch.isdigit():
             j = i
@@ -102,7 +105,7 @@ def tokenize(text: str) -> list[Tok]:
             col += j - i
             i = j
             continue
-        for p in _PUNCT:
+        for p in _PUNCT_AT.get(ch, ()):
             if text.startswith(p, i):
                 toks.append(Tok("punct", p, line, col))
                 i += len(p)

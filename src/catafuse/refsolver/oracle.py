@@ -38,7 +38,10 @@ def _quantified(e) -> bool:
     return False
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    """Answer the session on stdin. `argv` is not read: a caller may add an
+    argument to the command only to give its children their own waiting
+    list (`engine.lend_child`)."""
     session = Session(_read)
     timeout_ms: int | None = None
     for cmd in commands(sys.stdin):
@@ -63,4 +66,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -13,13 +13,13 @@ import pytest
 from catafuse import engine as engine_mod
 from catafuse.engine import (
     FAILS, HOLDS, SAT, UNKNOWN, UNSAT, Oracle, OracleError,
-    is_atomic_conjunct, simplify,
+    is_atomic_conjunct, query_text, simplify,
 )
 from catafuse.refsolver import qfcore
 from catafuse.syntax import (
-    BOOL, INT, FComp, FEq, FIff, FImp, FNot, FVar, Formula, IntConst, TRUE,
-    Var, as_lin, conjuncts, display_renaming, eval_formula, free_vars, lin,
-    lin_sub, list_sort, mk_and, mk_not, mk_or, tree_sort,
+    BOOL, INT, FComp, FEq, FIff, FImp, FNot, FVar, IntConst, TRUE, Var,
+    as_lin, conjuncts, eval_formula, free_vars, lin, lin_sub, list_sort,
+    mk_and, mk_not, mk_or, tree_sort,
 )
 from catafuse.transform import transform_problem
 
@@ -356,7 +356,7 @@ def test_oracle_failure_names_exit_status_and_stderr():
     oracle = Oracle([sys.executable, "-c", "import sys; sys.exit('boom')"])
     try:
         with pytest.raises(OracleError) as info:
-            oracle.check(TRUE)
+            oracle.check(query_text(TRUE))
     finally:
         oracle.close()
     assert "exit status 1" in str(info.value)
@@ -370,7 +370,7 @@ def test_oracle_failure_report_survives_spares():
         oracle = Oracle(cmd)
         try:
             with pytest.raises(OracleError) as info:
-                oracle.check(TRUE)
+                oracle.check(query_text(TRUE))
         finally:
             oracle.close()
         assert "exit status 1" in str(info.value)
@@ -410,8 +410,8 @@ for line in sys.stdin:
 """
     oracle = Oracle([sys.executable, "-S", "-c", code, str(marker)])
     try:
-        assert oracle.check(TRUE) == UNKNOWN
-        assert oracle.check(TRUE) == SAT
+        assert oracle.check(query_text(TRUE)) == UNKNOWN
+        assert oracle.check(query_text(TRUE)) == SAT
     finally:
         oracle.close()
 
@@ -427,13 +427,13 @@ def test_oracle_spare_serves_the_next_start(request):
     try:
         for _ in range(2):
             oracles.append(Oracle(cmd))
-            assert oracles[-1].check(TRUE) == SAT
+            assert oracles[-1].check(query_text(TRUE)) == SAT
             if len(oracles) == 1:
                 # a single start in a process starts no child ahead
                 assert _waiting_pids(key) == []
         [spare] = _waiting_pids(key)
         oracles.append(Oracle(cmd))
-        assert oracles[-1].check(TRUE) == SAT
+        assert oracles[-1].check(query_text(TRUE)) == SAT
         assert oracles[-1].proc.pid == spare
         pids = [o.proc.pid for o in oracles] + _waiting_pids(key)
         assert len(pids) == 4 and len(set(pids)) == 4
@@ -451,12 +451,12 @@ def test_oracle_dead_spare_is_replaced(request):
     first, second = Oracle(cmd), Oracle(cmd)
     third = Oracle(cmd)
     try:
-        first.check(TRUE)
-        second.check(TRUE)
+        first.check(query_text(TRUE))
+        second.check(query_text(TRUE))
         [dead] = engine_mod._idle[key]
         dead.proc.kill()
         dead.proc.wait()
-        assert third.check(TRUE) == SAT
+        assert third.check(query_text(TRUE)) == SAT
         assert third.proc.pid != dead.proc.pid
         assert dead.stderr.closed
         [fresh] = engine_mod._idle[key]
@@ -513,7 +513,8 @@ def test_oracle_spares_across_threads(request):
             for _ in range(3):
                 oracle = Oracle(cmd)
                 try:
-                    verdicts.append((oracle.check(sat), oracle.check(unsat)))
+                    verdicts.append((oracle.check(query_text(sat)),
+                                     oracle.check(query_text(unsat))))
                 finally:
                     oracle.close()
         except Exception as e:  # noqa: BLE001 -- reported below
@@ -550,7 +551,8 @@ with open(sys.argv[1], "w") as log:
     vs = [Var(f"V{i:02d}", INT) for i in range(60)]
     oracle = Oracle([sys.executable, "-S", "-c", code, str(sent)])
     try:
-        assert oracle.check(mk_and(*(geq(v, IntConst(0)) for v in vs))) == SAT
+        assert oracle.check(query_text(
+            mk_and(*(geq(v, IntConst(0)) for v in vs)))) == SAT
     finally:
         oracle.close()
     declared = re.findall(r"\(declare-const (\w+) Int\)", sent.read_text())
@@ -567,10 +569,10 @@ class CountingOracle:
 
     def __init__(self, verdict: str) -> None:
         self.verdict = verdict
-        self.sent: list[Formula] = []
+        self.sent: list[str] = []
 
-    def check(self, formula: Formula) -> str:
-        self.sent.append(formula)
+    def check(self, query: str) -> str:
+        self.sent.append(query)
         return self.verdict
 
     def close(self) -> None:
@@ -583,12 +585,12 @@ def test_memo_answers_a_renamed_query_once():
     a, b = Var("A#7", INT), Var("Z", INT)
     assert eng.is_satisfiable(geq(X, Y)) == SAT
     assert eng.is_satisfiable(geq(a, b)) == SAT
-    assert oracle.sent == [geq(X, Y)]
-    # the memo key is the text the oracle writes to its child, in which both
-    # queries read alike under their display names
+    # the memo key is the text the oracle is sent, in which both queries
+    # read alike under their display names
     text = "(declare-const A Int)\n(declare-const B Int)\n(assert (>= A B))"
-    assert engine_mod.query_text(geq(X, Y)) == text
-    assert engine_mod.query_text(geq(a, b)) == text
+    assert oracle.sent == [text]
+    assert query_text(geq(X, Y)) == text
+    assert query_text(geq(a, b)) == text
 
 
 def test_memo_tells_sorts_apart():
@@ -623,9 +625,9 @@ def test_transform_checks_each_query_once_up_to_renaming(insertion_sort):
     sent = []
     check = oracle.check
 
-    def counting(formula):
-        sent.append(display_renaming(formula).formula(formula))
-        return check(formula)
+    def counting(query):
+        sent.append(query)
+        return check(query)
 
     oracle.check = counting
     eng = engine_mod.ConstraintEngine(oracle)

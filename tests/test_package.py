@@ -49,7 +49,9 @@ TRIVIAL_HORN = """(set-logic HORN)
 
 def test_default_children_start_without_site(monkeypatch, tmp_path):
     """The default commands themselves, as the engine and the solver start
-    them: every module a child imports is in its import-time report."""
+    them: every module a child imports is in its import-time report. The
+    launcher calls the module's `main` itself: no `runpy`, and so no
+    `importlib` either."""
     monkeypatch.delenv("CHC_ORACLE", raising=False)
     monkeypatch.delenv("CHC_SOLVER", raising=False)
     monkeypatch.setattr(shutil, "which", lambda name: None)  # no z3
@@ -68,6 +70,8 @@ def test_default_children_start_without_site(monkeypatch, tmp_path):
                     if line.startswith("import time:")}
         assert "catafuse.refsolver.qfcore" in imported
         assert "site" not in imported
+        assert [m for m in imported if m == "runpy"
+                or m.split(".")[0] == "importlib"] == []
         extra = [m for m in imported if m.startswith("catafuse")
                  and m not in CHILD_MODULES
                  and not m.startswith("catafuse.refsolver.")]
@@ -81,11 +85,11 @@ def test_bundled_children_need_no_pythonpath(tmp_path):
     code = f"""
 import sys
 sys.path.insert(0, {str(src)!r})
-from catafuse.engine import Oracle, bundled_cmd
+from catafuse.engine import Oracle, bundled_cmd, query_text
 from catafuse.solver import SolverConfig, solve_file
 from catafuse.syntax import INT, FComp, IntConst, Var
 oracle = Oracle(bundled_cmd("catafuse.refsolver.oracle"))
-print(oracle.check(FComp(">", Var("X", INT), IntConst(0))))
+print(oracle.check(query_text(FComp(">", Var("X", INT), IntConst(0)))))
 oracle.close()
 config = SolverConfig(cmd=bundled_cmd("catafuse.refsolver.horn"), timeout=30)
 for _ in range(3):  # one session child answers all three
@@ -146,11 +150,11 @@ def test_engine_loads_lia_without_the_qf_core():
 
 # a parent that asks a bundled oracle and a bundled solver session once each
 CHILDREN_ANSWER = """
-from catafuse.engine import Oracle, bundled_cmd, bytecode_cache
+from catafuse.engine import Oracle, bundled_cmd, bytecode_cache, query_text
 from catafuse.solver import SolverConfig, solve_file
 from catafuse.syntax import INT, FComp, IntConst, Var
 oracle = Oracle(bundled_cmd("catafuse.refsolver.oracle"))
-print(oracle.check(FComp(">", Var("X", INT), IntConst(0))))
+print(oracle.check(query_text(FComp(">", Var("X", INT), IntConst(0)))))
 oracle.close()
 config = SolverConfig(cmd=bundled_cmd("catafuse.refsolver.horn"), timeout=30)
 print(solve_file("q.smt2", config).verdict)

@@ -69,14 +69,12 @@ def ref_query_lines(q):
             f"(assert {smt_formula(ren.formula(q))})"]
 
 
-def ref_query(self, formula):
-    """`Oracle._query` as it was: one line per send. With `ref_check` the
-    query is renamed twice, which is not the identity once a sum holds
-    both "Z" and "A1"; no corpus query has such a sum."""
+def ref_query(self, query):
+    """`Oracle._query` as it was: one line per send."""
     send = self.child.send
     send("(push 1)")
     send(f"(set-option :timeout {engine_mod.TIMEOUT_MS})")
-    for line in ref_query_lines(formula):
+    for line in query.split("\n"):
         send(line)
     send("(check-sat)")
     verdict = self.child.read_verdict(
@@ -89,12 +87,15 @@ def ref_query(self, formula):
 
 
 def ref_check(self, q):
-    """`ConstraintEngine._check` as it was: keyed by the renamed query."""
+    """`ConstraintEngine._check` as it was: keyed by the renamed query, whose
+    `ref_query_lines` the oracle is sent. The query is renamed twice, which
+    is not the identity once a sum holds both "Z" and "A1"; no corpus query
+    has such a sum."""
     q = display_renaming(q).formula(q)
     hit = self._sat_cache.get(q)
     if hit is not None:
         return hit
-    v = self.oracle.check(q)
+    v = self.oracle.check("\n".join(ref_query_lines(q)))
     if v != UNKNOWN:
         self._sat_cache[q] = v
     return v
@@ -257,9 +258,9 @@ def _transform(path):
         queries.append(q)
         return check(self, q)
 
-    def counting(self, formula):
-        checks.append(formula)
-        return oracle_check(self, formula)
+    def counting(self, query):
+        checks.append(query)
+        return oracle_check(self, query)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(DerivationLog, "add", logging_add)
@@ -312,8 +313,8 @@ def test_printing_builds_no_renamed_copy(corpus_runs):
         def __init__(self):
             self.sent = []
 
-        def check(self, formula):
-            self.sent.append(formula)
+        def check(self, query):
+            self.sent.append(query)
             return SAT
 
         def close(self):

@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 from catafuse import engine as engine_mod
-from catafuse.engine import UNKNOWN, ConstraintEngine, Oracle
+from catafuse.engine import UNKNOWN, ConstraintEngine, Oracle, query_text
 from catafuse.parser import parse_problem
 from catafuse.refsolver import horn, qfcore
 from catafuse.refsolver.smtparse import (
@@ -995,7 +995,7 @@ def test_engine_oracle_unknown_over_finite_datatype():
     oracle = Oracle([sys.executable, "-m", "catafuse.refsolver.oracle"])
     try:
         oracle.set_datatypes(sorts)
-        assert oracle.check(mk_and(*differs)) == UNKNOWN
+        assert oracle.check(query_text(mk_and(*differs))) == UNKNOWN
     finally:
         oracle.close()
 
@@ -1017,7 +1017,7 @@ def test_unused_finite_datatype_is_not_declared(corpus_dir):
         oracle = Oracle([sys.executable, "-m", "catafuse.refsolver.oracle"])
         verdicts = []
         check = oracle.check
-        oracle.check = lambda f: verdicts.append(check(f)) or verdicts[-1]
+        oracle.check = lambda q: verdicts.append(check(q)) or verdicts[-1]
         engine = ConstraintEngine(oracle)
         try:
             tp = transformed_problem(problem, transform_problem(problem, engine))
@@ -1040,7 +1040,7 @@ def test_refused_datatypes_start_the_oracle_once(corpus_dir):
     starts, verdicts = [], []
     start, check = oracle._start, oracle.check
     oracle._start = lambda: starts.append(1) or start()
-    oracle.check = lambda f: verdicts.append(check(f)) or verdicts[-1]
+    oracle.check = lambda q: verdicts.append(check(q)) or verdicts[-1]
     engine = ConstraintEngine(oracle)
     try:
         transform_problem(problem, engine)
@@ -1055,11 +1055,12 @@ def test_new_datatypes_clear_a_refusal():
     positive = FComp(">=", X, IntConst(1))
     try:
         oracle.set_datatypes(parse_problem(COLOR).sorts)
-        assert oracle.check(positive) == UNKNOWN
+        assert oracle.check(query_text(positive)) == UNKNOWN
         assert oracle.proc is None
         oracle.set_datatypes(parse_problem("pred p(list(int)).\n").sorts)
-        assert oracle.check(positive) == "sat"
-        assert oracle.check(mk_and(positive, FComp("=<", X, IntConst(0)))) == "unsat"
+        assert oracle.check(query_text(positive)) == "sat"
+        assert oracle.check(query_text(
+            mk_and(positive, FComp("=<", X, IntConst(0))))) == "unsat"
     finally:
         oracle.close()
 

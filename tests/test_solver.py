@@ -459,7 +459,7 @@ from catafuse.syntax import TRUE
 oracle_cmd = engine.bundled_cmd("catafuse.refsolver.oracle")
 for _ in range(3):
     oracle = engine.Oracle(oracle_cmd)
-    assert oracle.check(TRUE) == "sat"
+    assert oracle.check(engine.query_text(TRUE)) == "sat"
     oracle.close()
 config = SolverConfig(engine.bundled_cmd("catafuse.refsolver.horn"), 30.0)
 for _ in range(2):
@@ -498,19 +498,25 @@ def test_solver_naming_its_file_gets_no_spare(tmp_path):
 def test_bundled_solver_is_named_by_its_module(tmp_path, monkeypatch):
     assert SolverConfig(cmd=bundled_cmd("catafuse.refsolver.horn")) \
         .identity() == "catafuse.refsolver.horn (bundled)"
-    # a bundled child that exits with no verdict: json.tool on a non-JSON file
+    # a bundled child that exits with no verdict: the solver refusing an
+    # argument it does not know, with its usage and status 2
     script = tmp_path / "p.smt2"
     script.write_text("(check-sat)\n")
-    config = SolverConfig(cmd=bundled_cmd("json.tool"), timeout=30.0)
+    config = SolverConfig(
+        cmd=bundled_cmd("catafuse.refsolver.horn") + ["--no-such-option"],
+        timeout=30.0)
     with pytest.raises(RuntimeError) as err:
         solve_file(script, config)
-    assert "solver json.tool (bundled) exited with status 1" in str(err.value)
+    assert "solver catafuse.refsolver.horn --no-such-option (bundled) " \
+        "exited with status 2 and no verdict; stderr: usage: horn" \
+        in str(err.value)
     assert engine_mod._LAUNCH not in str(err.value)
     # and one that cannot be launched at all
     monkeypatch.setattr(sys, "executable", str(tmp_path / "no-python"))
     with pytest.raises(engine_mod.OracleError) as err:
         engine_mod.Oracle(bundled_cmd("catafuse.refsolver.oracle")).check(
-            parse_problem("false.\n").queries[0].constraint)
+            engine_mod.query_text(parse_problem("false.\n").queries[0]
+                                  .constraint))
     assert "cannot launch catafuse.refsolver.oracle (bundled)" \
         in str(err.value)
     assert engine_mod._LAUNCH not in str(err.value)

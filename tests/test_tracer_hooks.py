@@ -77,7 +77,7 @@ def test_every_oracle_child_starts_inside_an_oracle_spawn_span(request):
         for _ in range(2):
             oracle = engine.Oracle(cmd)
             try:
-                assert oracle.check(TRUE) == engine.SAT
+                assert oracle.check(engine.query_text(TRUE)) == engine.SAT
             finally:
                 oracle.close()
     finally:
