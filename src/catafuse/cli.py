@@ -141,15 +141,12 @@ def cmd_transform(args) -> int:
         d = result.new_preds[name]
         lines.append(f"pred {name}({', '.join(str(s) for s in d.arg_sorts)}).")
     lines.extend(pretty_clause(c) for c in tp.queries + tp.program)
-    surface.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     smt = outdir / (stem.stem + ".transformed.smt2")
-    smt.write_text(emit_smtlib(tp), encoding="utf-8")
-
     log = outdir / (stem.stem + ".derivation.log")
-    log.write_text(result.log.to_text(), encoding="utf-8")
-    logj = outdir / (stem.stem + ".derivation.jsonl")
-    logj.write_text(result.log.to_json(), encoding="utf-8")
+    outputs = [(surface, "\n".join(lines) + "\n"), (smt, emit_smtlib(tp)),
+               (log, result.log.to_text()),
+               (outdir / (stem.stem + ".derivation.jsonl"),
+                result.log.to_json())]
 
     if args.emit_obligations:
         for name, decl in sorted(problem.preds.items()):
@@ -160,12 +157,20 @@ def cmd_transform(args) -> int:
                 schema = check_schema(pred, problem)
                 cls += [schema.base_clause, schema.rec_clause]
                 called += [p for p in schema.inner_preds if p not in called]
-            fn = outdir / (stem.stem + f".{name}.functionality.smt2")
-            fn.write_text(functionality_obligation(
-                decl, cls, problem.preds, problem.sorts), encoding="utf-8")
-            tt = outdir / (stem.stem + f".{name}.totality.smt2")
-            tt.write_text(totality_obligation(
-                decl, cls, problem.preds, problem.sorts), encoding="utf-8")
+            outputs.append((
+                outdir / (stem.stem + f".{name}.functionality.smt2"),
+                functionality_obligation(decl, cls, problem.preds,
+                                         problem.sorts)))
+            outputs.append((
+                outdir / (stem.stem + f".{name}.totality.smt2"),
+                totality_obligation(decl, cls, problem.preds, problem.sorts)))
+    for path, text in outputs:
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as e:  # a directory by that name, say
+            print(f"error: cannot write {path}: {e.strerror or e}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     print(f"wrote {surface.name}, {smt.name}, {log.name}")
     return EXIT_OK
 
@@ -207,8 +212,13 @@ def cmd_bench(args) -> int:
         print(f"error: no .chc problems in {corpus}", file=sys.stderr)
         return EXIT_INPUT
     report = run_bench(corpus, _config(args), jobs=args.jobs)
-    txt, csvp = write_reports(report, corpus)
     print(report.to_text())
+    try:
+        txt, csvp = write_reports(report, corpus)
+    except OSError as e:  # a directory by that name, say
+        print(f"error: cannot write {e.filename}: {e.strerror or e}",
+              file=sys.stderr)
+        return EXIT_INPUT
     print(f"wrote {txt} and {csvp}")
     return EXIT_OK if not report.failures else EXIT_INPUT
 

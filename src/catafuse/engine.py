@@ -19,9 +19,10 @@ bundled CHC solver's sessions go back once they have answered and been sent
 which they need nothing from, and get this package's root on their path
 from their command (`bundled_cmd`), not from the caller's environment, and
 their launcher imports the module and calls its `main(argv)` itself. Their
-command also names this user's private bytecode cache (`bytecode_cache`), so
-each module is compiled once per source version, not at every start, and no
-bytecode is ever written beside the sources. Both speak SMT-LIB through
+command also names the package's private bytecode cache
+(`catafuse.bytecode_cache`, which the parent uses too), so each module is
+compiled once per source version, not at every start, and no bytecode is
+ever written beside the sources. Both speak SMT-LIB through
 `Child`, which sends commands and reads verdicts against a deadline.
 A child that replies `(error ...)` is dropped, and that query is unknown.
 A child that refuses the problem's datatype declarations is dropped too,
@@ -50,7 +51,6 @@ import os
 import select
 import shlex
 import shutil
-import stat
 import subprocess
 import sys
 import tempfile
@@ -58,6 +58,7 @@ import threading
 import time
 from typing import NamedTuple
 
+from . import bytecode_cache
 from .refsolver import lia
 from .smtlib import datatype_block, mangle_sort, smt_formula
 from .syntax import (
@@ -102,44 +103,6 @@ _LAUNCH = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
            "and not sys.pycache_prefix; "
            "sys.exit(__import__(sys.argv.pop(1), fromlist=['main'])"
            ".main(sys.argv[1:]))")
-
-_bytecode_dir: str | None = None
-_bytecode_lock = threading.Lock()
-
-
-def bytecode_cache() -> str:
-    """The bundled children's bytecode cache (their `sys.pycache_prefix`):
-    this user's private directory in the temporary directory, made on the
-    first call in this process, or "" when it cannot be made or trusted.
-    Sharing it is safe: the import system checks each `.pyc` against its
-    source's mtime and size, names it by the interpreter's cache tag, keeps
-    it under the source's absolute path and writes it atomically."""
-    global _bytecode_dir
-    with _bytecode_lock:
-        if _bytecode_dir is None:
-            _bytecode_dir = private_dir(os.path.join(
-                tempfile.gettempdir(), f"catafuse-{os.getuid()}-bytecode"))
-        return _bytecode_dir
-
-
-def private_dir(path: str) -> str:
-    """`path`, made if missing, if it is a directory (not a link) that this
-    user owns and no one else may enter; else "". Bytecode from a directory
-    that another user could write would run that user's code."""
-    try:
-        os.mkdir(path, 0o700)
-    except FileExistsError:
-        pass
-    except OSError:
-        return ""
-    try:
-        st = os.lstat(path)
-    except OSError:
-        return ""
-    if stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() \
-            and not st.st_mode & 0o077:
-        return path
-    return ""
 
 
 def bundled_cmd(module: str) -> list[str]:

@@ -244,9 +244,14 @@ def expected_tag(text: str) -> str:
 
 
 def bench_one(path: Path, config: SolverConfig) -> BenchRow:
-    text = path.read_text(encoding="utf-8")
-    expected = expected_tag(text)
     name = path.stem
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:  # not text, say
+        return BenchRow(name, 0, "", "-", 0.0, "-", 0.0, 0.0, ok=False,
+                        note=f"error: cannot read {path.name}: "
+                             f"{getattr(e, 'strerror', None) or e}")
+    expected = expected_tag(text)
     try:
         problem = parse_problem(text)
         engine = ConstraintEngine()

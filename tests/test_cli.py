@@ -100,6 +100,19 @@ def test_transform_out_naming_a_file_is_refused_before_the_oracle_starts(
     assert "exit status 3" not in err
 
 
+def test_transform_output_that_cannot_be_written_exit_1(tmp_path, corpus_dir,
+                                                       capsys):
+    src = tmp_path / "m.chc"
+    src.write_text((corpus_dir / "member_sat.chc").read_text())
+    out = tmp_path / "out"
+    (out / "m.transformed.chc").mkdir(parents=True)
+    assert run_cli("transform", str(src), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert "m.transformed.chc" in err
+    assert [p.name for p in out.iterdir()] == ["m.transformed.chc"]
+
+
 @pytest.mark.parametrize("argv", [["transform"], ["solve", "--transformed"],
                                   ["verify"]])
 def test_dead_oracle_is_an_error_line_and_exit_4(tmp_path, corpus_dir, capsys,
@@ -260,6 +273,33 @@ def test_bench_on_a_directory_without_problems_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: no .chc problems in {tmp_path}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
+
+def test_bench_reports_a_problem_that_is_not_text_as_a_failed_row(
+        tmp_path, corpus_dir, capsys):
+    (tmp_path / "append_len_unsat.chc").write_text(
+        (corpus_dir / "append_len_unsat.chc").read_text())
+    (tmp_path / "bad.chc").write_bytes(b"\xff\xfe pred")
+    assert run_cli("bench", str(tmp_path), "--timeout", "5",
+                   "--jobs", "1") == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = (tmp_path / "bench_report.csv").read_text().splitlines()
+    bad = [r for r in rows if r.startswith("bad,")]
+    assert len(bad) == 1 and ",0,error: cannot read bad.chc: " in bad[0]
+    assert any(r.startswith("append_len_unsat,") for r in rows)
+
+
+def test_bench_report_that_cannot_be_written_exit_1(tmp_path, corpus_dir,
+                                                    capsys):
+    (tmp_path / "append_len_unsat.chc").write_text(
+        (corpus_dir / "append_len_unsat.chc").read_text())
+    (tmp_path / "bench_report.txt").mkdir()
+    assert run_cli("bench", str(tmp_path), "--timeout", "5",
+                   "--jobs", "1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+    assert "bench_report.txt" in err
 
 
 def test_cli_as_module(tmp_path, corpus_dir):

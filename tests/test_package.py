@@ -14,7 +14,8 @@ import pytest
 
 import catafuse
 from catafuse import engine as engine_mod
-from catafuse.engine import default_oracle_cmd, private_dir
+from catafuse import private_dir
+from catafuse.engine import default_oracle_cmd
 from catafuse.solver import default_solver_cmd
 
 # what `python -m catafuse.refsolver.oracle` / `.horn` may load of the package
@@ -150,7 +151,8 @@ def test_engine_loads_lia_without_the_qf_core():
 
 # a parent that asks a bundled oracle and a bundled solver session once each
 CHILDREN_ANSWER = """
-from catafuse.engine import Oracle, bundled_cmd, bytecode_cache, query_text
+from catafuse import bytecode_cache
+from catafuse.engine import Oracle, bundled_cmd, query_text
 from catafuse.solver import SolverConfig, solve_file
 from catafuse.syntax import INT, FComp, IntConst, Var
 oracle = Oracle(bundled_cmd("catafuse.refsolver.oracle"))
@@ -162,24 +164,38 @@ print(bytecode_cache() or "none")
 """
 
 
-def _children_answer(tmp_path: Path) -> tuple[Path, list[str]]:
-    """Runs CHILDREN_ANSWER on a copy of the package, with bytecode writing
-    off and `tmp_path/tmp` as the temporary directory: the copy's root and
-    what the parent printed."""
+def _package_copy(tmp_path: Path) -> Path:
+    """A copy of the package's sources under `tmp_path/src`, its root, and
+    `tmp_path/tmp` for `_parent`'s temporary directory."""
     root = tmp_path / "src"
     shutil.copytree(Path(catafuse.__file__).resolve().parent,
                     root / "catafuse",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    (tmp_path / "q.smt2").write_text(TRIVIAL_HORN)
     (tmp_path / "tmp").mkdir(exist_ok=True)
+    return root
+
+
+def _parent(tmp_path: Path, root: Path, *args: str) -> \
+        subprocess.CompletedProcess:
+    """`python *args` in `tmp_path`, with the package copy at `root` on its
+    path, bytecode writing off and `tmp_path/tmp` as the temporary
+    directory."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("CHC_ORACLE", "CHC_SOLVER")}
     env.update(PYTHONPATH=str(root), TMPDIR=str(tmp_path / "tmp"),
                PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", CHILDREN_ANSWER], env=env,
-                          cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _children_answer(tmp_path: Path) -> tuple[Path, list[str]]:
+    """Runs CHILDREN_ANSWER as a `_parent` of a package copy: the copy's
+    root and what the parent printed."""
+    root = _package_copy(tmp_path)
+    (tmp_path / "q.smt2").write_text(TRIVIAL_HORN)
+    proc = _parent(tmp_path, root, "-c", CHILDREN_ANSWER)
     assert list(root.rglob("__pycache__")) == []
     return root, proc.stdout.split()
 
@@ -251,7 +267,7 @@ def test_private_dir_refuses_what_it_cannot_trust(tmp_path, monkeypatch):
 
 
 def test_bytecode_cache_is_made_once_across_threads(tmp_path, monkeypatch):
-    monkeypatch.setattr(engine_mod, "_bytecode_dir", None)
+    monkeypatch.setattr(catafuse, "_bytecode_dir", None)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     made = []
     mkdir = os.mkdir
@@ -277,6 +293,77 @@ def test_bytecode_cache_is_made_once_across_threads(tmp_path, monkeypatch):
     want = str(tmp_path / f"catafuse-{os.getuid()}-bytecode")
     assert made == [want]
     assert len(results) == 8 and all(cmd[5] == want for cmd in results)
+
+
+def test_parent_loads_the_package_from_the_bytecode_cache(tmp_path):
+    """After one start has filled the cache, a parent with bytecode writing
+    off loads each of the package's modules from its `.pyc` there and
+    compiles none of them, but the package's own `__init__`, which the
+    host's import system loads before the package can say where its
+    bytecode is."""
+    root = _package_copy(tmp_path)
+    _parent(tmp_path, root, "-c", "import catafuse.cli")
+    proc = _parent(tmp_path, root, "-v", "-c", (
+        "import sys, catafuse.cli; print(*(m.__file__ for n, m in "
+        "sys.modules.items() if n.startswith('catafuse.')))"))
+    loaded = proc.stdout.split()
+    assert str(root / "catafuse" / "cli.py") in loaded
+    assert str(root / "catafuse" / "refsolver" / "lia.py") in loaded
+    # `-v` reports "<pyc> matches <source>" for a `.pyc` it loaded and
+    # "code object from <source>" for a source it compiled
+    cached, compiled = {}, set()
+    for line in proc.stderr.splitlines():
+        words = line.split()
+        if words[:1] == ["#"] and words[2:3] == ["matches"]:
+            cached[words[3]] = words[1]
+        elif line.startswith("# code object from "):
+            compiled.add(line.rsplit(" ", 1)[1].strip("'"))
+    cache = _bytecode_dir(tmp_path)
+    for source in loaded:
+        assert source in cached, source
+        assert Path(cached[source]).is_relative_to(cache), source
+    assert {p for p in compiled if p.startswith(str(root))} \
+        == {str(root / "catafuse" / "__init__.py")}
+    assert list(root.rglob("__pycache__")) == []
+
+
+def test_bytecode_cache_leaves_the_rest_of_the_process_alone(tmp_path):
+    """Importing the package changes neither the prefix nor the bytecode
+    setting, and what is imported afterwards from elsewhere is neither
+    cached nor written beside its source."""
+    root = _package_copy(tmp_path)
+    (tmp_path / "outside.py").write_text("VALUE = 1\n")
+    code = ("import sys; print(sys.pycache_prefix, sys.dont_write_bytecode)\n"
+            "import catafuse.cli\n"
+            "print(sys.pycache_prefix, sys.dont_write_bytecode)\n"
+            "import outside, colorsys\n"
+            "print(sys.pycache_prefix, sys.dont_write_bytecode)\n")
+    out = _parent(tmp_path, root, "-c", code).stdout.split()
+    assert out == ["None", "True"] * 3
+    cache = _bytecode_dir(tmp_path)
+    pycs = list(cache.rglob("*.pyc"))
+    mirror = cache / root.relative_to(root.anchor) / "catafuse"
+    assert len(pycs) > 10
+    assert [p for p in pycs if not p.is_relative_to(mirror)] == []
+    assert list(tmp_path.rglob("__pycache__")) == []
+
+
+def test_child_without_a_cache_imports_no_tempfile(monkeypatch):
+    """A child whose command names no cache, because the parent could not
+    trust it, still leaves the package's cache set-up to its parent."""
+    monkeypatch.setattr(catafuse, "_bytecode_dir", "")
+    cmd = engine_mod.bundled_cmd("catafuse.refsolver.oracle")
+    assert cmd[5] == ""
+    env = dict(os.environ, PYTHONPROFILEIMPORTTIME="1",
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, input=TRIVIAL_QUERY, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split()[:1] == ["sat"], proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "catafuse.refsolver.oracle" in imported
+    assert not imported & {"tempfile", "importlib.machinery"}
 
 
 # only the tests call it: the brute-force catamorphism check, which moves to
