@@ -49,6 +49,21 @@ prints sat, unsat, or unknown:
     all;
   * unknown otherwise.
 
+The phases run in this order: a first refutation within 20% of the limit,
+then Houdini with that refutation's facts as samples within 75% of what is
+left, then a second, larger refutation to the limit. The first to give sat
+or unsat answers. A file and a session `(check-sat)`, the solves in this
+solver's own process, also race Houdini on the mined candidates, without
+samples, against the first refutation: a forked helper runs it while this
+process refutes, and the helper's sat answers at once, at the refutation's
+next clock check. The helper is killed and reaped as soon as the first
+refutation returns, so the later phases run alone, and it stops at that
+refutation's deadline too. Both verdicts are exact, and without samples
+Houdini reaches the same greatest inductive subset of the same candidates,
+so the race changes when a verdict comes, never which. `solve_script` and
+`solve_clauses` race only when `race` is set: an in-process caller runs the
+phases alone.
+
 A time limit (-t) bounds every phase: derivation checks the clock for each
 fact row it joins, invariant inference for each candidate it tests, and the
 QF core inside each query. It starts once the script is read and parsed:
@@ -175,7 +190,8 @@ def _project(r: Clause) -> tuple[Clause, list[tuple[Var, Term]]]:
 
 def _join(clause: Clause, facts: _Facts, gen: NameGen,
           deadline: float | None, limit: int,
-          joined: dict[Clause, dict[str, int]]) -> list[Clause]:
+          joined: dict[Clause, dict[str, int]],
+          helper: _Helper | None) -> list[Clause]:
     """The resolvents of clause with current facts on all its body atoms:
     its derivable head instances, or for a query the first one found.
 
@@ -200,6 +216,8 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen,
             new = new or i >= seen
             if k == last and not new:
                 continue
+            if helper:
+                helper.poll()
             if _expired(deadline):
                 facts.saturated = False
                 return []
@@ -234,9 +252,12 @@ def _join(clause: Clause, facts: _Facts, gen: NameGen,
 
 
 def refute(clauses: list[Clause], deadline: float | None, rounds: int,
-           cap: int, joins: int) -> tuple[str, dict]:
+           cap: int, joins: int,
+           helper: _Helper | None = None) -> tuple[str, dict]:
     """unsat if a query fires; sat if saturation completes exactly; else
-    unknown. Also returns the derived facts (reachable under-approximation)."""
+    unknown. Also returns the derived facts (reachable under-approximation).
+    At each clock check it polls `helper`, which raises _HelperSat once the
+    helper has proved the clauses sat."""
     gen = _FreshNames("r")
     facts = _Facts(cap)
     queries = [c for c in clauses if c.head is None]
@@ -244,6 +265,8 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
     # equal clauses make equal joins, so they may share their entry
     joined: dict[Clause, dict[str, int]] = {}
     for _ in range(rounds):
+        if helper:
+            helper.poll()
         if _expired(deadline):
             return UNKNOWN, facts.by_pred
         grew = False
@@ -251,11 +274,11 @@ def refute(clauses: list[Clause], deadline: float | None, rounds: int,
             # facts.add would reject every head: a variant, or over the cap
             if not facts.saturated and len(facts.by_pred.get(c.head.pred, ())) >= cap:
                 continue
-            for f in _join(c, facts, gen, deadline, joins, joined):
+            for f in _join(c, facts, gen, deadline, joins, joined, helper):
                 if facts.add(f):
                     grew = True
         for q in queries:
-            if _join(q, facts, gen, deadline, joins, joined):
+            if _join(q, facts, gen, deadline, joins, joined, helper):
                 return UNSAT, facts.by_pred
         if not grew:
             verdict = SAT if facts.saturated else UNKNOWN
@@ -512,8 +535,58 @@ def houdini(clauses: list[Clause], preds: dict[str, tuple],
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _HelperSat(Exception):
+    """The helper proved the clauses sat."""
+
+
+class _Helper:
+    """A forked process that runs Houdini on the mined candidates alone,
+    without samples, beside the first refutation; its exit status is its
+    verdict, 0 for sat. Without samples Houdini reaches the same greatest
+    inductive subset of the same candidates, so its sat is the one that
+    Houdini with samples gives later. It stops at the first refutation's
+    deadline too, so a helper whose solving process is killed outlives it
+    by no more than that. Only the solver's own process, which starts no
+    thread, forks one: forking a process with threads is unsafe."""
+
+    def __init__(self, clauses: list[Clause], preds: dict[str, tuple],
+                 deadline: float | None) -> None:
+        import os  # only a solve that races pays for this import
+        self.os = os
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the refutation runs alone
+            pid = None
+        if pid == 0:
+            status = 1
+            try:
+                status = int(houdini(clauses, preds, deadline) != SAT)
+            finally:  # no exit hooks, and no flush of inherited buffers
+                os._exit(status)
+        self.pid = pid
+
+    def poll(self) -> None:
+        """Reap the helper if it has exited; raise _HelperSat if with sat."""
+        if self.pid:
+            pid, status = self.os.waitpid(self.pid, self.os.WNOHANG)
+            if pid:
+                self.pid = None
+                if status == 0:
+                    raise _HelperSat
+
+    def stop(self) -> None:
+        """Kill and reap the helper, if it is still there."""
+        if self.pid:
+            self.os.kill(self.pid, 9)  # SIGKILL, without importing signal
+            self.os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def solve_clauses(clauses: list[Clause], preds: dict[str, tuple],
-                  timeout: float | None = None) -> str:
+                  timeout: float | None = None, race: bool = False) -> str:
+    """The verdict of the phases in order. With `race`, a `_Helper` runs
+    beside the first refutation: its sat ends the solve at the refutation's
+    next clock check, and it is stopped when the refutation returns."""
     t0 = time.monotonic()
     deadline = None if timeout is None else t0 + timeout
 
@@ -522,7 +595,16 @@ def solve_clauses(clauses: list[Clause], preds: dict[str, tuple],
             return None
         return min(deadline, time.monotonic() + frac * (deadline - t0))
 
-    r, samples = refute(clauses, slice_deadline(0.2), rounds=4, cap=40, joins=250)
+    first = slice_deadline(0.2)
+    helper = _Helper(clauses, preds, first) if race else None
+    try:
+        r, samples = refute(clauses, first, rounds=4, cap=40, joins=250,
+                            helper=helper)
+    except _HelperSat:
+        return SAT
+    finally:
+        if helper:
+            helper.stop()
     if r in (SAT, UNSAT):
         return r
     r = houdini(clauses, preds, slice_deadline(0.75), samples)
@@ -534,12 +616,13 @@ def solve_clauses(clauses: list[Clause], preds: dict[str, tuple],
     return UNKNOWN
 
 
-def solve_script(text: str, timeout: float | None = None) -> str:
+def solve_script(text: str, timeout: float | None = None,
+                 race: bool = False) -> str:
     try:
         clauses, ctx = read_script(text)
     except UnsupportedSmt as e:
         return _refused(e)
-    return solve_clauses(clauses, ctx.preds, timeout)
+    return solve_clauses(clauses, ctx.preds, timeout, race)
 
 
 def _refused(e: UnsupportedSmt) -> str:
@@ -559,7 +642,8 @@ def session(lines, timeout: float | None) -> None:
         nonlocal asked
         asked = True
         print(_refused(error) if error else
-              solve_clauses(script.asserted(), script.ctx.preds, timeout),
+              solve_clauses(script.asserted(), script.ctx.preds, timeout,
+                            race=True),
               flush=True)
 
     for cmd in commands(lines):
@@ -608,7 +692,7 @@ def main(argv: list[str]) -> int:
         print(f"horn: cannot read {args[0]}: "
               f"{getattr(e, 'strerror', None) or e}", file=sys.stderr)
         return 2
-    print(solve_script(text, timeout), flush=True)
+    print(solve_script(text, timeout, race=True), flush=True)
     return 0
 
 

@@ -218,6 +218,7 @@ class BenchReport:
         widths = [max(len(row[i]) for row in data) for i in range(len(cols))]
         lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
                  for row in data]
+        lines.extend(f"{r.name}: {r.note}" for r in self.failures if r.note)
         lines.append(f"total {len(self.rows)}  failed {len(self.failures)}")
         return "\n".join(lines) + "\n"
 
@@ -267,14 +268,17 @@ def bench_one(path: Path, config: SolverConfig) -> BenchRow:
         return BenchRow(name, 0, expected, "-", 0.0, "-", 0.0, 0.0,
                         ok=False, note=f"error: {e}")
     try:
-        _, r_orig, r_tr = check_equisat(problem, tp, config)
+        status, r_orig, r_tr = check_equisat(problem, tp, config)
     except RuntimeError as e:
         return BenchRow(name, len(problem.queries), expected, "-", 0.0, "-",
                         0.0, transform_secs, ok=False, note=f"error: {e}")
-    ok = (not expected) or r_tr.verdict == expected
+    # two definitive verdicts that differ are the soundness alarm
+    note = (f"disagree (original={r_orig.verdict}, "
+            f"transformed={r_tr.verdict})" if status == "disagree" else "")
+    ok = not note and (not expected or r_tr.verdict == expected)
     return BenchRow(name, len(problem.queries), expected,
                     r_orig.verdict, r_orig.seconds,
-                    r_tr.verdict, r_tr.seconds, transform_secs, ok)
+                    r_tr.verdict, r_tr.seconds, transform_secs, ok, note)
 
 
 def run_bench(corpus: str | Path, config: SolverConfig,

@@ -284,6 +284,8 @@ def test_bench_reports_a_problem_that_is_not_text_as_a_failed_row(
                    "--jobs", "1") == 1
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
+    # stdout says why the row failed, as the report file does
+    assert "\nbad: error: cannot read bad.chc: " in captured.out
     rows = (tmp_path / "bench_report.csv").read_text().splitlines()
     bad = [r for r in rows if r.startswith("bad,")]
     assert len(bad) == 1 and ",0,error: cannot read bad.chc: " in bad[0]

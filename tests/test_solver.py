@@ -12,11 +12,13 @@ from catafuse import engine as engine_mod
 from catafuse import solver as solver_mod
 from catafuse.engine import ConstraintEngine, bundled_cmd
 from catafuse.parser import parse_problem
-from catafuse.solver import (SolveResult, SolverConfig, bench_one,
-                             check_equisat, expected_tag, run_bench, solve,
-                             solve_file, write_reports)
+from catafuse.refsolver import horn
+from catafuse.solver import (BenchReport, SolveResult, SolverConfig,
+                             bench_one, check_equisat, expected_tag, run_bench,
+                             solve, solve_file, write_reports)
 from catafuse.smtlib import emit_smtlib
 from catafuse.transform import transform_problem, transformed_problem
+from procs import HAS_CHILDREN_LISTS, own_children
 
 
 CFG = SolverConfig(timeout=90.0, original_timeout=45.0)
@@ -133,12 +135,45 @@ def test_crashed_solver_is_an_error_not_unknown(tmp_path, corpus_dir):
     assert "solver crashed" in row.note
 
 
+def test_bench_fails_a_row_whose_verdicts_disagree(tmp_path, corpus_dir):
+    # a solver that answers sat on a script that declares a fused predicate
+    # (the transformed set) and unsat on any other (the original)
+    code = ("import sys; print('sat' if 'new1' in open(sys.argv[-1]).read() "
+            "else 'unsat')")
+    src = tmp_path / "append_len_sat.chc"
+    src.write_text((corpus_dir / "append_len_sat.chc").read_text())
+    row = bench_one(src, SolverConfig(cmd=[sys.executable, "-c", code],
+                                      timeout=30.0))
+    assert (row.expected, row.original, row.transformed) == \
+        ("sat", "unsat", "sat")
+    assert not row.ok
+    assert row.note == "disagree (original=unsat, transformed=sat)"
+    # the text report says why the row failed
+    assert "append_len_sat: disagree (original=unsat, transformed=sat)\n" \
+        in BenchReport([row]).to_text()
+
+
 TRIVIAL_HORN = """(set-logic HORN)
 (declare-fun p (Int) Bool)
 (assert (forall ((x Int)) (=> (= x 0) (p x))))
 (assert (forall ((x Int)) (=> (and (p x) (= x 0)) false)))
 (check-sat)
 """
+
+
+@pytest.fixture(scope="module")
+def transformed(corpus_dir) -> dict[str, str]:
+    """The emitted transformed script of every corpus problem, by name."""
+    scripts = {}
+    for src in sorted(corpus_dir.glob("*.chc")):
+        pb = parse_problem(src.read_text())
+        eng = ConstraintEngine()
+        try:
+            tp = transformed_problem(pb, transform_problem(pb, eng))
+        finally:
+            eng.close()
+        scripts[src.stem] = emit_smtlib(tp)
+    return scripts
 
 
 def _bundled(limit: float) -> tuple[SolverConfig, tuple[str, ...]]:
@@ -208,16 +243,10 @@ def test_dead_idle_session_child_is_replaced(tmp_path, lent):
     assert _idle_pids(key) == [lent[1]]
 
 
-def test_session_limit_runs_from_check_sat(tmp_path, corpus_dir, lent):
+def test_session_limit_runs_from_check_sat(tmp_path, transformed, lent):
     # an idle child spends none of the next solve's limit waiting
-    pb = parse_problem((corpus_dir / "bst_insert_sat.chc").read_text())
-    eng = ConstraintEngine()
-    try:
-        tp = transformed_problem(pb, transform_problem(pb, eng))
-    finally:
-        eng.close()
     script = tmp_path / "bst_insert_sat.transformed.smt2"
-    script.write_text(emit_smtlib(tp))
+    script.write_text(transformed["bst_insert_sat"])
     config, key = _bundled(1.0)
     solve_file(script, config)
     time.sleep(2)
@@ -278,23 +307,17 @@ def test_solves_at_once_get_a_session_child_each(tmp_path, monkeypatch):
 
 
 def test_one_session_answers_the_decide_scripts_as_files_are(
-        tmp_path, corpus_dir, lent):
+        tmp_path, corpus_dir, transformed, lent):
     """The scripts of the benchmark's decide workload, solved in a row by
-    one session child and each by a child of its own."""
+    one session child, each by a child of its own, and in-process, where
+    no helper races."""
     config, key = _bundled(300.5)
     paths = []
     for src in sorted(corpus_dir.glob("*.chc")):
-        text = src.read_text()
-        if not expected_tag(text) or src.stem == "insertion_sort":
+        if not expected_tag(src.read_text()) or src.stem == "insertion_sort":
             continue
-        pb = parse_problem(text)
-        eng = ConstraintEngine()
-        try:
-            tp = transformed_problem(pb, transform_problem(pb, eng))
-        finally:
-            eng.close()
         path = tmp_path / f"{src.stem}.smt2"
-        path.write_text(emit_smtlib(tp))
+        path.write_text(transformed[src.stem])
         paths.append(path)
     assert len(paths) == 20
     in_session = [solve_file(p, config).verdict for p in paths]
@@ -303,6 +326,65 @@ def test_one_session_answers_the_decide_scripts_as_files_are(
                             capture_output=True, text=True,
                             timeout=330).stdout.split()[:1] for p in paths]
     assert [[v] for v in in_session] == alone
+    assert in_session == [horn.solve_script(p.read_text(), 300.5)
+                          for p in paths]
+
+
+def _children_for(pid: int, seconds: float) -> set[int]:
+    """The processes that `pid` runs at some point in the next `seconds`."""
+    seen: set[int] = set()
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        seen.update(own_children(pid))
+        time.sleep(0.01)
+    return seen
+
+
+# a script that the bundled solver refuses: its assertion is no clause
+REFUSED = "(assert (exists ((x Int)) (> x 0)))\n(check-sat)\n"
+
+
+@pytest.mark.skipif(not HAS_CHILDREN_LISTS, reason="reads /proc")
+def test_session_child_races_and_leaves_no_process(transformed):
+    """Whatever ends a solve, the session child reaps the helper it races
+    against its first refutation before it answers: a helper's sat, the
+    pipeline's unsat, the limit, a refused script, and `(exit)`."""
+    child = engine_mod._spawn(bundled_cmd("catafuse.refsolver.horn")
+                              + ["-t", "2", "-"])
+    try:
+        for script, want in ((transformed["bst_size_sat"], "sat"),
+                             (transformed["append_len_unsat"], "unsat"),
+                             (transformed["bst_insert_sat"], "unknown"),
+                             (REFUSED, "unknown")):
+            start = time.monotonic()
+            child.send(script + "(reset)")
+            assert child.read_verdict(start + 30) == want
+            assert time.monotonic() - start < 3
+            assert own_children(child.proc.pid) == []
+        # the session reads (exit) as soon as it has answered
+        child.send(transformed["bst_insert_sat"] + "(exit)")
+        # the first refutation, and so the helper, has 0.4 s of the limit
+        helpers = _children_for(child.proc.pid, 0.3)
+        assert child.read_verdict(time.monotonic() + 30) == "unknown"
+        assert child.proc.wait(timeout=10) == 0
+    finally:
+        child.discard()
+    assert len(helpers) == 1
+    assert not _running(helpers.pop())
+
+
+@pytest.mark.skipif(not HAS_CHILDREN_LISTS, reason="reads /proc")
+def test_file_mode_races_and_leaves_no_process(tmp_path, transformed):
+    script = tmp_path / "bst_insert_sat.smt2"
+    script.write_text(transformed["bst_insert_sat"])
+    with subprocess.Popen(bundled_cmd("catafuse.refsolver.horn")
+                          + ["-t", "2", str(script)],
+                          stdout=subprocess.PIPE, text=True) as proc:
+        helpers = _children_for(proc.pid, 0.3)
+        out, _ = proc.communicate(timeout=30)
+    assert out.split() == ["unknown"]
+    assert len(helpers) == 1
+    assert not _running(helpers.pop())
 
 
 # a stand-in session that reads its script and then never answers
