@@ -11,9 +11,10 @@ only what that submodule needs. The bundled oracle and CHC-solver children
 for one child's start-up; a process that transforms or solves many problems
 mostly does not, as the next oracle child starts while the current one
 works, and one solver child serves consecutive solves at one limit. Since
-start-up still counts, the children import no `dataclasses`, `inspect` or
-`typing`: the value classes in `catafuse.syntax` are generated without
-`dataclasses`. Nor do they import `importlib`, `os` or `tempfile`: their
+start-up still counts, the children import neither `inspect` nor `typing`:
+every record of the package is made by one decorator,
+`catafuse.syntax.value_class`, which needs neither, and no module imports
+`typing`. Nor do the children import `importlib`, `os` or `tempfile`: their
 launcher calls the module's `main(argv)` itself, and this module imports
 what it uses only where it is used, which no child reaches.
 

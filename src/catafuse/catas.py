@@ -13,11 +13,10 @@ constraint does not use their outputs (first/last style).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .syntax import (
     BOOL, Atom, Clause, Ctor, Formula, PRED_CATA, PRED_PROGRAM, PredDecl,
-    Problem, Sort, Term, Var, eval_formula, free_vars,
+    Problem, Sort, Term, Var, eval_formula, free_vars, value_class,
 )
 
 
@@ -56,7 +55,7 @@ def io_split(a: Atom, decl: PredDecl) -> tuple[tuple[Term, ...], Term, tuple[Ter
     return xs, t, ys
 
 
-@dataclass
+@value_class
 class CatamorphismSchema:
     pred: str
     shape: str  # "list" | "tree"
@@ -194,7 +193,7 @@ def _check_distinct_vars(pred: str, where: str, ts: tuple[Term, ...]) -> None:
 # Query validation (catamorphism-based queries)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@value_class
 class QuerySpec:
     constraint: Formula
     cata_atoms: list[tuple[Atom, tuple[Var, ...], Var, tuple[Var, ...]]]

@@ -56,7 +56,6 @@ import sys
 import tempfile
 import threading
 import time
-from typing import NamedTuple
 
 from . import bytecode_cache
 from .refsolver import lia
@@ -65,6 +64,7 @@ from .syntax import (
     FAnd, FComp, FEq, FFalse, FIff, FImp, FIte, FNot, FOr, FTrue,
     FVar, Formula, IntConst, SortTable, TRUE, FALSE, Var, as_lin, conjuncts,
     display_names, eval_formula, free_vars, lin, mk_and, mk_not, mk_or,
+    value_class,
 )
 
 SAT = "sat"
@@ -134,7 +134,8 @@ def default_oracle_cmd() -> list[str]:
     return bundled_cmd("catafuse.refsolver.oracle")
 
 
-class Child(NamedTuple):
+@value_class
+class Child:
     """A started child and its stderr, an unnamed temporary file. The oracle
     and the bundled CHC solver's session both speak SMT-LIB to it a line at
     a time and read one verdict line per check-sat."""

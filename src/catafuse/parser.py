@@ -25,7 +25,8 @@ from .syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, Formula, IntConst, NameGen,
     PRED_CATA, PRED_PROGRAM, PredDecl, Problem, Sort, SortDef, SortTable,
     CtorDecl, FALSE, Term, TermIte, TRUE, Var, eq_of, lin_sum, mk_and,
-    mk_not, mk_or, FComp, FIff, FImp, FIte, FVar, term_sort, value_class,
+    mk_not, mk_or, FComp, FIff, FImp, FIte, FVar, list_def, term_sort,
+    tree_def, value_class,
 )
 
 
@@ -533,14 +534,38 @@ def _parse_sortname(p: _Parser, b: _Builder) -> Sort:
     raise ParseError(f"expected a sort, found {t.text!r}", t.line, t.col)
 
 
-def _declared_name(p: _Parser, b: _Builder, what: str) -> Tok:
-    """The name a `pred` or `cata` declaration introduces: new, and outside
-    the true_* namespace of the transformer's structural carriers."""
+# Names the SMT-LIB output cannot carry: its reserved words and the Core
+# and Ints symbols that a declared name can spell.
+_SMT_RESERVED = frozenset((
+    "and", "or", "not", "xor", "distinct", "div", "mod", "abs", "as",
+    "exists", "forall", "let", "match", "par", "assert", "echo", "exit",
+    "pop", "push", "reset"))
+_BUILTIN_CTORS = frozenset(c.name for sd in (list_def(INT), tree_def(INT))
+                           for c in sd.ctors)
+
+
+def _smt_name(p: _Parser, what: str) -> Tok:
+    """The name a declaration introduces, which the SMT-LIB output carries
+    as it is."""
     name = p.next()
     if name.kind != "id":
         raise ParseError(f"{what} name expected", name.line, name.col)
+    if name.text in _SMT_RESERVED:
+        raise ParseError(f"{what} name {name.text} is reserved in SMT-LIB",
+                         name.line, name.col)
+    return name
+
+
+def _declared_name(p: _Parser, b: _Builder, what: str) -> Tok:
+    """The name a `pred` or `cata` declaration introduces: new, no
+    constructor's name, and outside the true_* namespace of the
+    transformer's structural carriers."""
+    name = _smt_name(p, what)
     if name.text in b.preds:
         raise ParseError(f"predicate {name.text} declared twice",
+                         name.line, name.col)
+    if name.text in b.ctor_sort or name.text in _BUILTIN_CTORS:
+        raise ParseError(f"{what} {name.text} has a constructor's name",
                          name.line, name.col)
     if name.text.startswith("true_"):
         raise ParseError("the true_* namespace is reserved", name.line, name.col)
@@ -600,16 +625,17 @@ def _parse_cata(p: _Parser, b: _Builder) -> None:
 
 def _parse_sort(p: _Parser, b: _Builder) -> None:
     p.expect("sort")
-    name = p.next()
-    if name.kind != "id":
-        raise ParseError("sort name expected", name.line, name.col)
+    name = _smt_name(p, "sort")
+    if name.text in ("int", "bool"):
+        raise ParseError(f"sort {name.text} is builtin", name.line, name.col)
     p.expect("=")
     ctors: list[CtorDecl] = []
     sort = Sort(name.text)
     while True:
-        cn = p.next()
-        if cn.kind != "id":
-            raise ParseError("constructor name expected", cn.line, cn.col)
+        cn = _smt_name(p, "constructor")
+        if cn.text in b.preds:
+            raise ParseError(f"constructor {cn.text} has a predicate's name",
+                             cn.line, cn.col)
         args: list[Sort] = []
         if p.at("("):
             p.next()

@@ -2,7 +2,8 @@
 
 Name mangling (see README): list(s) -> Lst_<s>, tree(s) -> Tr_<s>, the list
 constructors become nil_<Sort> / cons_<Sort> with selectors <ctor>_<i>; user
-ADT and predicate names pass through unchanged. Variables are emitted under
+ADT and predicate names pass through unchanged (the parser refuses those
+that SMT-LIB cannot carry). Variables are emitted under
 their per-clause display names (A, B, C, ..., `syntax.display_names`),
 which keeps the output deterministic: emitting the same clause set twice is
 byte-identical. The printers take that name map; nothing is renamed by
@@ -169,9 +170,9 @@ def emit_script(clauses: list[Clause], preds: dict[str, PredDecl],
     return "\n".join(lines) + "\n"
 
 
-def emit_smtlib(problem: Problem, logic: str = "HORN") -> str:
+def emit_smtlib(problem: Problem) -> str:
     """SMT-LIB Horn script for a whole problem (definite clauses + queries)."""
-    return emit_script(problem.all_clauses(), problem.preds, problem.sorts, logic)
+    return emit_script(problem.all_clauses(), problem.preds, problem.sorts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import shutil
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import (ConstraintEngine, OracleError, Overrun, bundled_cmd,
@@ -33,7 +32,7 @@ from .engine import (ConstraintEngine, OracleError, Overrun, bundled_cmd,
 from .parser import parse_problem
 from .refsolver.smtparse import UnsupportedSmt, parse_sexps
 from .smtlib import emit_smtlib
-from .syntax import Problem
+from .syntax import Problem, value_class
 from .transform import transform_problem, transformed_problem
 
 SAT = "sat"
@@ -52,14 +51,19 @@ def default_solver_cmd() -> list[str]:
     return bundled_cmd("catafuse.refsolver.horn")
 
 
-@dataclass
 class SolverConfig:
-    cmd: list[str] = field(default_factory=default_solver_cmd)
-    timeout: float = 300.0
-    max_iterations: int = 50
-    # the untransformed side of a comparison may get a shorter budget: the
-    # whole point of the transformation is that originals rarely solve
-    original_timeout: float | None = None
+    """How to run the CHC solver. With no `cmd`, the one that
+    `default_solver_cmd` names when the config is made."""
+
+    def __init__(self, cmd: list[str] | None = None, timeout: float = 300.0,
+                 max_iterations: int = 50,
+                 original_timeout: float | None = None) -> None:
+        self.cmd = default_solver_cmd() if cmd is None else cmd
+        self.timeout = timeout
+        self.max_iterations = max_iterations
+        # the untransformed side of a comparison may get a shorter budget:
+        # the whole point of the transformation is that originals rarely solve
+        self.original_timeout = original_timeout
 
     def identity(self) -> str:
         return command_name(self.cmd)
@@ -71,7 +75,7 @@ class SolverConfig:
                             self.max_iterations)
 
 
-@dataclass
+@value_class
 class SolveResult:
     verdict: str  # sat | unsat | unknown | timeout
     seconds: float
@@ -184,7 +188,7 @@ def check_equisat(original: Problem, transformed: Problem,
 # Benchmark harness
 # ---------------------------------------------------------------------------
 
-@dataclass
+@value_class
 class BenchRow:
     name: str
     queries: int
@@ -198,7 +202,7 @@ class BenchRow:
     note: str = ""
 
 
-@dataclass
+@value_class
 class BenchReport:
     rows: list[BenchRow]
 

@@ -8,12 +8,15 @@ clauses read like hand-written ones. The printers (`pretty_term`,
 take those names as a map (`display_names`) instead of printing a renamed
 copy; `display_renaming` builds that copy for the callers that keep it.
 
-The value classes behave like frozen dataclasses (`Problem` like a plain
-one) but are built by `value_class`, not `dataclasses`: this module is on
-the import path of the bundled oracle and CHC-solver children, and
-`dataclasses` (with `inspect`, `re`, `enum` and `ast`) plus its per-class
-code generation took about half of a child's import time. Nor does the
-module import `typing`; its annotations are never evaluated.
+`value_class` is the one record decorator of the whole package: every
+record, here or in another module, is a frozen value class that compares
+by its field tuple, caches its hash and prints as `Name(field=value, ...)`.
+It is written here rather than imported from the standard library: this
+module is on the import path of the bundled oracle and CHC-solver children,
+and the standard record generator (with `inspect`, `re`, `enum` and `ast`)
+plus its per-class code generation took about half of a child's import
+time. No module of the package imports `typing`; annotations are never
+evaluated.
 
 Three term operations are written here once, for every other module:
 `vars_in_order` (the walk of `free_vars`, in first-occurrence order, which
@@ -55,63 +58,55 @@ def _repr(self) -> str:
 
 # The cached hash is kept in the instance dict, so a pickled object would
 # carry a string hash from another process; nothing pickles these objects.
-_CACHED_HASH = """
+# Until it is set, `_hash` reads the class's None: a first hash that raised
+# and caught AttributeError would cost more than hashing the fields.
+_METHODS = """
+def __init__(self{params}):
+{init}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return {fields} == {other}
+    return NotImplemented
 def __hash__(self):
-    try:
-        return self._hash
-    except AttributeError:
-        h = hash({0})
+    h = self._hash
+    if h is None:
+        h = hash({fields})
         _set(self, '_hash', h)
-        return h"""
+    return h"""
 
 
-def value_class(cls=None, *, frozen: bool = True, cache_hash: bool = False):
-    """Class decorator with the semantics of `@dataclass(frozen=True)` (or of
-    `@dataclass` when not frozen) for a class whose annotated fields are
-    listed in its body, defaults included.
+def value_class(cls):
+    """The package's one way to declare a record: a class decorator for a
+    class whose annotated fields are listed in its body, defaults included.
 
-    `__init__`, `__eq__` and, for a frozen class, `__hash__` are generated
-    in one `exec`: `__eq__` compares the field tuples of two objects of the
-    same class, and `__hash__` hashes the field tuple, once per object with
-    cache_hash (hashing a formula then no longer walks its whole tree each
-    time). Frozen classes reject assignment and deletion; mutable ones are
-    unhashable.
+    `__init__`, `__eq__` and `__hash__` are generated in one `exec`:
+    `__eq__` compares the field tuples of two objects of the same class, and
+    `__hash__` hashes the field tuple once per object (hashing a formula
+    then no longer walks its whole tree each time). Assignment and deletion
+    raise AttributeError; a field may still hold a mutable list or dict.
     """
-    if cls is None:
-        return lambda c: value_class(c, frozen=frozen, cache_hash=cache_hash)
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
 
     def fields(obj: str) -> str:
         return "(" + "".join(f"{obj}.{n}," for n in names) + ")"
 
-    params = "".join(f", {n}=_dflt[{n!r}]" if n in defaults else f", {n}"
-                     for n in names)
-    if frozen:
-        init = [f"    _set(self, {n!r}, {n})" for n in names]
-    else:
-        init = [f"    self.{n} = {n}" for n in names]
-    src = [f"def __init__(self{params}):", *(init or ["    pass"]),
-           "def __eq__(self, other):",
-           "    if other.__class__ is self.__class__:",
-           f"        return {fields('self')} == {fields('other')}",
-           "    return NotImplemented"]
-    if cache_hash:
-        src.append(_CACHED_HASH.format(fields("self")))
-    elif frozen:
-        src += ["def __hash__(self):", f"    return hash({fields('self')})"]
+    src = _METHODS.format(
+        params="".join(f", {n}=_dflt[{n!r}]" if n in defaults else f", {n}"
+                       for n in names),
+        init="\n".join(f"    _set(self, {n!r}, {n})" for n in names)
+        or "    pass",
+        fields=fields("self"), other=fields("other"))
     ns: dict = {}
-    exec("\n".join(src), {"_set": object.__setattr__, "_dflt": defaults}, ns)
+    exec(src, {"_set": object.__setattr__, "_dflt": defaults}, ns)
     for name, fn in ns.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, fn)
     cls.__match_args__ = names
+    cls._hash = None
     cls.__repr__ = _repr
-    if frozen:
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
-    else:
-        cls.__hash__ = None
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
 
 
@@ -202,13 +197,6 @@ class SortTable:
             self._defs[sort.name] = sd
         return sd
 
-    def known(self, sort: Sort) -> bool:
-        try:
-            self.resolve(sort)
-            return True
-        except KeyError:
-            return False
-
     def adt_defs(self) -> list[SortDef]:
         return [self._defs[k] for k in sorted(self._defs)]
 
@@ -238,23 +226,23 @@ class Term:
         return pretty_term(self)
 
 
-@value_class(cache_hash=True)
+@value_class
 class Var(Term):
     name: str
     sort: Sort
 
 
-@value_class(cache_hash=True)
+@value_class
 class IntConst(Term):
     value: int
 
 
-@value_class(cache_hash=True)
+@value_class
 class BoolConst(Term):
     value: bool
 
 
-@value_class(cache_hash=True)
+@value_class
 class LinExpr(Term):
     """a0 + a1*X1 + ... + an*Xn with integer coefficients, kept in canonical form."""
 
@@ -262,14 +250,14 @@ class LinExpr(Term):
     const: int
 
 
-@value_class(cache_hash=True)
+@value_class
 class Ctor(Term):
     sort: Sort
     ctor: str
     args: tuple[Term, ...]
 
 
-@value_class(cache_hash=True)
+@value_class
 class TermIte(Term):
     cond: "Formula"
     then: Term
@@ -365,12 +353,12 @@ class Formula:
         return pretty_formula(self)
 
 
-@value_class(cache_hash=True)
+@value_class
 class FTrue(Formula):
     pass
 
 
-@value_class(cache_hash=True)
+@value_class
 class FFalse(Formula):
     pass
 
@@ -379,46 +367,46 @@ TRUE = FTrue()
 FALSE = FFalse()
 
 
-@value_class(cache_hash=True)
+@value_class
 class FVar(Formula):
     var: Var
 
 
-@value_class(cache_hash=True)
+@value_class
 class FNot(Formula):
     arg: Formula
 
 
-@value_class(cache_hash=True)
+@value_class
 class FAnd(Formula):
     args: tuple[Formula, ...]
 
 
-@value_class(cache_hash=True)
+@value_class
 class FOr(Formula):
     args: tuple[Formula, ...]
 
 
-@value_class(cache_hash=True)
+@value_class
 class FImp(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@value_class(cache_hash=True)
+@value_class
 class FIff(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@value_class(cache_hash=True)
+@value_class
 class FIte(Formula):
     cond: Formula
     then: Formula
     els: Formula
 
 
-@value_class(cache_hash=True)
+@value_class
 class FComp(Formula):
     """LIA atom over Int terms; rel is one of = < =< >= >."""
 
@@ -427,7 +415,7 @@ class FComp(Formula):
     rhs: Term
 
 
-@value_class(cache_hash=True)
+@value_class
 class FEq(Formula):
     """Equality between same-sorted ADT terms."""
 
@@ -553,7 +541,7 @@ class PredDecl:
     out_idx: tuple[int, ...] = ()
 
 
-@value_class(frozen=False)
+@value_class
 class Problem:
     sorts: SortTable
     preds: dict[str, PredDecl]

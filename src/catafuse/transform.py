@@ -29,7 +29,6 @@ Conventions that matter for reading this module:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .catas import QuerySpec, io_split, validate_problem
 from .engine import ConstraintEngine, HOLDS, UNSAT, simplify
@@ -37,7 +36,7 @@ from .syntax import (
     Atom, Clause, Ctor, FComp, FEq, FIff, FVar, Formula, NameGen, PRED_CATA,
     PRED_PROGRAM, PRED_TRUE, PredDecl, Problem, Sort, Subst, Term, TRUE, Var,
     conjuncts, eq_of, free_vars, mk_and, mk_not, pretty_clause, rename_apart,
-    resolve, term_sort, vars_in_order,
+    resolve, term_sort, value_class, vars_in_order,
 )
 
 
@@ -49,12 +48,12 @@ class TransformError(Exception):
 # Derivation log
 # ---------------------------------------------------------------------------
 
-@dataclass
+@value_class
 class LogRecord:
     rule: str
     detail: str
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
+    inputs: list[str]
+    outputs: list[str]
 
 
 class DerivationLog:
@@ -80,9 +79,6 @@ class DerivationLog:
             text = self._shown[c] = pretty_clause(c)
         return text
 
-    def count(self, rule: str) -> int:
-        return sum(1 for r in self.records if r.rule == rule)
-
     def to_text(self) -> str:
         out = []
         for i, r in enumerate(self.records, 1):
@@ -103,7 +99,7 @@ class DerivationLog:
 # Definitions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@value_class
 class Definition:
     name: str
     head: Atom
@@ -161,9 +157,6 @@ class DefinitionSet:
         del self.by_pred[_slot(old.prog.pred, old.catas)]
         self.by_pred[_slot(new.prog.pred, new.catas)] = new
 
-    def snapshot(self) -> list[Definition]:
-        return list(self.order)
-
 
 # ---------------------------------------------------------------------------
 # Definition matching (shared by Skip / Extend / Fold / extension order)
@@ -190,7 +183,8 @@ def _bind(sigma: dict[Var, Term], taken: set[Var], dv: Term, ct: Term) -> None:
 
 
 def match_definition(d: Definition, atom: Atom, catas: list[Atom],
-                     gen: NameGen) -> tuple[Subst, set[int]]:
+                     gen: NameGen, decls: dict[str, PredDecl]
+                     ) -> tuple[Subst, set[int]]:
     """Rename d so its program atom equals `atom` and its catamorphism atoms
     cover `catas` (same predicate, same structural argument). Returns the
     renaming and the set of indices of `catas` that found a counterpart;
@@ -209,8 +203,8 @@ def match_definition(d: Definition, atom: Atom, catas: list[Atom],
             if j in used_def or da.pred != ca.pred:
                 continue
             # structural argument must agree under the renaming built so far
-            dt = da.args[_adt_pos(da)]
-            ct_t = ca.args[_adt_pos(ca)]
+            k = decls[ca.pred].adt_idx
+            dt, ct_t = da.args[k], ca.args[k]
             if not isinstance(dt, Var) or sigma.get(dt) != ct_t:
                 continue
             trial = dict(sigma)
@@ -231,14 +225,6 @@ def match_definition(d: Definition, atom: Atom, catas: list[Atom],
     return Subst(sigma), matched_clause
 
 
-def _adt_pos(a: Atom) -> int:
-    """Position of the single ADT argument of a catamorphism atom."""
-    for i, t in enumerate(a.args):
-        if term_sort(t).is_adt:
-            return i
-    raise MatchError(f"{a} has no ADT argument")
-
-
 # ---------------------------------------------------------------------------
 # Transformer
 # ---------------------------------------------------------------------------
@@ -247,7 +233,7 @@ def true_pred_name(sort: Sort) -> str:
     return TRUE_PREFIX + sort.name.replace("(", "_").replace(")", "")
 
 
-@dataclass
+@value_class
 class TransformResult:
     clauses: list[Clause]
     new_preds: dict[str, PredDecl]
@@ -342,8 +328,8 @@ class Transformer:
             c = work[i]
             target = None
             for j, a in enumerate(c.body):
-                if self.is_cata(a.pred) and \
-                        not isinstance(a.args[_adt_pos(a)], Var):
+                if self.is_cata(a.pred) and not isinstance(
+                        a.args[self.decls[a.pred].adt_idx], Var):
                     target = j
                     break
             if target is None:
@@ -397,7 +383,7 @@ class Transformer:
         # atom a variable, so an orphan's carrier is true_<sort>(that variable)
         grouped = {b for _, group in self.fold_groups(c) for b in group}
         orphan_ts = list(dict.fromkeys(
-            b.args[_adt_pos(b)] for b in c.body
+            b.args[self.decls[b.pred].adt_idx] for b in c.body
             if self.is_cata(b.pred) and b not in grouped))
         if not orphan_ts:
             return c
@@ -449,7 +435,8 @@ class Transformer:
             t_img = rho[t]
             partner = None
             for cb in catas_k:
-                if cb.pred == qa.pred and cb.args[_adt_pos(cb)] == t_img:
+                if cb.pred == qa.pred and \
+                        cb.args[self.decls[cb.pred].adt_idx] == t_img:
                     partner = cb
                     break
             if partner is not None:
@@ -503,7 +490,8 @@ class Transformer:
                     f"no definition available to fold {a.pred} "
                     f"(define phase bug)")
             try:
-                sigma, matched = match_definition(d, a, group, self.var_gen)
+                sigma, matched = match_definition(d, a, group, self.var_gen,
+                                                 self.decls)
             except MatchError as e:
                 raise TransformError(f"fold match failed for {a.pred}: {e}")
             if len(matched) != len(group):
@@ -538,7 +526,8 @@ class Transformer:
     def _skip_or_extend(self, c: Clause, a: Atom, group: list[Atom],
                         d: Definition, defs: DefinitionSet) -> bool:
         try:
-            sigma, matched = match_definition(d, a, group, self.var_gen)
+            sigma, matched = match_definition(d, a, group, self.var_gen,
+                                                 self.decls)
         except MatchError as e:
             raise TransformError(
                 f"definition for {a.pred} cannot be matched: {e}")
@@ -555,8 +544,8 @@ class Transformer:
         if full_match and self.engine.equivalent(widened, d_constraint):
             return False  # nothing genuinely new; the slot is stable
         new = self._mk_definition(tuple(b_prime), a, widened)
-        assert def_extends(d, new, self.engine), \
-            "Extend must produce an extension"
+        if not def_extends(d, new, self.engine, self.decls):
+            raise TransformError(f"Extend of {d.name} broke the extension order")
         defs.replace(d, new)
         self.log.add("define.extend", f"{d.name} -> {new.name} for {a.pred}",
                      [d.clause()], [new.clause()])
@@ -612,10 +601,7 @@ class Transformer:
     def definition_fixpoint(self) -> tuple[DefinitionSet, int]:
         defs = DefinitionSet()
         for i in range(1, self.max_iterations + 1):
-            before = defs.snapshot()
-            changed = self.definition_step(defs)
-            _assert_monotone(before, defs, self.engine)
-            if not changed:
+            if not self.definition_step(defs):
                 self.log.add("fixpoint", f"stable after {i} iterations")
                 return defs, i
         raise TransformError(
@@ -644,7 +630,7 @@ class Transformer:
         out.extend(leftovers)
         new_preds = {n: d for n, d in self.decls.items()
                      if n not in self.problem.preds}
-        return TransformResult(out, new_preds, defs.snapshot(),
+        return TransformResult(out, new_preds, list(defs),
                                iterations, self.log)
 
 
@@ -665,27 +651,20 @@ def _check_definition_conditions(d: Definition) -> None:
             f"{d.name}: catamorphism ADT variables outside the program atom")
 
 
-def def_extends(d1: Definition, d2: Definition,
-                engine: ConstraintEngine) -> bool:
+def def_extends(d1: Definition, d2: Definition, engine: ConstraintEngine,
+                decls: dict[str, PredDecl]) -> bool:
     """d1 [= d2: catas of d1 embed into d2's and c1 entails c2."""
     if d1.prog.pred != d2.prog.pred:
         return False
     gen = NameGen("x")
     try:
-        sigma, matched = match_definition(d2, d1.prog, list(d1.catas), gen)
+        sigma, matched = match_definition(d2, d1.prog, list(d1.catas), gen,
+                                          decls)
     except MatchError:
         return False
     return len(matched) == len(d1.catas) and \
         engine.entails(d1.constraint, sigma.formula(d2.constraint)) == HOLDS
 
-
-def _assert_monotone(before: list[Definition], after: DefinitionSet,
-                     engine: ConstraintEngine) -> None:
-    for d1 in before:
-        if any(def_extends(d1, d2, engine) for d2 in after):
-            continue
-        raise TransformError(
-            f"iteration broke the extension order at {d1.name}")
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_criterion_6_termination_and_monotonicity():
                 snaps = []
                 for i in range(tr.max_iterations):
                     changed = tr.definition_step(defs)
-                    snaps.append(defs.snapshot())
+                    snaps.append(list(defs))
                     per_pred = [d.prog.pred for d in defs
                                 if tr.decls[d.prog.pred].kind != PRED_TRUE]
                     assert len(per_pred) == len(set(per_pred)), path.name
@@ -217,7 +217,7 @@ def test_criterion_6_termination_and_monotonicity():
                     raise AssertionError(f"{path.name}: no fixpoint under cap")
                 for before, after in zip(snaps, snaps[1:]):
                     for d1 in before:
-                        assert any(def_extends(d1, d2, tr.engine)
+                        assert any(def_extends(d1, d2, tr.engine, tr.decls)
                                    for d2 in after), (path.name, d1.name)
             finally:
                 eng.close()

@@ -371,45 +371,116 @@ def test_child_without_a_cache_imports_no_tempfile(monkeypatch):
 USED_BY_TESTS_ONLY = ["catas.py: eval_cata"]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds in its own
+    scope: parameters, assignment and loop targets, imports, nested
+    definitions, exception names; not those it declares global."""
+    if isinstance(scope, (ast.ListComp, ast.SetComp, ast.DictComp,
+                          ast.GeneratorExp)):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    a = scope.args
+    bound = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+    bound |= {x.arg for x in (a.vararg, a.kwarg) if x is not None}
+    declared_global: set[str] = set()
+    todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            bound.add(n.id)
+        elif isinstance(n, ast.alias):
+            bound.add((n.asname or n.name).split(".", 1)[0])
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            bound.add(n.name)
+        elif isinstance(n, (ast.Global, ast.Nonlocal)):
+            declared_global.update(n.names)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            bound.add(n.name)
+        if not isinstance(n, (*_SCOPES, ast.ClassDef)):  # those bind in theirs
+            todo.extend(ast.iter_child_nodes(n))
+    return bound - declared_global
+
+
+def _uses(node: ast.AST, modules: set[str]) -> collections.Counter:
+    """Under `node`, as if at module level: ("name", x) for each load of x
+    that no enclosing local binding or parameter shadows, each import of x,
+    each access m.x to a module m of `modules` and each string constant x;
+    ("attr", x) for each attribute access .x."""
+    found = collections.Counter()
+    todo = [(node, frozenset())]
+    while todo:
+        n, shadowed = todo.pop()
+        if isinstance(n, _SCOPES):
+            shadowed = shadowed | _local_names(n)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            if n.id not in shadowed:
+                found["name", n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found["attr", n.attr] += 1
+            if isinstance(n.value, ast.Name) and n.value.id in modules \
+                    and n.value.id not in shadowed:
+                found["name", n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found["name", n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found["name", n.value] += 1
+        todo.extend((c, shadowed) for c in ast.iter_child_nodes(n))
+    return found
+
+
 def _unreferenced_definitions(package: Path) -> list[str]:
     """Each module-level function or class, and each method of such a class,
-    that no code under `package` names outside its own definition: as a
-    name, an attribute, an imported name or a string constant. Dunders and
-    decorated functions are exempt, since a protocol or a decorator
-    reaches them."""
+    that no code under `package` uses outside its own definition. A
+    module-level definition is used by a load of its name that no local
+    binding or parameter shadows, by an import, as an attribute of one of
+    the package's modules (`qfcore.check_sat`) or by a string constant; a
+    method only by attribute access. Dunders and decorated functions are
+    exempt, since a protocol or a decorator reaches them."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.rglob("*.py"))}
-
-    def names(node: ast.AST) -> collections.Counter:
-        found = collections.Counter()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                found[n.id] += 1
-            elif isinstance(n, ast.Attribute):
-                found[n.attr] += 1
-            elif isinstance(n, ast.alias):
-                found[n.name.rsplit(".", 1)[-1]] += 1
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                found[n.value] += 1
-        return found
-
-    everywhere = sum((names(tree) for tree in trees.values()),
+    modules = {path.stem for path in trees} - {"__init__"}
+    everywhere = sum((_uses(tree, modules) for tree in trees.values()),
                      collections.Counter())
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     dead = []
     for path, tree in trees.items():
-        named = [(n, "") for n in tree.body if isinstance(n, defs)]
-        named += [(m, f"{c.name}.") for c in tree.body
+        named = [(n, "", "name") for n in tree.body if isinstance(n, defs)]
+        named += [(m, f"{c.name}.", "attr") for c in tree.body
                   if isinstance(c, ast.ClassDef)
                   for m in c.body if isinstance(m, defs)]
-        for node, owner in named:
+        for node, owner, kind in named:
             name = node.name
             if (name.startswith("__") and name.endswith("__")) \
                     or node.decorator_list:
                 continue
-            if everywhere[name] - names(node)[name] <= 0:
+            key = kind, name
+            if everywhere[key] - _uses(node, modules)[key] <= 0:
                 dead.append(f"{path.relative_to(package)}: {owner}{name}")
     return dead
+
+
+def test_dead_helper_tripwire_counts_only_real_uses(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def shadowed(): pass\n"
+        "def reached(): pass\n"
+        "def qualified(): pass\n"
+        "class T:\n"
+        "    def known(self): pass\n"
+        "    def used(self): pass\n"
+        "def f(shadowed, known):\n"
+        "    return [reached for reached in shadowed], known, T().used\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "def g():\n"
+        "    return a.qualified(), reached()\n", encoding="utf-8")
+    assert _unreferenced_definitions(tmp_path) == [
+        "a.py: shadowed", "a.py: f", "a.py: T.known", "b.py: g"]
 
 
 def test_every_definition_in_the_package_is_used():

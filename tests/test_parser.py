@@ -116,12 +116,59 @@ def test_reserved_true_namespace():
         parse_problem("cata true_list_int(in:, adt: list(int), out: int).\n")
 
 
+_LEN = ("cata len(in:, adt: list(int), out: int).\n"
+        "len([], N) :- N = 0.\n"
+        "len([H|T], N) :- N = N1 + 1, len(T, N1).\n")
+
+
+def _refused(text: str, match: str) -> tuple[int, int]:
+    with pytest.raises(ParseError, match=match) as err:
+        parse_problem(text)
+    return err.value.line, err.value.col
+
+
+@pytest.mark.parametrize("name", ["bool", "int"])
+def test_sort_named_like_a_builtin_refused(name):
+    """Such a sort was the builtin itself: its constructors went undeclared
+    in SMT-LIB, and `sort int = a | b.` made `a` an integer."""
+    assert _refused(f"sort {name} = yes | no.\n"
+                    f"pred p(list(int), {name}).\n" + _LEN +
+                    "p([], yes).\np([X|Xs], no) :- p(Xs, B).\n"
+                    "false :- N < 0, len(Xs, N), p(Xs, B).\n",
+                    f"sort {name} is builtin") == (1, 6)
+
+
+@pytest.mark.parametrize("word, decl", [
+    ("and", "pred and(list(int))."),
+    ("distinct", "cata distinct(in:, adt: list(int), out: int)."),
+    ("let", "sort let = a."), ("push", "sort s = a | push(int)."),
+    ("reset", "pred reset(int).")])
+def test_smtlib_reserved_name_refused(word, decl):
+    """SMT-LIB cannot declare these: `(declare-fun and (Lst_Int) Bool)` made
+    the bundled solver print an error and `unknown`."""
+    _refused(decl + "\n", f"name {word} is reserved in SMT-LIB")
+
+
+def test_predicate_and_constructor_of_one_name_refused():
+    """The script declared `mk` as both a constructor and a predicate."""
+    assert _refused("sort s = mk | other(int).\npred mk(list(int), s).\n"
+                    + _LEN + "mk([], mk).\n"
+                    "false :- N < 0, len(Xs, N), mk(Xs, S).\n",
+                    "predicate mk has a constructor's name") == (2, 6)
+    assert _refused("pred mk(list(int)).\nsort s = other(int) | mk.\n",
+                    "constructor mk has a predicate's name") == (2, 23)
+    for builtin in ("cons", "leaf", "node"):
+        _refused(f"cata {builtin}(in:, adt: tree(int), out: int).\n",
+                 f"catamorphism {builtin} has a constructor's name")
+
+
 def test_custom_adt_declaration():
     p = parse_problem(
         "sort pair = mk(int, int).\n"
         "pred p(pair).\n"
         "p(mk(A, B)) :- A =< B.\n")
-    assert p.sorts.known(next(iter({d.arg_sorts[0] for d in p.preds.values()})))
+    sd = p.sorts.resolve(p.preds["p"].arg_sorts[0])  # KeyError if unknown
+    assert [c.name for c in sd.ctors] == ["mk"]
 
 
 def test_comments_and_ite():

@@ -1,12 +1,18 @@
+import ast
 import dataclasses
+import importlib
 import itertools
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catafuse import parser, syntax
+import catafuse
+from catafuse import catas, parser, solver, syntax, transform
+from catafuse import engine as engine_mod
 from catafuse.syntax import (
     BOOL, INT, Atom, BoolConst, Clause, Ctor, CtorDecl, IntConst, NameGen,
     PredDecl, Subst, TRUE, Var, conjuncts, eq_of, free_vars, lin, list_sort,
@@ -262,6 +268,9 @@ def test_pretty_roundtrip_display_names():
 
 _NAMES = ("X", "Y")
 _B = Var("B", BOOL)
+# stand-ins for fields compared by identity: a log, a process, a file
+_LOGS = (transform.DerivationLog(), transform.DerivationLog())
+_PROCS = ("proc", object())
 
 
 def _pick(r, *options):
@@ -317,57 +326,123 @@ _ARGS = {
     parser.Node: lambda r: (_pick(r, "id", "app"), _pick(r, "", "p"),
                             _pick(r, (), (parser.Node("id", "x"),)), _pick(r, 0, 1),
                             _pick(r, 0, 1)),
+    transform.LogRecord: lambda r: (_pick(r, "fold", "unfold.step"), _pick(r, "", "d"),
+                                    _pick(r, [], ["p(A)."]), _pick(r, [], ["q."])),
+    transform.Definition: lambda r: (_pick(r, "new1", "new2"), _atom(r), _formula(r),
+                                     _pick(r, (), (_atom(r),)), _atom(r)),
+    transform.TransformResult: lambda r: (_pick(r, [], [_clause()]),
+                                          _pick(r, {}, {"p": PredDecl("p", ())}),
+                                          [], _pick(r, 1, 2), _pick(r, *_LOGS)),
+    catas.CatamorphismSchema: lambda r: (_pick(r, "len", "sum"), _pick(r, "list", "tree"),
+                                         LI, _pick(r, (), (INT,)), _clause(),
+                                         _pick(r, _clause(), Clause(None, TRUE, ())),
+                                         _pick(r, (), ("len",))),
+    catas.QuerySpec: lambda r: (_formula(r), _pick(r, [], [(_atom(r), (), ivar("X"), ())]),
+                                _atom(r)),
+    solver.SolveResult: lambda r: (_pick(r, "sat", "unsat"), _pick(r, 0.5, 1.0),
+                                   _pick(r, "z3", "horn")),
+    solver.BenchRow: lambda r: (_pick(r, "a", "b"), _pick(r, 1, 2), "sat",
+                                _pick(r, "sat", "unknown"), 0.5, "sat",
+                                _pick(r, 0.5, 1.0), 0.25, _pick(r, True, False),
+                                _pick(r, "", "why")),
+    solver.BenchReport: lambda r: (_pick(r, [], [solver.BenchRow(
+        "a", 1, "sat", "sat", 0.5, "sat", 0.5, 0.25, True)]),),
+    engine_mod.Child: lambda r: (_pick(r, *_PROCS), _pick(r, *_PROCS)),
 }
 
 
 def _twin(cls):
-    """A dataclass with the class's fields and defaults."""
+    """A frozen dataclass with the class's fields and defaults."""
     body = cls.__dict__.get("__annotations__", {})
     fields = [(n, object, dataclasses.field(default=cls.__dict__[n]))
               if n in cls.__dict__ else (n, object) for n in body]
-    return dataclasses.make_dataclass(cls.__name__, fields,
-                                      frozen=cls is not syntax.Problem)
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+PACKAGE = Path(catafuse.__file__).resolve().parent
+
+
+def _package_modules():
+    return [importlib.import_module(m.name) for m in
+            pkgutil.walk_packages(catafuse.__path__, "catafuse.")]
 
 
 def test_value_classes_cover_every_record():
-    made = {c for m in (syntax, parser) for c in vars(m).values()
+    made = {c for m in _package_modules() for c in vars(m).values()
             if isinstance(c, type) and "__match_args__" in c.__dict__
             and c.__module__ == m.__name__}
     assert made == set(_ARGS)
+    assert all(c.__repr__ is syntax._repr for c in made)
+
+
+def _hash_like_twin(x, tx):
+    """Equal hashes, the cached one included, or TypeError for both when a
+    field is unhashable."""
+    try:
+        h = hash(tx)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == h == hash(x)
 
 
 def test_value_classes_behave_like_dataclasses():
     rng = random.Random(7)
     for cls, gen in _ARGS.items():
         twin = _twin(cls)
-        frozen = cls is not syntax.Problem
         for _ in range(40):
             a1, a2 = gen(rng), gen(rng)
             x, y, tx, ty = cls(*a1), cls(*a2), twin(*a1), twin(*a2)
-            if frozen:
-                assert hash(x) == hash(tx) == hash(x)  # cached or not
+            _hash_like_twin(x, tx)
             assert (x == y) == (tx == ty) and (x != y) == (tx != ty)
             assert repr(x) == repr(tx)
             assert x == cls(*a1) and x != tx
             assert cls.__eq__(x, tx) is NotImplemented
         a = gen(rng)
-        x = cls(*a)
+        x, tx = cls(*a), twin(*a)
         # like a dataclass, an object never equals one of a subclass
         assert x != type("Sub", (cls,), {})(*a)
         first = next(iter(cls.__dict__.get("__annotations__", {})), "extra")
-        if frozen:
-            for name in (first, "extra"):
+        for name in (first, "extra"):
+            for obj in (x, tx):
                 with pytest.raises(AttributeError):
-                    setattr(x, name, 0)
+                    setattr(obj, name, 0)
                 with pytest.raises(AttributeError):
-                    delattr(x, name)
-        else:
-            with pytest.raises(TypeError):
-                hash(x)
-            setattr(x, first, 0)
-            assert getattr(x, first) == 0
-            delattr(x, first)
-            assert not hasattr(x, first)
+                    delattr(obj, name)
+        assert x == cls(*a)
+
+
+def test_problem_fields_stay_mutable_lists():
+    p = syntax.Problem(syntax.SortTable(), {}, [], [], [])
+    p.queries.append(Clause(None, TRUE, ()))
+    assert p.all_clauses() == [Clause(None, TRUE, ())]
+    with pytest.raises(AttributeError):
+        p.queries = []
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in n.names] if isinstance(n, ast.Import) \
+                else [n.module or ""] if isinstance(n, ast.ImportFrom) else []
+            found += [f"{path.relative_to(PACKAGE)}: {m}" for m in names
+                      if m.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def test_solver_config_reads_chc_solver_when_made(monkeypatch):
+    monkeypatch.setenv("CHC_SOLVER", "first-solver -v")
+    one = solver.SolverConfig(timeout=5.0)
+    monkeypatch.setenv("CHC_SOLVER", "second-solver")
+    two = solver.SolverConfig()
+    assert (one.cmd, one.timeout, two.cmd) == (
+        ["first-solver", "-v"], 5.0, ["second-solver"])
+    assert solver.SolverConfig(["mine"]).cmd == ["mine"]
+    shorter = solver.SolverConfig(["mine"], 9.0, 7, 3.0).for_original()
+    assert (shorter.cmd, shorter.timeout, shorter.max_iterations,
+            shorter.original_timeout) == (["mine"], 3.0, 7, None)
 
 
 def test_value_class_defaults_apply():

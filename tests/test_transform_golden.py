@@ -205,8 +205,9 @@ def test_derivation_log_counts(insertion_sort):
         res = tr.transform_all()
     finally:
         eng.close()
-    assert res.log.count("define.project") == 7  # all seven via Project
-    assert res.log.count("fold") == 18
+    rules = [r.rule for r in res.log.records]
+    assert rules.count("define.project") == 7  # all seven via Project
+    assert rules.count("fold") == 18
     text = res.log.to_text()
     assert "unfold.step" in text and "strengthen" in text
     import json

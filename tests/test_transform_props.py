@@ -28,7 +28,7 @@ def _iterate(tr):
     snaps = []
     for _ in range(tr.max_iterations):
         changed = tr.definition_step(defs)
-        snaps.append(defs.snapshot())
+        snaps.append(list(defs))
         if not changed:
             break
     return defs, snaps
@@ -46,16 +46,17 @@ def test_extension_chain_between_iterations(tr):
     _, snaps = _iterate(tr)
     for before, after in zip(snaps, snaps[1:]):
         for d1 in before:
-            assert any(def_extends(d1, d2, tr.engine) for d2 in after), d1.name
+            assert any(def_extends(d1, d2, tr.engine, tr.decls)
+                       for d2 in after), d1.name
 
 
 def test_def_extends_reflexive_and_ordered(tr):
     defs, _ = _iterate(tr)
     for d in defs:
-        assert def_extends(d, d, tr.engine)
+        assert def_extends(d, d, tr.engine, tr.decls)
     snoc_def = defs.by_pred["snoc"]
     ins_def = defs.by_pred["ins_sort"]
-    assert not def_extends(snoc_def, ins_def, tr.engine)
+    assert not def_extends(snoc_def, ins_def, tr.engine, tr.decls)
 
 
 def test_def_extends_strict_chain_not_symmetric(tr):
@@ -66,8 +67,8 @@ def test_def_extends_strict_chain_not_symmetric(tr):
                       if d.prog.pred == "snoc")
     last_snoc = next(d for d in reversed(snaps[-1]) if d.prog.pred == "snoc")
     assert len(first_snoc.catas) < len(last_snoc.catas)
-    assert def_extends(first_snoc, last_snoc, tr.engine)
-    assert not def_extends(last_snoc, first_snoc, tr.engine)
+    assert def_extends(first_snoc, last_snoc, tr.engine, tr.decls)
+    assert not def_extends(last_snoc, first_snoc, tr.engine, tr.decls)
 
 
 def test_r1_conditions_on_introduced_definitions(tr):

@@ -34,7 +34,7 @@ def reference_transform_all(tr: Transformer) -> TransformResult:
     out.extend(leftovers)
     new_preds = {n: d for n, d in tr.decls.items()
                  if n not in tr.problem.preds}
-    return TransformResult(out, new_preds, defs.snapshot(),
+    return TransformResult(out, new_preds, list(defs),
                            iterations, tr.log)
 
 
